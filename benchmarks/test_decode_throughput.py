@@ -5,9 +5,10 @@ measured in a fresh subprocess (interleaved, minimum-of-N CPU-time samples;
 see ``conftest.ab_subprocess``): a 1000-token GPTN-2.7B decode on the
 OnePlus 12 after a 1024-token prompt.  The fast side simulates three
 tokens per context-length segment and bulk-replays the recorded trace for
-the rest; the slow side (``extrapolate=False``) prices and simulates every
-token.  Both sides run the same compiled plan from the shared artifact
-store, so the ratio isolates the replay machinery.
+the rest; the slow side (``segment.EXTRAPOLATE_DEFAULT = False`` in its
+child) prices and simulates every token.  Both sides run the same
+compiled plan from the shared artifact store, so the ratio isolates the
+replay machinery.
 
 The exactness contract is asserted before the bar: simulated latency and
 peak memory must be bitwise identical across sides.  Acceptance bar:
@@ -40,16 +41,17 @@ def _measure_side(side: str) -> None:
     """Child entry: time CHILD_REPEATS decode runs, report the fastest."""
     from repro.core.flashmem import FlashMem
     from repro.experiments import common
+    from repro.runtime import segment
     from repro.runtime.scenario import Scenario
 
+    segment.EXTRAPOLATE_DEFAULT = side == "fast"
     common.configure_cache(CACHE_DIR)
     compiled = common.cached_decode_compile(MODEL, DEVICE, CONTEXT)
     fm = FlashMem(common.experiment_flashmem_config())
     scenario = Scenario.decode(tokens=TOKENS, context_len=CONTEXT)
-    extrapolate = side == "fast"
 
     def one_pass():
-        return fm.run(compiled, scenario=scenario, extrapolate=extrapolate)
+        return fm.run(compiled, scenario=scenario)
 
     one_pass()  # warm up: imports, LRU caches, priced tables
     gc.collect()

@@ -18,7 +18,7 @@ byte-identical plans and the ratio isolates the simulation work:
 The seed side reverts the hot-path deltas inside its own process: the
 module defaults flip back to scalar per-node pricing
 (``pricing.COST_TABLES_DEFAULT``) and no extrapolation
-(``executor.EXTRAPOLATE_DEFAULT``), and ``CommandQueue`` / ``Simulation``
+(``segment.EXTRAPOLATE_DEFAULT``), and ``CommandQueue`` / ``Simulation``
 methods are monkeypatched to the pre-PR accounting — a ``QueueEvent``
 object built per submit, busy/idle time recomputed by walking the event
 log, interval merges through the sorting reference implementation, the
@@ -70,13 +70,29 @@ def _install_seed_emulation() -> None:
     from repro.gpusim.engine import Simulation
     from repro.gpusim.queues import CommandQueue, QueueEvent
     from repro.gpusim.timeline import MemoryTimeline
-    from repro.runtime import executor
+    from repro.runtime import segment
+    from repro.runtime.executor import FlashMemExecutor
 
     pricing.COST_TABLES_DEFAULT = False
-    executor.EXTRAPOLATE_DEFAULT = False
+    segment.EXTRAPOLATE_DEFAULT = False
 
     # Pre-PR graphs recomputed every aggregate per simulated run.
     Graph._frozen_aggregate = lambda self, key, compute: compute()
+
+    # The pre-PR FlashMem executor priced every kernel with the scalar
+    # model on every pass; the scalar path now prices each kernel once per
+    # run.  (Preload runs here are single-pass, so they need no patch.)
+    class PerPassPrices:
+        def __init__(self, programs, device):
+            self.programs, self.device = programs, device
+
+        def __getitem__(self, pos):
+            return self.programs[pos].time_ms(self.device)
+
+    def seed_durations(self, bundle, nodes):
+        return PerPassPrices([bundle.programs[node.index] for node in nodes], self.device)
+
+    FlashMemExecutor._durations = seed_durations
 
     def seed_submit_fast(self, label, duration_ms, not_before=0.0, kind="work"):
         if duration_ms < 0:
@@ -135,11 +151,12 @@ def _scenario_multi_iter():
 
     compiled = common.cached_compile(MULTI_MODEL, DEVICE)
     from repro.core.flashmem import FlashMem
+    from repro.runtime.scenario import Scenario
 
     fm = FlashMem(common.experiment_flashmem_config())
 
     def one_pass():
-        return fm.run(compiled, iterations=MULTI_ITERATIONS)
+        return fm.run(compiled, scenario=Scenario.prefill(MULTI_ITERATIONS))
 
     def summarize(result):
         return {
@@ -174,12 +191,12 @@ def _scenario_table7_grid():
         total = 0.0
         cells = 0
         for model in EVALUATED_MODELS:
-            total += fm.run(compiles[model], iterations=1).latency_ms
+            total += fm.run(compiles[model]).latency_ms
             cells += 1
             for fw, profile in profiles:
                 graph = smem_graphs[model] if fw == "SMem" else graphs[model]
                 try:
-                    result = PreloadExecutor(profile, device).run(graph, iterations=1)
+                    result = PreloadExecutor(profile, device).run(graph)
                 except ModelNotSupportedError:
                     continue
                 total += result.latency_ms

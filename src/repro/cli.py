@@ -240,10 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="number of hotspot rows to print (default 25)")
     prof_run.add_argument("--time-limit", type=float, default=5.0,
                           help="LC-OPG solver budget for the (unprofiled) compile")
-    prof_run.add_argument("--no-cost-tables", action="store_true",
-                          help="price kernels with the scalar per-node model")
-    prof_run.add_argument("--no-extrapolate", action="store_true",
-                          help="simulate every iteration instead of replaying steady state")
     prof_capacity = prof_sub.add_parser(
         "capacity",
         help="time the capacity pipeline (profile/fit/bisect) and print "
@@ -353,17 +349,10 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
     print(f"Compiling {graph.summary()} for {device.name} (not profiled) ...")
     compiled = fm.compile(graph, device)
     before = pricing.STATS.snapshot()
-    print(f"Profiling run: {scenario.describe()}, "
-          f"cost tables {'off' if args.no_cost_tables else 'on'}, "
-          f"extrapolation {'off' if args.no_extrapolate else 'on'} ...")
+    print(f"Profiling run: {scenario.describe()} ...")
     profiler = cProfile.Profile()
     profiler.enable()
-    result = fm.run(
-        compiled,
-        scenario=scenario,
-        use_cost_tables=not args.no_cost_tables,
-        extrapolate=not args.no_extrapolate,
-    )
+    result = fm.run(compiled, scenario=scenario)
     profiler.disable()
     delta = pricing.STATS.delta_since(before)
     print(f"run finished: {result.latency_ms:.0f} ms simulated in "

@@ -167,34 +167,18 @@ class FlashMem:
         compiled: CompiledModel,
         *,
         scenario: Optional[Scenario] = None,
-        iterations: Optional[int] = None,
-        use_cost_tables: Optional[bool] = None,
-        extrapolate: Optional[bool] = None,
     ) -> RunResult:
         """Execute a compiled model on the simulator.
 
         ``scenario`` selects the workload (:meth:`Scenario.prefill` passes,
-        or :meth:`Scenario.decode` autoregressive generation — the latter
-        needs a decode-phase graph so the plan carries a KV residency
-        policy).  The bare ``iterations=`` spelling is a deprecated prefill
-        shim resolved by the executor.
-
-        ``use_cost_tables``/``extrapolate`` thread through to
-        :meth:`FlashMemExecutor.run` (byte-identical escape hatches for the
-        differential tests; None uses the module defaults).
+        the default being one, or :meth:`Scenario.decode` autoregressive
+        generation — the latter needs a decode-phase graph so the plan
+        carries a KV residency policy).
         """
         executor = FlashMemExecutor(
             compiled.device, rewriting=self.config.use_kernel_rewriting
         )
-        return executor.run(
-            compiled.graph,
-            compiled.plan,
-            compiled.bundle,
-            scenario=scenario,
-            iterations=iterations,
-            use_cost_tables=use_cost_tables,
-            extrapolate=extrapolate,
-        )
+        return executor.run(compiled.graph, compiled.plan, compiled.bundle, scenario=scenario)
 
     def compile_and_run(
         self,
@@ -202,7 +186,6 @@ class FlashMem:
         device: DeviceProfile,
         *,
         scenario: Optional[Scenario] = None,
-        iterations: Optional[int] = None,
         capacity: Optional[LoadCapacityModel] = None,
         target_preload_ratio: Optional[float] = None,
     ) -> RunResult:
@@ -210,4 +193,4 @@ class FlashMem:
         compiled = self.compile(
             graph, device, capacity=capacity, target_preload_ratio=target_preload_ratio
         )
-        return self.run(compiled, scenario=scenario, iterations=iterations)
+        return self.run(compiled, scenario=scenario)

@@ -50,9 +50,10 @@ KernelRow = Tuple[OpClass, int, int, int, int, float, bool]
 #: shape; 256 comfortably covers the full experiment grid).
 _TABLE_CACHE_MAX = 256
 
-#: Global default for executors' ``use_cost_tables`` argument.  Benchmarks
-#: flip this to False (together with the executors' extrapolation default)
-#: to emulate the pre-vectorization scalar pricing path in A/B children.
+#: Whether executors price kernels with these tables (True) or the scalar
+#: oracle.  Read at every run: tests flip it to compare the two paths, and
+#: benchmarks flip it (with ``runtime.segment.EXTRAPOLATE_DEFAULT``) to
+#: emulate the pre-vectorization scalar path in A/B children.
 COST_TABLES_DEFAULT = True
 
 #: Class-indexed interference coefficient lookup in a fixed order.

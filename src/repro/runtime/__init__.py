@@ -31,7 +31,6 @@ from repro.runtime.scenario import (
     Scenario,
     available_scenarios,
     make_scenario,
-    resolve_scenario,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "Scenario",
     "available_scenarios",
     "make_scenario",
-    "resolve_scenario",
     "BASELINE_ORDER",
     "EXECUTORCH",
     "FRAMEWORK_PROFILES",

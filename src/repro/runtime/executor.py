@@ -19,57 +19,28 @@ run.  This is where FlashMem's memory savings come from — they are
 *measured* off the timeline, not asserted.
 
 **Hot path.**  Kernel latencies come from one vectorized pricing table per
-(bundle, device) — see :mod:`repro.gpusim.pricing` — and multi-iteration
-runs use *steady-state extrapolation*: iterations 1 and 2 are recorded as
-instruction traces; when the traces match (and every allocation made inside
-the iteration is freed inside it), the remaining iterations re-execute the
-trace with the exact same float arithmetic as a full pass while skipping
-the per-node Python bookkeeping (dict lookups, pool accounting, label
-formatting overhead).  The replay is *exact*, not approximate: it performs
-the identical sequence of IEEE-754 operations a full simulation would, so
-``RunResult`` is byte-identical with extrapolation on or off (pinned by
-``tests/runtime/test_extrapolation_equivalence.py``).  ``extrapolate=False``
-and ``use_cost_tables=False`` restore the seed path literally.
+(bundle, device) — see :mod:`repro.gpusim.pricing` — and the passes run
+through the shared segment core (:mod:`repro.runtime.segment`), which
+replays steady-state passes exactly instead of re-simulating them.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.graph.dag import Graph
-from repro.graph.ops import OpKind
 from repro.gpusim.device import DeviceProfile
 from repro.gpusim.engine import Simulation
 from repro.gpusim import pricing
-from repro.gpusim.kernels import FlashAttentionKernel
 from repro.gpusim.texture import texture_bytes, winograd_expansion
 from repro.kernels.codegen import ExecStyle, KernelBundle
 from repro.kernels.rewriter import KernelRewriter
-from repro.opg.plan import OverlapPlan
-from repro.runtime.scenario import Scenario, resolve_scenario
-
-#: Dedicated Winograd transforms run below the raw upload bandwidth
-#: (gather/scatter access pattern).
-WINOGRAD_BW_FACTOR = 0.5
+from repro.opg.plan import KvResidencyPlan, OverlapPlan
+from repro.runtime.scenario import Scenario
+from repro.runtime.segment import WINOGRAD_BW_FACTOR, SegmentCore, attention_index
 
 #: Resident process baseline (runtime code, GPU driver arenas), MB.
 FLASHMEM_BASELINE_MB = 80.0
-
-#: Dedicated (non-embedded) chunk-copy kernels run strided, well below the
-#: vectorised in-kernel path — what kernel rewriting buys back (Figure 7).
-DEDICATED_COPY_BW_FACTOR = 0.35
-
-#: Global default for ``FlashMemExecutor.run(extrapolate=...)``; benchmarks
-#: flip it to emulate the pre-extrapolation path in A/B children.
-EXTRAPOLATE_DEFAULT = True
-
-# Trace instruction opcodes (steady-state replay).
-_OP_EXEC = 0
-_OP_LOAD = 1
-_OP_XFORM = 2
 
 
 class FlashMemExecutor:
@@ -99,395 +70,22 @@ class FlashMemExecutor:
         bundle: Optional[KernelBundle] = None,
         *,
         scenario: Optional[Scenario] = None,
-        iterations: Optional[int] = None,
         runtime_name: str = "FlashMem",
-        use_cost_tables: Optional[bool] = None,
-        extrapolate: Optional[bool] = None,
     ):
-        """Simulate the workload described by ``scenario``.
+        """Simulate the workload described by ``scenario`` (default: one
+        prefill pass).
 
         ``Scenario.prefill(n)`` runs ``n`` streamed inference passes.  Each
         pass re-streams the non-preloaded weights (FlashMem frees them after
         use), which is why a warm-started preloader eventually wins on many
         consecutive same-model inferences (paper §5.2).
         ``Scenario.decode(...)`` runs per-token autoregressive generation
-        against the plan's KV residency policy (see :meth:`_run_decode`).
-        The bare ``iterations=`` spelling is deprecated (prefill shim).
-
-        ``use_cost_tables`` / ``extrapolate`` override the module defaults
-        (:data:`pricing.COST_TABLES_DEFAULT`, :data:`EXTRAPOLATE_DEFAULT`);
-        both fast paths produce byte-identical results to the scalar/full
-        simulation and exist as escape hatches for differential testing.
+        against the plan's KV residency policy (see :meth:`_decode`).
         """
-        scenario = resolve_scenario(scenario, iterations=iterations)
-        if scenario.is_decode:
-            return self._run_decode(
-                graph,
-                plan,
-                bundle,
-                scenario,
-                runtime_name=runtime_name,
-                use_cost_tables=use_cost_tables,
-                extrapolate=extrapolate,
-            )
-        iterations = scenario.iterations
-        wall0 = time.perf_counter()
-        stats = pricing.STATS
-        stats_before = stats.snapshot()
-        if use_cost_tables is None:
-            use_cost_tables = pricing.COST_TABLES_DEFAULT
-        if extrapolate is None:
-            extrapolate = EXTRAPOLATE_DEFAULT
-        device = self.device
-        graph.freeze()
-        missing = [w.name for w, _ in graph.weights() if w.name not in plan.schedules]
-        if missing:
-            raise ValueError(
-                f"plan for {plan.model!r} does not cover {len(missing)} weights "
-                f"of {graph.name!r} (first: {missing[0]!r}) — was it solved for "
-                "a different graph?"
-            )
-        if bundle is None:
-            bundle = KernelRewriter(style=self.style).rewrite_graph(graph, plan)
-        sim = Simulation(device, model=graph.name, runtime=runtime_name)
-        io, gpu = sim.queues.io, sim.queues.gpu
-        weights_by_name = {w.name: (w, node) for w, node in graph.weights()}
-
-        sim.alloc_um("process_baseline", int(FLASHMEM_BASELINE_MB * 1e6), 0.0)
-        setup_start, setup_end = gpu.submit_fast("gpu_setup", device.gpu_setup_ms, kind="setup")
-        sim.phases.setup = setup_end - setup_start
-
-        # ---- Preload W --------------------------------------------------
-        for name in plan.preloaded_weights:
-            weight, node = weights_by_name[name]
-            _, load_end = io.submit_fast(
-                f"preload:{name}", device.disk_latency_ms + weight.nbytes / device.disk_bw, kind="load"
-            )
-            sim.alloc_um(name, weight.nbytes, load_end)
-            expansion = winograd_expansion(node.kind, int(node.spec.attrs.get("kernel", 0)))
-            bw = device.tm_upload_bw * (WINOGRAD_BW_FACTOR if expansion > 1.0 else 1.0)
-            xform_start, xform_end = gpu.submit_fast(
-                f"transform:{name}",
-                device.kernel_launch_ms + weight.nbytes / bw,
-                load_end,
-                "transform",
-            )
-            if expansion > 1.0:
-                sim.alloc_um(f"{name}.winograd", int(weight.nbytes * (expansion - 1.0)), xform_start)
-                sim.free_um(f"{name}.winograd", xform_end)
-            sim.alloc_tm(name + ".tex", texture_bytes(weight.tensor), xform_end)
-            sim.free_um(name, xform_end)
-        sim.phases.load = io.busy_time_ms(kind="load")
-        sim.phases.transform = gpu.busy_time_ms(kind="transform")
-
-        preload_end_ms = sim.queues.makespan_ms
-        # Activation workspace for the whole run.
-        sim.alloc_um("activations", graph.peak_activation_bytes(), preload_end_ms)
-
-        # Index streamed weights by their load layer, and their transform
-        # segments (byte-exact) by host layer.
-        loads_by_layer: Dict[int, List[str]] = {}
-        segments_by_layer: Dict[int, List[tuple]] = {}
-        for name, sched in plan.schedules.items():
-            if sched.preloaded:
-                continue
-            loads_by_layer.setdefault(sched.load_layer, []).append(name)
-            for seg in sched.segments():
-                segments_by_layer.setdefault(seg.layer, []).append(
-                    (name, seg.end_offset - seg.start_offset)
-                )
-
-        node_list = list(graph.nodes())
-
-        # Static per-run data the iteration loop re-derived per pass in the
-        # scalar path (all expressions identical to the inline originals, so
-        # the derived floats are bitwise the same).
-        dedicated = {n for n, s in plan.schedules.items() if s.dedicated_transform}
-        weight_nbytes = {n: weights_by_name[n][0].nbytes for n in plan.schedules}
-        stream_load_ms = {
-            name: device.disk_latency_ms + weight_nbytes[name] / device.disk_bw
-            for names in loads_by_layer.values()
-            for name in names
-        }
-        sched_nbytes = {n: s.nbytes for n, s in plan.schedules.items()}
-        # Per node: streamed (non-dedicated) weight segments it consumes.
-        consumers: List[tuple] = []
-        for node in node_list:
-            items = []
-            for weight_spec in node.weights:
-                sched = plan.schedules.get(weight_spec.name)
-                if sched is None or sched.preloaded or sched.dedicated_transform:
-                    continue
-                for seg in sched.segments():
-                    items.append((weight_spec.name, seg.layer, seg.end_offset - seg.start_offset))
-            consumers.append(tuple(items))
-
-        # Kernel latencies: one vectorized table per (bundle, device), or
-        # the scalar oracle per node per iteration (seed path).
-        durations: Optional[List[float]] = None
-        if use_cost_tables:
-            # Rows are a pure function of the (immutable once compiled)
-            # bundle, so they are cached on it across runs; the priced table
-            # itself is memoized per (device, rows) in the pricing layer.
-            rows = bundle.__dict__.get("_pricing_rows")
-            if rows is None:
-                rows = tuple(
-                    pricing.spec_row(
-                        program.op,
-                        extra_bytes=program.embedded_load_bytes,
-                        divergent=program.style is ExecStyle.BRANCHY
-                        and program.embedded_load_bytes > 0,
-                    )
-                    for program in (bundle.programs[node.index] for node in node_list)
-                )
-                bundle.__dict__["_pricing_rows"] = rows
-            durations = pricing.kernel_time_table(device, rows).tolist()
-
-        exec_total = 0.0
-        stall_total = 0.0
-        rewriting = self.rewriting
-
-        # Steady-state extrapolation machinery: record iterations 1 and 2 as
-        # instruction traces; if they match structurally (and are alloc/free
-        # balanced), replay the trace for the remaining iterations.
-        record_window = extrapolate and iterations > 3
-        traces: Dict[int, Tuple[tuple, bool]] = {}
-        slots: Dict[str, int] = {}
-        steady = False
-
-        it = 0
-        while it < iterations:
-            recording = record_window and it in (1, 2)
-            trace: Optional[list] = [] if recording else None
-            alloc_names = set() if recording else None
-            free_names = set() if recording else None
-            um_ready: Dict[str, float] = {}
-            transformed: Dict[str, int] = {}
-            tag = f"i{it}:" if iterations > 1 else ""
-            for pos, node in enumerate(node_list):
-                idx = node.index
-                gpu_now = gpu.free_at
-                # 1) Issue disk loads whose z_w is this layer.  Dedicated
-                #    conv weights keep their cached texture after the first
-                #    pass, so they are neither reloaded nor re-transformed.
-                for name in loads_by_layer.get(idx, ()):
-                    if it > 0 and name in dedicated:
-                        continue
-                    nbytes = weight_nbytes[name]
-                    load_dur = stream_load_ms[name]
-                    _, load_end = io.submit_fast(f"{tag}load:{name}", load_dur, gpu_now, "load")
-                    um_ready[name] = load_end
-                    sim.alloc_um(tag + name, nbytes, load_end)
-                    if recording:
-                        s = slots.get(name)
-                        if s is None:
-                            s = slots[name] = len(slots)
-                        trace.append((_OP_LOAD, s, load_dur, nbytes, f"load:{name}"))
-                        alloc_names.add(tag + name)
-
-                # 2) Dedicated Winograd transforms for conv weights used here
-                #    (first iteration only — the transformed texture persists).
-                if it == 0:
-                    for weight_spec in node.weights:
-                        if weight_spec.name not in dedicated:
-                            continue
-                        weight, wnode = weights_by_name[weight_spec.name]
-                        expansion = winograd_expansion(
-                            wnode.kind, int(wnode.spec.attrs.get("kernel", 0))
-                        )
-                        xform_start, xform_end = gpu.submit_fast(
-                            f"{tag}winograd:{weight_spec.name}",
-                            device.kernel_launch_ms
-                            + weight.nbytes / (device.tm_upload_bw * WINOGRAD_BW_FACTOR),
-                            um_ready.get(weight_spec.name, 0.0),
-                            "transform",
-                        )
-                        if expansion > 1.0:
-                            scratch = int(weight.nbytes * (expansion - 1.0))
-                            sim.alloc_um(f"{tag}{weight_spec.name}.winograd", scratch, xform_start)
-                            sim.free_um(f"{tag}{weight_spec.name}.winograd", xform_end)
-                        sim.alloc_tm(
-                            f"{tag}{weight_spec.name}.tex", texture_bytes(weight.tensor), xform_end
-                        )
-                        sim.free_um(f"{tag}{weight_spec.name}", xform_end)
-
-                # 3) The layer's transform segments.
-                segments = segments_by_layer.get(idx, ())
-                not_before = 0.0
-                nb_slots: tuple = ()
-                if segments:
-                    for seg_weight, _nbytes in segments:
-                        ready = um_ready.get(seg_weight, 0.0)
-                        if ready > not_before:
-                            not_before = ready
-                    if not rewriting:
-                        # OPG-only mode: dedicated data-loading kernels
-                        # (strided copies, no compute to hide behind).
-                        for seg_weight, seg_bytes in segments:
-                            xdur = (
-                                device.kernel_launch_ms
-                                + seg_bytes / (device.tm_upload_bw * DEDICATED_COPY_BW_FACTOR)
-                            )
-                            gpu.submit_fast(
-                                f"{tag}xform:{seg_weight}@{idx}",
-                                xdur,
-                                um_ready.get(seg_weight, 0.0),
-                                "transform",
-                            )
-                            if recording:
-                                s = slots.get(seg_weight)
-                                if s is None:
-                                    s = slots[seg_weight] = len(slots)
-                                trace.append((_OP_XFORM, s, xdur, f"xform:{seg_weight}@{idx}"))
-                        not_before = 0.0  # transforms already serialized the wait
-                    elif recording:
-                        seg_slots = []
-                        for seg_weight, _nbytes in segments:
-                            s = slots.get(seg_weight)
-                            if s is None:
-                                s = slots[seg_weight] = len(slots)
-                            seg_slots.append(s)
-                        nb_slots = tuple(seg_slots)
-
-                # 4) The layer kernel (with embedded segments when rewriting).
-                if durations is not None:
-                    duration = durations[pos]
-                else:
-                    duration = bundle.programs[idx].time_ms(device)
-                stall_total += max(0.0, not_before - gpu.free_at)
-                start, end = gpu.submit_fast(
-                    f"{tag}exec:{node.name}", duration, not_before, "compute"
-                )
-                exec_total += end - start
-
-                # 5) Segment bookkeeping: texture bytes appear as the kernel
-                #    finishes; the UM copy frees after the last segment.
-                seg_ops: Optional[list] = [] if recording else None
-                for seg_weight, seg_bytes in segments:
-                    sim.alloc_tm(f"{tag}{seg_weight}.tex.{idx}", seg_bytes, end)
-                    total_transformed = transformed.get(seg_weight, 0) + seg_bytes
-                    transformed[seg_weight] = total_transformed
-                    um_freed = 0
-                    if total_transformed >= sched_nbytes[seg_weight]:
-                        sim.free_um(tag + seg_weight, end)
-                        um_freed = weight_nbytes[seg_weight]
-                    if recording:
-                        alloc_names.add(f"{tag}{seg_weight}.tex.{idx}")
-                        if um_freed:
-                            free_names.add(tag + seg_weight)
-                        seg_ops.append((seg_bytes, um_freed))
-
-                # 6) Streamed weights consumed by this kernel are done: free
-                #    their texture copies.  Winograd-transformed convolution
-                #    weights stay cached — re-deriving the transform is
-                #    costlier than the texture it occupies (this is why conv
-                #    models save less memory, paper §5.2).
-                for wname, seg_layer, seg_size in consumers[pos]:
-                    sim.free_tm(f"{tag}{wname}.tex.{seg_layer}", end)
-                    if recording:
-                        free_names.add(f"{tag}{wname}.tex.{seg_layer}")
-
-                if recording:
-                    trace.append(
-                        (
-                            _OP_EXEC,
-                            duration,
-                            nb_slots,
-                            tuple(seg_ops),
-                            tuple(size for _w, _l, size in consumers[pos]),
-                            f"exec:{node.name}",
-                        )
-                    )
-
-            if recording:
-                balanced = alloc_names == free_names
-                traces[it] = (tuple(trace), balanced)
-                if it == 2:
-                    trace1, bal1 = traces[1]
-                    trace2, bal2 = traces[2]
-                    steady = bal1 and bal2 and trace1 == trace2
-            it += 1
-            if steady and it < iterations:
-                break
-
-        # ---- Steady-state replay of the remaining iterations -------------
-        replayed = 0
-        if steady and it < iterations:
-            replayed = iterations - it
-            stall_total, exec_total = self._replay(
-                sim, traces[2][0], len(slots), it, iterations, stall_total, exec_total
-            )
-            it = iterations
-
-        sim.phases.execute = exec_total
-        end = sim.queues.makespan_ms
-        sim.free_all(end)
-        pricing_delta = stats.delta_since(stats_before)
-        wall = time.perf_counter() - wall0
-        stats.runs += 1
-        stats.sim_s += wall
-        stats.replayed_iterations += replayed
-        details = {
-            "iterations": float(iterations),
-            "preload_ratio": plan.preload_ratio,
-            "preload_end_ms": preload_end_ms,
-            "stall_ms": stall_total,
-            "embedded_bytes": float(bundle.total_embedded_bytes()),
-            "dedicated_weights": float(
-                sum(1 for s_ in plan.schedules.values() if s_.dedicated_transform)
-            ),
-            "winograd_ms": gpu.busy_time_ms(kind="transform") - sim.phases.transform,
-            "sim_s": wall,
-            "pricing_hits": float(pricing_delta["table_hits"]),
-            "pricing_misses": float(pricing_delta["table_misses"]),
-            "replayed_iterations": float(replayed),
-        }
-        if sim.oom:
-            details["oom"] = 1.0
-        return sim.finish(details=details)
-
-    def _run_decode(
-        self,
-        graph: Graph,
-        plan: OverlapPlan,
-        bundle: Optional[KernelBundle],
-        scenario: Scenario,
-        *,
-        runtime_name: str,
-        use_cost_tables: Optional[bool],
-        extrapolate: Optional[bool],
-    ):
-        """Autoregressive decode: per-token execution with a growing KV cache.
-
-        The prompt's KV (``scenario.context_len`` tokens) is resident when
-        decoding starts; each generated token appends one row pair per cache
-        (at its ``KV_APPEND`` kernel's completion) and re-prices the tiled
-        attention kernels for the grown context.  The plan's
-        :class:`~repro.opg.plan.KvResidencyPlan` caps resident tiles — the
-        cache stops growing in memory at the cap and older tiles stream from
-        disk, which is FlashMem's bounded-memory/degrading-throughput trade
-        against the preloading baseline's linear growth.
-
-        **Extrapolation.**  Per-token cost is piecewise-constant between the
-        plan's context-length breakpoints (all attention tiles are priced
-        full, so only the tile *count* matters).  Within each segment the
-        executor records tokens 1 and 2 as instruction traces and, when they
-        match, replays the remaining tokens — a 1000-token decode simulates
-        a few tokens per segment.  The replay performs the identical IEEE-754
-        operation sequence, so results are byte-identical with extrapolation
-        on or off (pinned by ``tests/runtime/test_decode_equivalence.py``).
-        """
-        wall0 = time.perf_counter()
-        stats = pricing.STATS
-        stats_before = stats.snapshot()
-        if use_cost_tables is None:
-            use_cost_tables = pricing.COST_TABLES_DEFAULT
-        if extrapolate is None:
-            extrapolate = EXTRAPOLATE_DEFAULT
-        device = self.device
+        scenario = scenario or Scenario.prefill()
         graph.freeze()
         kv_plan = plan.kv_plan
-        if kv_plan is None:
+        if scenario.is_decode and kv_plan is None:
             raise ValueError(
                 f"decode scenario needs a KV residency plan, but the plan for "
                 f"{plan.model!r} has none — compile a decode-phase graph "
@@ -500,19 +98,43 @@ class FlashMemExecutor:
                 f"of {graph.name!r} (first: {missing[0]!r}) — was it solved for "
                 "a different graph?"
             )
+        sim = Simulation(self.device, model=graph.name, runtime=runtime_name)
+        core = SegmentCore(sim, graph, plan, rewriting=self.rewriting)
         if bundle is None:
             bundle = KernelRewriter(style=self.style).rewrite_graph(graph, plan)
-        sim = Simulation(device, model=graph.name, runtime=runtime_name)
-        io, gpu = sim.queues.io, sim.queues.gpu
-        weights_by_name = {w.name: (w, node) for w, node in graph.weights()}
+        preload_end_ms = self._preload(sim, plan, core)
+        # Activation workspace for the whole run.
+        sim.alloc_um("activations", graph.peak_activation_bytes(), preload_end_ms)
+        durations = self._durations(bundle, core.nodes)
 
+        if scenario.is_decode:
+            details = self._decode(core, graph, kv_plan, scenario, durations, preload_end_ms)
+        else:
+            iterations = scenario.iterations
+            core.run_segment(0, iterations, durations, "i")
+            gpu = sim.queues.gpu
+            details = {
+                "iterations": float(iterations),
+                "embedded_bytes": float(bundle.total_embedded_bytes()),
+                "dedicated_weights": float(len(core.dedicated)),
+                "winograd_ms": gpu.busy_time_ms(kind="transform") - sim.phases.transform,
+                "replayed_iterations": float(core.replayed),
+            }
+        details["preload_ratio"] = plan.preload_ratio
+        details["preload_end_ms"] = preload_end_ms
+        details["stall_ms"] = core.stall_total
+        return core.finish(details)
+
+    def _preload(self, sim: Simulation, plan: OverlapPlan, core: SegmentCore) -> float:
+        """GPU setup, then load + transform the preloaded set W; returns
+        the time execution can start."""
+        device = self.device
+        io, gpu = sim.queues.io, sim.queues.gpu
         sim.alloc_um("process_baseline", int(FLASHMEM_BASELINE_MB * 1e6), 0.0)
         setup_start, setup_end = gpu.submit_fast("gpu_setup", device.gpu_setup_ms, kind="setup")
         sim.phases.setup = setup_end - setup_start
-
-        # ---- Preload W (identical to the prefill path) -------------------
         for name in plan.preloaded_weights:
-            weight, node = weights_by_name[name]
+            weight, node = core.weights[name]
             _, load_end = io.submit_fast(
                 f"preload:{name}", device.disk_latency_ms + weight.nbytes / device.disk_bw, kind="load"
             )
@@ -532,282 +154,69 @@ class FlashMemExecutor:
             sim.free_um(name, xform_end)
         sim.phases.load = io.busy_time_ms(kind="load")
         sim.phases.transform = gpu.busy_time_ms(kind="transform")
+        return sim.queues.makespan_ms
 
-        preload_end_ms = sim.queues.makespan_ms
-        sim.alloc_um("activations", graph.peak_activation_bytes(), preload_end_ms)
+    def _durations(self, bundle: KernelBundle, nodes: list) -> List[float]:
+        """Per-node kernel latencies: one vectorized table per (bundle,
+        device), or the scalar oracle when cost tables are off."""
+        if not pricing.COST_TABLES_DEFAULT:
+            return [bundle.programs[node.index].time_ms(self.device) for node in nodes]
+        # Rows are a pure function of the (immutable once compiled) bundle,
+        # so they are cached on it across runs; the priced table itself is
+        # memoized per (device, rows) in the pricing layer.
+        rows = bundle.__dict__.get("_pricing_rows")
+        if rows is None:
+            rows = tuple(
+                pricing.spec_row(
+                    program.op,
+                    extra_bytes=program.embedded_load_bytes,
+                    divergent=program.style is ExecStyle.BRANCHY
+                    and program.embedded_load_bytes > 0,
+                )
+                for program in (bundle.programs[node.index] for node in nodes)
+            )
+            bundle.__dict__["_pricing_rows"] = rows
+        return pricing.kernel_time_table(self.device, rows).tolist()
 
-        # ---- Prompt KV becomes resident as decoding starts ---------------
+    @staticmethod
+    def _decode(
+        core: SegmentCore,
+        graph: Graph,
+        kv_plan: KvResidencyPlan,
+        scenario: Scenario,
+        durations: List[float],
+        preload_end_ms: float,
+    ) -> Dict[str, float]:
+        """Autoregressive decode: per-token execution with a growing KV cache.
+
+        The prompt's KV (``scenario.context_len`` tokens) is resident when
+        decoding starts; each generated token appends one row pair per cache
+        (at its ``KV_APPEND`` kernel's completion) and re-prices the tiled
+        attention kernels for the grown context.  The plan's
+        :class:`~repro.opg.plan.KvResidencyPlan` caps resident tiles — the
+        cache stops growing in memory at the cap and older tiles stream from
+        disk, which is FlashMem's bounded-memory/degrading-throughput trade
+        against the preloading baseline's linear growth.  Each interval
+        between the plan's context-length breakpoints is one segment, so a
+        1000-token decode simulates a few tokens per segment.
+        """
         context_len, tokens = scenario.context_len, scenario.tokens
-        deltas_append = sim.raw_deltas().append
+        deltas_append = core.sim.raw_deltas().append
         initial_kv = kv_plan.resident_bytes_at(context_len) if context_len > 0 else 0
         if initial_kv:
             deltas_append((preload_end_ms, initial_kv, 0))
-
-        # ---- Static per-run indexes (as in the prefill path) -------------
-        loads_by_layer: Dict[int, List[str]] = {}
-        segments_by_layer: Dict[int, List[tuple]] = {}
-        for name, sched in plan.schedules.items():
-            if sched.preloaded:
-                continue
-            loads_by_layer.setdefault(sched.load_layer, []).append(name)
-            for seg in sched.segments():
-                segments_by_layer.setdefault(seg.layer, []).append(
-                    (name, seg.end_offset - seg.start_offset)
-                )
-        node_list = list(graph.nodes())
-        dedicated = {n for n, s in plan.schedules.items() if s.dedicated_transform}
-        weight_nbytes = {n: weights_by_name[n][0].nbytes for n in plan.schedules}
-        stream_load_ms = {
-            name: device.disk_latency_ms + weight_nbytes[name] / device.disk_bw
-            for names in loads_by_layer.values()
-            for name in names
-        }
-        sched_nbytes = {n: s.nbytes for n, s in plan.schedules.items()}
-        consumers: List[tuple] = []
-        for node in node_list:
-            items = []
-            for weight_spec in node.weights:
-                sched = plan.schedules.get(weight_spec.name)
-                if sched is None or sched.preloaded or sched.dedicated_transform:
-                    continue
-                for seg in sched.segments():
-                    items.append((weight_spec.name, seg.layer, seg.end_offset - seg.start_offset))
-            consumers.append(tuple(items))
-
-        # ---- Decode-specific indexes -------------------------------------
-        caches = {c.name: c for c in graph.kv_cache_specs()}
-        flash_pos: List[int] = []
-        flash_kernels: List[FlashAttentionKernel] = []
-        append_delta: Dict[int, int] = {}
-        for pos, node in enumerate(node_list):
-            if node.kind is OpKind.FLASH_ATTENTION:
-                flash_pos.append(pos)
-                flash_kernels.append(FlashAttentionKernel.from_spec(node.spec))
-            elif node.kind is OpKind.KV_APPEND:
-                append_delta[pos] = caches[node.spec.attrs["kv_cache"]].token_bytes
-        if not flash_pos:
-            raise ValueError(
-                f"decode scenario requires FLASH_ATTENTION nodes; {graph.name!r} has none"
-            )
-        cap_tokens = kv_plan.resident_tiles * kv_plan.tile_tokens
-        resident_tiles = kv_plan.resident_tiles
-        texture = kv_plan.texture
-
-        durations: Optional[List[float]] = None
-        if use_cost_tables:
-            rows = bundle.__dict__.get("_pricing_rows")
-            if rows is None:
-                rows = tuple(
-                    pricing.spec_row(
-                        program.op,
-                        extra_bytes=program.embedded_load_bytes,
-                        divergent=program.style is ExecStyle.BRANCHY
-                        and program.embedded_load_bytes > 0,
-                    )
-                    for program in (bundle.programs[node.index] for node in node_list)
-                )
-                bundle.__dict__["_pricing_rows"] = rows
-            durations = pricing.kernel_time_table(device, rows).tolist()
-
-        def flash_durations(kv_seg: int) -> Dict[int, float]:
-            """Attention latencies for a segment where kv covers ``kv_seg``
-            tokens (any token of the segment — only the tile count prices)."""
-            if use_cost_tables:
-                frows = tuple(
-                    pricing.flash_row(
-                        k, kv_seg, resident_tiles=resident_tiles, texture=texture
-                    )
-                    for k in flash_kernels
-                )
-                priced = pricing.flash_attention_time_table(device, frows).tolist()
-            else:
-                priced = [
-                    k.time_ms(device, kv_seg, resident_tiles=resident_tiles, texture=texture)
-                    for k in flash_kernels
-                ]
-            return dict(zip(flash_pos, priced))
-
-        exec_total = 0.0
-        stall_total = 0.0
-        rewriting = self.rewriting
         breaks = kv_plan.breakpoints(context_len, tokens)
-        replayed_tokens = 0
-
-        for si, seg_start in enumerate(breaks):
-            seg_end = breaks[si + 1] if si + 1 < len(breaks) else tokens
-            fl = flash_durations(context_len + seg_start + 1)
-            # Whether the resident KV still grows this segment.  Constant
-            # within a segment: the residency cap falls on a tile boundary,
-            # so the growing->capped transition is itself a breakpoint.
-            growing = (context_len + seg_start) < cap_tokens
-            record_window = extrapolate and (seg_end - seg_start) > 3
-            traces: Dict[int, Tuple[tuple, bool]] = {}
-            slots: Dict[str, int] = {}
-            steady = False
-            t = seg_start
-            while t < seg_end:
-                rel = t - seg_start
-                recording = record_window and rel in (1, 2)
-                trace: Optional[list] = [] if recording else None
-                alloc_names = set() if recording else None
-                free_names = set() if recording else None
-                um_ready: Dict[str, float] = {}
-                transformed: Dict[str, int] = {}
-                tag = f"t{t}:"
-                for pos, node in enumerate(node_list):
-                    idx = node.index
-                    gpu_now = gpu.free_at
-                    for name in loads_by_layer.get(idx, ()):
-                        if t > 0 and name in dedicated:
-                            continue
-                        nbytes = weight_nbytes[name]
-                        load_dur = stream_load_ms[name]
-                        _, load_end = io.submit_fast(f"{tag}load:{name}", load_dur, gpu_now, "load")
-                        um_ready[name] = load_end
-                        sim.alloc_um(tag + name, nbytes, load_end)
-                        if recording:
-                            s = slots.get(name)
-                            if s is None:
-                                s = slots[name] = len(slots)
-                            trace.append((_OP_LOAD, s, load_dur, nbytes, f"load:{name}"))
-                            alloc_names.add(tag + name)
-
-                    if t == 0:
-                        for weight_spec in node.weights:
-                            if weight_spec.name not in dedicated:
-                                continue
-                            weight, wnode = weights_by_name[weight_spec.name]
-                            expansion = winograd_expansion(
-                                wnode.kind, int(wnode.spec.attrs.get("kernel", 0))
-                            )
-                            xform_start, xform_end = gpu.submit_fast(
-                                f"{tag}winograd:{weight_spec.name}",
-                                device.kernel_launch_ms
-                                + weight.nbytes / (device.tm_upload_bw * WINOGRAD_BW_FACTOR),
-                                um_ready.get(weight_spec.name, 0.0),
-                                "transform",
-                            )
-                            if expansion > 1.0:
-                                scratch = int(weight.nbytes * (expansion - 1.0))
-                                sim.alloc_um(f"{tag}{weight_spec.name}.winograd", scratch, xform_start)
-                                sim.free_um(f"{tag}{weight_spec.name}.winograd", xform_end)
-                            sim.alloc_tm(
-                                f"{tag}{weight_spec.name}.tex", texture_bytes(weight.tensor), xform_end
-                            )
-                            sim.free_um(f"{tag}{weight_spec.name}", xform_end)
-
-                    segments = segments_by_layer.get(idx, ())
-                    not_before = 0.0
-                    nb_slots: tuple = ()
-                    if segments:
-                        for seg_weight, _nbytes in segments:
-                            ready = um_ready.get(seg_weight, 0.0)
-                            if ready > not_before:
-                                not_before = ready
-                        if not rewriting:
-                            for seg_weight, seg_bytes in segments:
-                                xdur = (
-                                    device.kernel_launch_ms
-                                    + seg_bytes / (device.tm_upload_bw * DEDICATED_COPY_BW_FACTOR)
-                                )
-                                gpu.submit_fast(
-                                    f"{tag}xform:{seg_weight}@{idx}",
-                                    xdur,
-                                    um_ready.get(seg_weight, 0.0),
-                                    "transform",
-                                )
-                                if recording:
-                                    s = slots.get(seg_weight)
-                                    if s is None:
-                                        s = slots[seg_weight] = len(slots)
-                                    trace.append((_OP_XFORM, s, xdur, f"xform:{seg_weight}@{idx}"))
-                            not_before = 0.0
-                        elif recording:
-                            seg_slots = []
-                            for seg_weight, _nbytes in segments:
-                                s = slots.get(seg_weight)
-                                if s is None:
-                                    s = slots[seg_weight] = len(slots)
-                                seg_slots.append(s)
-                            nb_slots = tuple(seg_slots)
-
-                    fdur = fl.get(pos)
-                    if fdur is not None:
-                        duration = fdur
-                    elif durations is not None:
-                        duration = durations[pos]
-                    else:
-                        duration = bundle.programs[idx].time_ms(device)
-                    stall_total += max(0.0, not_before - gpu.free_at)
-                    start, end = gpu.submit_fast(
-                        f"{tag}exec:{node.name}", duration, not_before, "compute"
-                    )
-                    exec_total += end - start
-
-                    seg_ops: Optional[list] = [] if recording else None
-                    for seg_weight, seg_bytes in segments:
-                        sim.alloc_tm(f"{tag}{seg_weight}.tex.{idx}", seg_bytes, end)
-                        total_transformed = transformed.get(seg_weight, 0) + seg_bytes
-                        transformed[seg_weight] = total_transformed
-                        um_freed = 0
-                        if total_transformed >= sched_nbytes[seg_weight]:
-                            sim.free_um(tag + seg_weight, end)
-                            um_freed = weight_nbytes[seg_weight]
-                        if recording:
-                            alloc_names.add(f"{tag}{seg_weight}.tex.{idx}")
-                            if um_freed:
-                                free_names.add(tag + seg_weight)
-                            seg_ops.append((seg_bytes, um_freed))
-
-                    # KV growth: one appended row pair per cache, applied at
-                    # the append kernel's completion.  At the residency cap
-                    # the new rows displace the oldest spilled tile bytes, so
-                    # resident state stays flat (delta 0).  Raw deltas bypass
-                    # the pools; the replay re-applies them from the trace
-                    # (they ride in seg_ops, whose replay form is identical).
-                    kvd = append_delta.get(pos)
-                    if kvd is not None and growing:
-                        deltas_append((end, kvd, 0))
-                        if recording:
-                            seg_ops.append((kvd, 0))
-
-                    for wname, seg_layer, seg_size in consumers[pos]:
-                        sim.free_tm(f"{tag}{wname}.tex.{seg_layer}", end)
-                        if recording:
-                            free_names.add(f"{tag}{wname}.tex.{seg_layer}")
-
-                    if recording:
-                        trace.append(
-                            (
-                                _OP_EXEC,
-                                duration,
-                                nb_slots,
-                                tuple(seg_ops),
-                                tuple(size for _w, _l, size in consumers[pos]),
-                                f"exec:{node.name}",
-                            )
-                        )
-
-                if recording:
-                    balanced = alloc_names == free_names
-                    traces[rel] = (tuple(trace), balanced)
-                    if rel == 2:
-                        trace1, bal1 = traces[1]
-                        trace2, bal2 = traces[2]
-                        steady = bal1 and bal2 and trace1 == trace2
-                t += 1
-                if steady and t < seg_end:
-                    break
-
-            if steady and t < seg_end:
-                replayed_tokens += seg_end - t
-                stall_total, exec_total = self._replay(
-                    sim, traces[2][0], len(slots), t, seg_end, stall_total, exec_total,
-                    tag_prefix="t",
-                )
-
-        sim.phases.execute = exec_total
-        end = sim.queues.makespan_ms
+        core.run_decode(
+            attention_index(graph, core.nodes),
+            durations,
+            context_len,
+            tokens,
+            breaks,
+            resident_tiles=kv_plan.resident_tiles,
+            texture=kv_plan.texture,
+            cap_tokens=kv_plan.resident_tiles * kv_plan.tile_tokens,
+        )
+        end = core.sim.queues.makespan_ms
         # Close out the resident KV: raw deltas are not pool-tracked, so
         # ``free_all`` cannot see them.  Everything the initial grant plus
         # the per-token growth left outstanding is exactly the capped
@@ -815,214 +224,18 @@ class FlashMemExecutor:
         final_kv = kv_plan.resident_bytes_at(context_len + tokens)
         if final_kv:
             deltas_append((end, -final_kv, 0))
-        sim.free_all(end)
-        pricing_delta = stats.delta_since(stats_before)
-        wall = time.perf_counter() - wall0
-        stats.runs += 1
-        stats.sim_s += wall
-        stats.replayed_iterations += replayed_tokens
         decode_ms = end - preload_end_ms
-        details = {
+        return {
             "tokens": float(tokens),
             "context_len": float(context_len),
-            "preload_ratio": plan.preload_ratio,
-            "preload_end_ms": preload_end_ms,
             "decode_ms": decode_ms,
             "ms_per_token": decode_ms / tokens,
-            "stall_ms": stall_total,
             "segments": float(len(breaks)),
-            "replayed_tokens": float(replayed_tokens),
+            "replayed_tokens": float(core.replayed),
             "kv_resident_bytes": float(final_kv),
             "kv_budget_bytes": float(kv_plan.budget_bytes),
             "kv_spilled_bytes": float(
                 max(0, (context_len + tokens) * kv_plan.token_bytes - final_kv)
             ),
-            "kv_texture": float(texture),
-            "sim_s": wall,
-            "pricing_hits": float(pricing_delta["table_hits"]),
-            "pricing_misses": float(pricing_delta["table_misses"]),
+            "kv_texture": float(kv_plan.texture),
         }
-        if sim.oom:
-            details["oom"] = 1.0
-        return sim.finish(details=details)
-
-    @staticmethod
-    def _replay(
-        sim: Simulation,
-        trace: tuple,
-        nslots: int,
-        start_it: int,
-        iterations: int,
-        stall_total: float,
-        exec_total: float,
-        tag_prefix: str = "i",
-    ) -> Tuple[float, float]:
-        """Re-execute ``trace`` for iterations ``start_it..iterations-1``.
-
-        Performs the exact float arithmetic of a full pass (same submits,
-        same accumulator adds, same delta-log appends in the same order) on
-        local variables and raw queue columns, skipping only the per-node
-        Python bookkeeping that cannot affect the result: dict indexing,
-        ``MemoryPool`` membership updates (the trace is alloc/free balanced,
-        so pools end each iteration exactly as they started), and re-pricing.
-
-        Pure-compute traces (every instruction an ``_OP_EXEC`` with no
-        upstream IO dependency — the common case for fully-preloaded models
-        and steady decode segments) take a vectorized bulk path: the GPU
-        clock is a strict left-fold of durations, which
-        ``np.add.accumulate`` reproduces bitwise.
-        """
-        if all(ins[0] == _OP_EXEC and not ins[2] for ins in trace):
-            exec_total = FlashMemExecutor._replay_bulk(
-                sim, trace, start_it, iterations, exec_total, tag_prefix
-            )
-            return stall_total, exec_total
-        io, gpu = sim.queues.io, sim.queues.gpu
-        io_labels, io_starts, io_ends, io_kinds = io.replay_columns()
-        gpu_labels, gpu_starts, gpu_ends, gpu_kinds = gpu.replay_columns()
-        io_free, io_busy, io_kind_tot = io.clock_state()
-        gpu_free, gpu_busy, gpu_kind_tot = gpu.clock_state()
-        io_load = io_kind_tot.get("load", 0.0)
-        gpu_compute = gpu_kind_tot.get("compute", 0.0)
-        gpu_transform = gpu_kind_tot.get("transform", 0.0)
-        deltas_append = sim.raw_deltas().append
-
-        for rep_it in range(start_it, iterations):
-            rtag = f"{tag_prefix}{rep_it}:"
-            um_slot = [0.0] * nslots
-            for ins in trace:
-                code = ins[0]
-                if code == _OP_EXEC:
-                    _, dur, nb_slots, seg_ops, tex_frees, suffix = ins
-                    nb = 0.0
-                    for s in nb_slots:
-                        ready = um_slot[s]
-                        if ready > nb:
-                            nb = ready
-                    if nb > gpu_free:
-                        stall_total += nb - gpu_free
-                        start = nb
-                    else:
-                        start = gpu_free
-                    end = start + dur
-                    gpu_free = end
-                    busy = end - start
-                    exec_total += busy
-                    gpu_busy += busy
-                    gpu_compute += busy
-                    gpu_labels.append(rtag + suffix)
-                    gpu_starts.append(start)
-                    gpu_ends.append(end)
-                    gpu_kinds.append("compute")
-                    for seg_bytes, um_freed in seg_ops:
-                        deltas_append((end, seg_bytes, 0))
-                        if um_freed:
-                            deltas_append((end, -um_freed, 0))
-                    for size in tex_frees:
-                        deltas_append((end, -size, 0))
-                elif code == _OP_LOAD:
-                    _, s, dur, nbytes, suffix = ins
-                    start = io_free if io_free > gpu_free else gpu_free
-                    end = start + dur
-                    io_free = end
-                    busy = end - start
-                    io_busy += busy
-                    io_load += busy
-                    io_labels.append(rtag + suffix)
-                    io_starts.append(start)
-                    io_ends.append(end)
-                    io_kinds.append("load")
-                    um_slot[s] = end
-                    deltas_append((end, nbytes, 0))
-                else:  # _OP_XFORM
-                    _, s, dur, suffix = ins
-                    nb = um_slot[s]
-                    start = gpu_free if gpu_free > nb else nb
-                    end = start + dur
-                    gpu_free = end
-                    busy = end - start
-                    gpu_busy += busy
-                    gpu_transform += busy
-                    gpu_labels.append(rtag + suffix)
-                    gpu_starts.append(start)
-                    gpu_ends.append(end)
-                    gpu_kinds.append("transform")
-
-        io_kind_tot["load"] = io_load
-        gpu_kind_tot["compute"] = gpu_compute
-        gpu_kind_tot["transform"] = gpu_transform
-        io.sync_clock(io_free, io_busy, io_kind_tot)
-        gpu.sync_clock(gpu_free, gpu_busy, gpu_kind_tot)
-        return stall_total, exec_total
-
-    @staticmethod
-    def _replay_bulk(
-        sim: Simulation,
-        trace: tuple,
-        start_it: int,
-        iterations: int,
-        exec_total: float,
-        tag_prefix: str,
-    ) -> float:
-        """Vectorized replay of a pure-compute trace (``_replay``'s fast path).
-
-        With no IO dependencies every kernel starts the instant the GPU
-        frees, so the event times are the strict left-fold
-        ``end_i = end_{i-1} + dur_i`` — exactly what ``np.add.accumulate``
-        computes (unlike ``np.sum``/``cumsum``'s pairwise trees, ufunc
-        accumulation is the sequential recurrence, so every intermediate is
-        bitwise what the scalar loop produces).  The busy/exec accumulators
-        are folded the same way, seeded with their running values.  Memory
-        deltas attach to the precomputed end times column-by-column; the
-        timeline integration lexsorts the whole log, so append order does
-        not affect the result.
-
-        The event log gets ONE coalesced row for the whole replay instead of
-        ``reps * k`` per-kernel rows.  This is observability-lossy (no
-        per-kernel labels for the replayed span) but result-exact: nothing
-        in a :class:`RunResult` reads labels, the busy accumulators are
-        synced from the folds above, and ``busy_intervals`` — the energy
-        model's only column consumer — merges the back-to-back kernel rows
-        into exactly the ``(gpu_free, ends[-1])`` span this row spells out
-        (zero-duration kernels never advance the clock, so coverage is
-        contiguous either way; an all-zero replay span is skipped by the
-        merge in both representations).
-        """
-        reps = iterations - start_it
-        k = len(trace)
-        gpu = sim.queues.gpu
-        gpu_labels, gpu_starts, gpu_ends, gpu_kinds = gpu.replay_columns()
-        gpu_free, gpu_busy, gpu_kind_tot = gpu.clock_state()
-        gpu_compute = gpu_kind_tot.get("compute", 0.0)
-
-        durs = np.tile(np.array([ins[1] for ins in trace], dtype=np.float64), reps)
-        ends = np.add.accumulate(np.concatenate(([gpu_free], durs)))[1:]
-        starts = np.concatenate(([gpu_free], ends[:-1]))
-        busies = ends - starts
-        exec_total = float(np.add.accumulate(np.concatenate(([exec_total], busies)))[-1])
-        gpu_busy = float(np.add.accumulate(np.concatenate(([gpu_busy], busies)))[-1])
-        gpu_compute = float(np.add.accumulate(np.concatenate(([gpu_compute], busies)))[-1])
-
-        gpu_starts.append(float(starts[0]))
-        gpu_ends.append(float(ends[-1]))
-        gpu_labels.append(
-            f"{tag_prefix}{start_it}-{iterations - 1}:replay[{reps}x{k} kernels]"
-        )
-        gpu_kinds.append("compute")
-
-        deltas = sim.raw_deltas()
-        ends_mat = ends.reshape(reps, k)
-        for j, ins in enumerate(trace):
-            if not ins[3] and not ins[4]:
-                continue
-            col = ends_mat[:, j].tolist()
-            for seg_bytes, um_freed in ins[3]:
-                deltas.extend((e, seg_bytes, 0) for e in col)
-                if um_freed:
-                    deltas.extend((e, -um_freed, 0) for e in col)
-            for size in ins[4]:
-                deltas.extend((e, -size, 0) for e in col)
-
-        gpu_kind_tot["compute"] = gpu_compute
-        gpu.sync_clock(float(ends[-1]), gpu_busy, gpu_kind_tot)
-        return exec_total

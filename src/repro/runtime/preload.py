@@ -4,22 +4,25 @@ Implements the strategy every existing framework uses (paper §1): load the
 whole model disk -> unified memory, transform every weight into texture
 memory with dedicated kernels, then run inference with all weights resident.
 Latency and memory come out of the shared simulator mechanically; the
-framework profile only sets throughput/copy characteristics.
+framework profile only sets throughput/copy characteristics.  With every
+weight resident, execution is a pure-compute pass through the shared
+segment core (:mod:`repro.runtime.segment`), which replays steady-state
+passes and decode tokens exactly.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.graph.dag import Graph
+from repro.graph.ops import OpKind
 from repro.gpusim.device import DeviceProfile
 from repro.gpusim.engine import Simulation
 from repro.gpusim import pricing
-from repro.gpusim.kernels import FlashAttentionKernel
 from repro.gpusim.texture import texture_bytes, winograd_expansion
 from repro.runtime.frameworks import FrameworkProfile
-from repro.runtime.scenario import Scenario, resolve_scenario
+from repro.runtime.scenario import Scenario
+from repro.runtime.segment import SegmentCore, attention_index
 
 
 class ModelNotSupportedError(Exception):
@@ -38,38 +41,48 @@ class PreloadExecutor:
         graph: Graph,
         *,
         scenario: Optional[Scenario] = None,
-        iterations: Optional[int] = None,
         check_support: bool = True,
         raise_on_oom: bool = False,
-        use_cost_tables: Optional[bool] = None,
     ):
-        """Simulate init + the workload described by ``scenario``.
+        """Simulate init + the workload described by ``scenario`` (default:
+        one prefill pass).
 
-        ``Scenario.prefill(n)`` (the historical ``iterations=`` shim) runs
-        ``n`` full passes with every weight resident.
-        ``Scenario.decode(...)`` runs autoregressive generation the way
-        every preloading framework does it: the *entire* KV cache stays in
-        unified memory and grows without bound — faster attention reads than
-        FlashMem's disk-streamed tiles, but linear memory growth that OOMs
-        long contexts (the Table 1 story, decode edition).
+        ``Scenario.prefill(n)`` runs ``n`` full passes with every weight
+        resident.  ``Scenario.decode(...)`` runs autoregressive generation
+        the way every preloading framework does it: the *entire* KV cache
+        stays in unified memory and grows without bound — faster attention
+        reads than FlashMem's disk-streamed tiles, but linear memory growth
+        that OOMs long contexts (the Table 1 story, decode edition).
 
         Returns a :class:`~repro.gpusim.timeline.RunResult`; ``result.oom``
         situations set ``details['oom'] = 1`` (and raise when requested).
-        ``use_cost_tables`` overrides :data:`pricing.COST_TABLES_DEFAULT`;
-        the vectorized table prices exactly like the scalar per-node calls.
         """
-        scenario = resolve_scenario(scenario, iterations=iterations)
-        iterations = scenario.iterations
-        wall0 = time.perf_counter()
-        stats = pricing.STATS
-        stats_before = stats.snapshot()
-        if use_cost_tables is None:
-            use_cost_tables = pricing.COST_TABLES_DEFAULT
-        profile, device = self.profile, self.device
+        scenario = scenario or Scenario.prefill()
+        profile = self.profile
         if check_support and not profile.supports(graph.name):
             raise ModelNotSupportedError(f"{profile.name} does not support {graph.name}")
         graph.freeze()
-        sim = Simulation(device, model=graph.name, runtime=profile.name)
+        sim = Simulation(self.device, model=graph.name, runtime=profile.name)
+        core = SegmentCore(sim, graph)
+        init_end = self._init(sim, graph)
+        durations = self._durations(sim, graph, core.nodes)
+        if scenario.is_decode:
+            details = self._decode(core, graph, scenario, durations, init_end)
+        else:
+            iterations = scenario.iterations
+            core.run_segment(0, iterations, durations, "i")
+            details = {
+                "iterations": float(iterations),
+                "init_ms": init_end,
+                "exec_per_iter_ms": core.exec_total / max(1, iterations),
+                "replayed_iterations": float(core.replayed),
+            }
+        return core.finish(details, raise_on_oom=raise_on_oom)
+
+    def _init(self, sim: Simulation, graph: Graph) -> float:
+        """GPU setup, load + transform every weight, and the runtime arena;
+        returns the time execution can start."""
+        profile, device = self.profile, self.device
         io, gpu = sim.queues.io, sim.queues.gpu
 
         # ---- GPU context / program setup -------------------------------
@@ -138,213 +151,78 @@ class PreloadExecutor:
             activations *= 2
         arena_time = setup.end_ms if profile.arena_at_start else init_end
         sim.alloc_um("runtime_arena", overhead + activations, arena_time)
+        return init_end
 
-        # ---- Execute ----------------------------------------------------
-        from repro.graph.ops import OpKind
+    def _durations(self, sim: Simulation, graph: Graph, nodes: list) -> List[float]:
+        """Per-node kernel latencies at the framework's efficiencies: one
+        vectorized table, or the scalar oracle when cost tables are off."""
+        conv_eff = self.profile.conv_exec_efficiency
+        eff = self.profile.exec_efficiency
 
-        node_list = list(graph.nodes())
+        def efficiency(node) -> float:
+            return conv_eff if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D) else eff
 
-        if scenario.is_decode:
-            # Preloading decode: the whole KV cache is unified-memory
-            # resident (no texture staging, no spilling).  Attention reads
-            # every cached tile from UM at the framework's kernel
-            # efficiency; the cache grows by one row pair per cache per
-            # token, unboundedly — the linear-memory failure mode FlashMem's
-            # residency cap is designed around.
-            caches = {c.name: c for c in graph.kv_cache_specs()}
-            flash_pos = []
-            flash_kernels = []
-            append_delta = {}
-            for pos, node in enumerate(node_list):
-                if node.kind is OpKind.FLASH_ATTENTION:
-                    flash_pos.append(pos)
-                    flash_kernels.append(FlashAttentionKernel.from_spec(node.spec))
-                elif node.kind is OpKind.KV_APPEND:
-                    append_delta[pos] = caches[node.spec.attrs["kv_cache"]].token_bytes
-            if not flash_pos:
-                raise ValueError(
-                    f"decode scenario requires a decode-phase graph; "
-                    f"{graph.name!r} has no tiled attention nodes"
-                )
-            tiles = {k.tile_tokens for k in flash_kernels}
-            if len(tiles) != 1:
-                raise ValueError(f"mixed attention tile sizes in {graph.name!r}: {sorted(tiles)}")
-            tile = tiles.pop()
-            context_len, tokens = scenario.context_len, scenario.tokens
-            token_bytes = sum(c.token_bytes for c in caches.values())
-            deltas_append = sim.raw_deltas().append
-            if context_len > 0:
-                deltas_append((init_end, context_len * token_bytes, 0))
+        if not pricing.COST_TABLES_DEFAULT:
+            return [sim.cost.base_time_ms(node.spec, efficiency=efficiency(node)) for node in nodes]
+        # Pure function of the frozen graph and the profile efficiencies,
+        # so the rows are memoized on the graph across runs.
+        rows = graph._frozen_aggregate(
+            ("pricing-rows", conv_eff, eff),
+            lambda: tuple(
+                pricing.spec_row(node.spec, efficiency=efficiency(node)) for node in nodes
+            ),
+        )
+        return pricing.kernel_time_table(self.device, rows).tolist()
 
-            eff = profile.exec_efficiency
-            conv_eff = profile.conv_exec_efficiency
-            base_durs = None
-            if use_cost_tables:
-                rows = graph._frozen_aggregate(
-                    ("pricing-rows", conv_eff, eff),
-                    lambda: tuple(
-                        pricing.spec_row(
-                            node.spec,
-                            efficiency=(
-                                conv_eff
-                                if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                                else eff
-                            ),
-                        )
-                        for node in node_list
-                    ),
-                )
-                base_durs = pricing.kernel_time_table(device, rows).tolist()
-
-            exec_time = 0.0
-            submit_fast = gpu.submit_fast
-            fl = {}
-            prev_tiles = -1
-            for t in range(tokens):
-                kv = context_len + t + 1
-                n_tiles = -(-kv // tile)
-                if n_tiles != prev_tiles:
-                    # Per-token cost only changes when the cache crosses a
-                    # tile boundary (all tiles are priced full).
-                    prev_tiles = n_tiles
-                    if use_cost_tables:
-                        frows = tuple(
-                            pricing.flash_row(
-                                k, kv, resident_tiles=None, texture=False, efficiency=eff
-                            )
-                            for k in flash_kernels
-                        )
-                        fl = dict(
-                            zip(flash_pos, pricing.flash_attention_time_table(device, frows).tolist())
-                        )
-                    else:
-                        fl = dict(
-                            zip(
-                                flash_pos,
-                                (
-                                    k.time_ms(
-                                        device, kv, resident_tiles=None, texture=False, efficiency=eff
-                                    )
-                                    for k in flash_kernels
-                                ),
-                            )
-                        )
-                for pos, node in enumerate(node_list):
-                    fdur = fl.get(pos)
-                    if fdur is not None:
-                        duration = fdur
-                    elif base_durs is not None:
-                        duration = base_durs[pos]
-                    else:
-                        duration = sim.cost.base_time_ms(
-                            node.spec,
-                            efficiency=(
-                                conv_eff
-                                if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                                else eff
-                            ),
-                        )
-                    start, end = submit_fast(f"t{t}:exec:{node.name}", duration, 0.0, "compute")
-                    exec_time += end - start
-                    kvd = append_delta.get(pos)
-                    if kvd is not None:
-                        deltas_append((end, kvd, 0))
-            sim.phases.execute = exec_time
-            end = sim.queues.makespan_ms
-            total_kv = (context_len + tokens) * token_bytes
-            if total_kv:
-                deltas_append((end, -total_kv, 0))
-            sim.free_all(end)
-            pricing_delta = stats.delta_since(stats_before)
-            wall = time.perf_counter() - wall0
-            stats.runs += 1
-            stats.sim_s += wall
-            decode_ms = end - init_end
-            details = {
-                "tokens": float(tokens),
-                "context_len": float(context_len),
-                "init_ms": init_end,
-                "decode_ms": decode_ms,
-                "ms_per_token": decode_ms / tokens,
-                "kv_bytes": float(total_kv),
-                "sim_s": wall,
-                "pricing_hits": float(pricing_delta["table_hits"]),
-                "pricing_misses": float(pricing_delta["table_misses"]),
-            }
-            if sim.oom:
-                details["oom"] = 1.0
-                if raise_on_oom:
-                    from repro.gpusim.memory import OutOfMemoryError
-
-                    raise OutOfMemoryError(
-                        0, sim.build_timeline().peak_bytes, device.ram_budget_bytes
-                    )
-            return sim.finish(details=details)
-
-        durations = None
-        if use_cost_tables:
-            conv_eff = profile.conv_exec_efficiency
-            base_eff = profile.exec_efficiency
-            # Pure function of the frozen graph and the profile efficiencies,
-            # so the rows are memoized on the graph across runs.
-            rows = graph._frozen_aggregate(
-                ("pricing-rows", conv_eff, base_eff),
-                lambda: tuple(
-                    pricing.spec_row(
-                        node.spec,
-                        efficiency=(
-                            conv_eff
-                            if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                            else base_eff
-                        ),
-                    )
-                    for node in node_list
-                ),
-            )
-            durations = pricing.kernel_time_table(device, rows).tolist()
-
-        exec_time = 0.0
-        submit_fast = gpu.submit_fast
-        for it in range(iterations):
-            if durations is not None:
-                for node, duration in zip(node_list, durations):
-                    start, end = submit_fast(f"exec{it}:{node.name}", duration, 0.0, "compute")
-                    exec_time += end - start
-            else:
-                for node in node_list:
-                    eff = (
-                        profile.conv_exec_efficiency
-                        if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                        else profile.exec_efficiency
-                    )
-                    start, end = submit_fast(
-                        f"exec{it}:{node.name}",
-                        sim.cost.base_time_ms(node.spec, efficiency=eff),
-                        0.0,
-                        "compute",
-                    )
-                    exec_time += end - start
-        sim.phases.execute = exec_time
-
-        # ---- Teardown ----------------------------------------------------
-        end = sim.queues.makespan_ms
-        sim.free_all(end)
-        pricing_delta = stats.delta_since(stats_before)
-        wall = time.perf_counter() - wall0
-        stats.runs += 1
-        stats.sim_s += wall
-        details = {
-            "iterations": float(iterations),
+    def _decode(
+        self,
+        core: SegmentCore,
+        graph: Graph,
+        scenario: Scenario,
+        durations: List[float],
+        init_end: float,
+    ) -> Dict[str, float]:
+        """Preloading decode: the whole KV cache is unified-memory resident
+        (no texture staging, no spilling).  Attention reads every cached
+        tile from UM at the framework's kernel efficiency; the cache grows
+        by one row pair per cache per token, unboundedly — the linear-memory
+        failure mode FlashMem's residency cap is designed around.
+        """
+        attention = attention_index(graph, core.nodes)
+        tiles = {k.tile_tokens for k in attention.kernels}
+        if len(tiles) != 1:
+            raise ValueError(f"mixed attention tile sizes in {graph.name!r}: {sorted(tiles)}")
+        tile = tiles.pop()
+        context_len, tokens = scenario.context_len, scenario.tokens
+        token_bytes = graph.kv_bytes_per_token()
+        deltas_append = core.sim.raw_deltas().append
+        if context_len > 0:
+            deltas_append((init_end, context_len * token_bytes, 0))
+        # Per-token cost only changes when the cache crosses a tile boundary
+        # (all tiles are priced full): token t opens a new tile exactly when
+        # context_len + t is a multiple of the tile size.
+        breaks = [0] + list(range(tile - context_len % tile, tokens, tile))
+        core.run_decode(
+            attention,
+            durations,
+            context_len,
+            tokens,
+            breaks,
+            resident_tiles=None,
+            texture=False,
+            efficiency=self.profile.exec_efficiency,
+        )
+        end = core.sim.queues.makespan_ms
+        total_kv = (context_len + tokens) * token_bytes
+        if total_kv:
+            deltas_append((end, -total_kv, 0))
+        decode_ms = end - init_end
+        return {
+            "tokens": float(tokens),
+            "context_len": float(context_len),
             "init_ms": init_end,
-            "exec_per_iter_ms": exec_time / max(1, iterations),
-            "sim_s": wall,
-            "pricing_hits": float(pricing_delta["table_hits"]),
-            "pricing_misses": float(pricing_delta["table_misses"]),
+            "decode_ms": decode_ms,
+            "ms_per_token": decode_ms / tokens,
+            "kv_bytes": float(total_kv),
+            "replayed_tokens": float(core.replayed),
         }
-        if sim.oom:
-            details["oom"] = 1.0
-            if raise_on_oom:
-                from repro.gpusim.memory import OutOfMemoryError
-
-                raise OutOfMemoryError(0, sim.build_timeline().peak_bytes, device.ram_budget_bytes)
-        return sim.finish(details=details)

@@ -1,13 +1,13 @@
 """Runtime scenarios: *what* an executor simulates, as a value.
 
-Executors used to take a bare ``iterations=`` count, which only describes
-one workload shape — repeated full forward passes (the vision/prefill
-story).  The decode workload is different in every axis that matters
-(per-token kernels, a growing KV cache, context-dependent cost), so the
-"what to run" knob is now a first-class frozen value:
+A pass count only describes one workload shape — repeated full forward
+passes (the vision/prefill story).  The decode workload is different in
+every axis that matters (per-token kernels, a growing KV cache,
+context-dependent cost), so the "what to run" knob is a first-class frozen
+value:
 
-- ``Scenario.prefill(iterations)`` — N full forward passes (the historical
-  behaviour; ``iterations=`` keeps working through a deprecation shim).
+- ``Scenario.prefill(iterations)`` — N full forward passes (the default,
+  with one pass).
 - ``Scenario.decode(tokens=..., context_len=...)`` — autoregressive
   generation: ``tokens`` steady-state decode steps on top of a prompt of
   ``context_len`` cached tokens.  Requires a graph built by a decode
@@ -22,9 +22,8 @@ backs the CLI's ``--scenario`` flag.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -125,32 +124,3 @@ def make_scenario(
             raise ValueError("--scenario decode requires --tokens")
         return Scenario.decode(tokens=tokens, context_len=context_len or 0)
     raise ValueError(f"unknown scenario {kind!r} (expected one of {SCENARIO_KINDS})")
-
-
-def resolve_scenario(
-    scenario: Optional[Union[Scenario, str]] = None,
-    *,
-    iterations: Optional[int] = None,
-    stacklevel: int = 3,
-) -> Scenario:
-    """Normalise an executor's ``(scenario=, iterations=)`` pair.
-
-    The historical ``iterations=N`` spelling still works but raises a
-    :class:`DeprecationWarning` pointing at ``Scenario.prefill(N)``; passing
-    both is ambiguous and rejected.  A bare string is looked up as a
-    registered kind with its defaults (only "prefill" has usable defaults).
-    """
-    if scenario is not None:
-        if iterations is not None:
-            raise ValueError("pass either scenario= or the deprecated iterations=, not both")
-        if isinstance(scenario, str):
-            return make_scenario(scenario)
-        return scenario
-    if iterations is not None:
-        warnings.warn(
-            "iterations= is deprecated; pass scenario=Scenario.prefill(n) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return Scenario.prefill(iterations)
-    return Scenario.prefill()

@@ -8,6 +8,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.ops import OpClass
 from repro.gpusim.device import oneplus_12
 from repro.opg.problem import OpgConfig
+from repro.runtime.scenario import Scenario
 
 
 def _model(blocks=2, dim=128, seq=16):
@@ -105,8 +106,8 @@ class TestRun:
     def test_iterations_scale_streaming_phase(self, device):
         fm = FlashMem(_fast())
         compiled = fm.compile(_model(), device)
-        one = fm.run(compiled, iterations=1)
-        four = fm.run(compiled, iterations=4)
+        one = fm.run(compiled, scenario=Scenario.prefill(1))
+        four = fm.run(compiled, scenario=Scenario.prefill(4))
         assert four.latency_ms > one.latency_ms
         exec_one = one.latency_ms - one.details["preload_end_ms"]
         exec_four = four.latency_ms - four.details["preload_end_ms"]

@@ -93,18 +93,24 @@ def test_table_memoized_and_counted(sample_ops):
     assert not first.flags.writeable  # shared array is read-only
 
 
-def test_preload_executor_tables_match_scalar_path():
+def test_preload_executor_tables_match_scalar_path(monkeypatch):
     """End-to-end: PreloadExecutor prices identically with tables on/off."""
     from repro.gpusim.device import oneplus_12
     from repro.runtime.frameworks import get_profile
     from repro.runtime.preload import PreloadExecutor
+    from repro.runtime.scenario import Scenario
 
     graph = load_model("ViT")
     volatile = {"sim_s", "pricing_hits", "pricing_misses"}
     for framework in ("MNN", "ETorch", "SMem"):
         executor = PreloadExecutor(get_profile(framework), oneplus_12())
-        fast = executor.run(graph, iterations=2, check_support=False, use_cost_tables=True)
-        slow = executor.run(graph, iterations=2, check_support=False, use_cost_tables=False)
+        results = []
+        for tables in (True, False):
+            monkeypatch.setattr(pricing, "COST_TABLES_DEFAULT", tables)
+            results.append(
+                executor.run(graph, scenario=Scenario.prefill(2), check_support=False)
+            )
+        fast, slow = results
         assert fast.latency_ms == slow.latency_ms
         assert fast.phases == slow.phases
         assert fast.memory.samples == slow.memory.samples

@@ -1,0 +1,80 @@
+"""Shared helpers for the replay byte-identity suites.
+
+``test_extrapolation_equivalence`` (prefill) and ``test_decode_equivalence``
+(decode) check that segment replay is exact: every ``RunResult`` field
+except the volatile wall-clock and replay counters must be equal with
+replay on and off, for FlashMem and for the MNN preloading baseline.
+"""
+
+import pytest
+
+from repro.gpusim import pricing
+from repro.runtime import segment
+from repro.runtime.frameworks import get_profile
+from repro.runtime.preload import PreloadExecutor
+
+#: Wall-clock and replay observability fields, excluded from byte identity.
+VOLATILE_DETAILS = {
+    "sim_s", "pricing_hits", "pricing_misses", "replayed_iterations", "replayed_tokens",
+}
+
+#: The runtimes under test: FlashMem and one preloading baseline.
+RUNTIMES = ("FlashMem", "MNN")
+
+
+def runtime_cases(cases):
+    """``pytest.param``s for ``(runtime, *case)`` over RUNTIMES x ``cases``.
+
+    Ids are the case values joined by ``-`` (what stacked parametrize
+    decorators print); FlashMem cases keep that bare id, the ids they had
+    before runtime became a parameter, and other runtimes prefix theirs.
+    """
+    params = []
+    for runtime in RUNTIMES:
+        for case in cases:
+            case_id = "-".join(str(v) for v in case)
+            params.append(pytest.param(
+                runtime, *case, id=case_id if runtime == "FlashMem" else f"{runtime}-{case_id}"
+            ))
+    return params
+
+
+def run(runtime, fm, compiled, graph, scenario):
+    """Simulate ``scenario``: FlashMem runs ``compiled``, a preloading
+    baseline runs the unfused ``graph`` on the same device."""
+    if runtime == "FlashMem":
+        return fm.run(compiled, scenario=scenario)
+    executor = PreloadExecutor(get_profile(runtime), compiled.device)
+    return executor.run(graph, scenario=scenario, check_support=False)
+
+
+def replay_on_off(monkeypatch, simulate):
+    """``[fast, full]``: ``simulate()`` with segment replay on, then off."""
+    results = []
+    for replay in (True, False):
+        monkeypatch.setattr(segment, "EXTRAPOLATE_DEFAULT", replay)
+        results.append(simulate())
+    return results
+
+
+def tables_by_replay(monkeypatch, simulate):
+    """``simulate()`` under all four (cost tables, replay) combinations."""
+    results = []
+    for tables in (True, False):
+        monkeypatch.setattr(pricing, "COST_TABLES_DEFAULT", tables)
+        results += replay_on_off(monkeypatch, simulate)
+    return results
+
+
+def assert_results_identical(fast, full):
+    assert fast.model == full.model and fast.device == full.device
+    assert fast.latency_ms == full.latency_ms
+    assert fast.phases == full.phases
+    assert fast.memory.samples == full.memory.samples
+    assert fast.peak_memory_bytes == full.peak_memory_bytes
+    assert fast.avg_memory_bytes == full.avg_memory_bytes
+    assert fast.energy_j == full.energy_j
+    assert fast.avg_power_w == full.avg_power_w
+    fast_details = {k: v for k, v in fast.details.items() if k not in VOLATILE_DETAILS}
+    full_details = {k: v for k, v in full.details.items() if k not in VOLATILE_DETAILS}
+    assert fast_details == full_details

@@ -1,13 +1,13 @@
-"""Differential tests: decode steady-state extrapolation is exact.
+"""Differential tests: decode steady-state replay is exact.
 
-``FlashMemExecutor._run_decode`` simulates tokens 1-3 of each
-context-length segment, and — when tokens 2 and 3 produce matching
-instruction traces — replays the trace for the segment's remaining tokens.
-As with prefill extrapolation, the claim is byte-identity, not
-approximation: every ``RunResult`` field except the volatile wall-clock
-counters must agree with extrapolation disabled, across the whole
-breakpoint structure (growing KV, the growing->capped transition, and the
-capped steady state), on both runtimes' graphs.
+The segment core simulates tokens 1-3 of each context-length segment,
+and — when tokens 2 and 3 produce matching instruction traces — replays
+the trace for the segment's remaining tokens.  As with prefill replay, the
+claim is byte-identity, not approximation: every ``RunResult`` field
+except the volatile wall-clock counters must agree with replay disabled,
+across the whole breakpoint structure (growing KV, the growing->capped
+transition, and the capped steady state), on both runtimes: FlashMem's
+planned residency and the MNN baseline's unbounded unified-memory cache.
 """
 
 import pytest
@@ -20,18 +20,28 @@ from repro.opg.problem import OpgConfig
 from repro.runtime.frameworks import get_profile
 from repro.runtime.preload import PreloadExecutor
 from repro.runtime.scenario import Scenario
+from tests.runtime.identity import (
+    assert_results_identical,
+    replay_on_off,
+    run,
+    runtime_cases,
+    tables_by_replay,
+)
 
 MODELS = ("GPTN-S", "GPTN-1.3B")
 DEVICES = ("OnePlus 12", "Pixel 8")
 CONTEXT = 512
 TOKENS = 40  # several breakpoints deep at tile_tokens=256
 
-VOLATILE_DETAILS = {"sim_s", "pricing_hits", "pricing_misses", "replayed_tokens"}
-
 
 @pytest.fixture(scope="module")
 def fm():
     return FlashMem(FlashMemConfig(opg=OpgConfig(time_limit_s=1.5, max_nodes_per_window=300)))
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return {model: load_decode_model(model, context_len=CONTEXT) for model in MODELS}
 
 
 @pytest.fixture(scope="module")
@@ -45,58 +55,47 @@ def compiled_models(fm):
     }
 
 
-def assert_results_identical(fast, full):
-    assert fast.model == full.model and fast.device == full.device
-    assert fast.latency_ms == full.latency_ms
-    assert fast.phases == full.phases
-    assert fast.memory.samples == full.memory.samples
-    assert fast.peak_memory_bytes == full.peak_memory_bytes
-    assert fast.avg_memory_bytes == full.avg_memory_bytes
-    assert fast.energy_j == full.energy_j
-    assert fast.avg_power_w == full.avg_power_w
-    fast_details = {k: v for k, v in fast.details.items() if k not in VOLATILE_DETAILS}
-    full_details = {k: v for k, v in full.details.items() if k not in VOLATILE_DETAILS}
-    assert fast_details == full_details
-
-
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("device_name", DEVICES)
-def test_decode_extrapolation_byte_identical(fm, compiled_models, model, device_name):
+@pytest.mark.parametrize(
+    "runtime, device_name, model", runtime_cases([(d, m) for d in DEVICES for m in MODELS])
+)
+def test_decode_extrapolation_byte_identical(
+    monkeypatch, fm, graphs, compiled_models, runtime, device_name, model
+):
     compiled = compiled_models[(model, device_name)]
     scenario = Scenario.decode(tokens=TOKENS, context_len=CONTEXT)
-    fast = fm.run(compiled, scenario=scenario, extrapolate=True)
-    full = fm.run(compiled, scenario=scenario, extrapolate=False)
+    fast, full = replay_on_off(
+        monkeypatch, lambda: run(runtime, fm, compiled, graphs[model], scenario)
+    )
     assert_results_identical(fast, full)
+    # The MNN cell is one 40-token segment (its first tile crossing is at
+    # token 256), so replay must engage there too.
     assert fast.details["replayed_tokens"] > 0
     assert full.details["replayed_tokens"] == 0
     assert fast.details["tokens"] == TOKENS
 
 
-@pytest.mark.parametrize("tokens", (1, 2, 3, 5))
-def test_short_decodes_byte_identical(fm, compiled_models, tokens):
+@pytest.mark.parametrize("runtime, tokens", runtime_cases([(t,) for t in (1, 2, 3, 5)]))
+def test_short_decodes_byte_identical(monkeypatch, fm, graphs, compiled_models, runtime, tokens):
     """Below/at the trace-recording threshold replay must not mis-engage."""
     compiled = compiled_models[("GPTN-S", "OnePlus 12")]
     scenario = Scenario.decode(tokens=tokens, context_len=CONTEXT)
-    fast = fm.run(compiled, scenario=scenario, extrapolate=True)
-    full = fm.run(compiled, scenario=scenario, extrapolate=False)
+    fast, full = replay_on_off(
+        monkeypatch, lambda: run(runtime, fm, compiled, graphs["GPTN-S"], scenario)
+    )
     assert_results_identical(fast, full)
 
 
-def test_decode_composes_with_scalar_pricing(fm, compiled_models):
-    """All four (cost tables, extrapolate) combinations agree bitwise."""
+def test_decode_composes_with_scalar_pricing(monkeypatch, fm, compiled_models):
+    """All four (cost tables, replay) combinations agree bitwise."""
     compiled = compiled_models[("GPTN-S", "OnePlus 12")]
     scenario = Scenario.decode(tokens=24, context_len=CONTEXT)
-    results = [
-        fm.run(compiled, scenario=scenario, use_cost_tables=tables, extrapolate=extrapolate)
-        for tables in (True, False)
-        for extrapolate in (True, False)
-    ]
+    results = tables_by_replay(monkeypatch, lambda: fm.run(compiled, scenario=scenario))
     reference = results[0]
     for other in results[1:]:
         assert_results_identical(other, reference)
 
 
-def test_streamed_weight_decode_byte_identical(fm):
+def test_streamed_weight_decode_byte_identical(monkeypatch, fm):
     """Forcing a partial preload exercises the streamed-weight decode path
     (per-token disk refetches) — replay must stay exact there too."""
     compiled = fm.compile(
@@ -106,17 +105,15 @@ def test_streamed_weight_decode_byte_identical(fm):
     )
     assert compiled.preload_ratio < 1.0
     scenario = Scenario.decode(tokens=TOKENS, context_len=CONTEXT)
-    fast = fm.run(compiled, scenario=scenario, extrapolate=True)
-    full = fm.run(compiled, scenario=scenario, extrapolate=False)
+    fast, full = replay_on_off(monkeypatch, lambda: fm.run(compiled, scenario=scenario))
     assert_results_identical(fast, full)
 
 
-def test_zero_context_decode(fm, compiled_models):
+def test_zero_context_decode(monkeypatch, fm, compiled_models):
     """Generation from an empty prompt starts with an empty cache."""
     compiled = compiled_models[("GPTN-S", "OnePlus 12")]
     scenario = Scenario.decode(tokens=12)
-    fast = fm.run(compiled, scenario=scenario, extrapolate=True)
-    full = fm.run(compiled, scenario=scenario, extrapolate=False)
+    fast, full = replay_on_off(monkeypatch, lambda: fm.run(compiled, scenario=scenario))
     assert_results_identical(fast, full)
 
 

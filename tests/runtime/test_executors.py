@@ -11,6 +11,7 @@ from repro.opg.problem import OpgConfig
 from repro.runtime.executor import FlashMemExecutor
 from repro.runtime.frameworks import MNN, SMARTMEM, get_profile
 from repro.runtime.preload import ModelNotSupportedError, PreloadExecutor
+from repro.runtime.scenario import Scenario
 
 
 def _model(blocks=2, dim=256, seq=32, name="t"):
@@ -73,8 +74,12 @@ class TestPreloadExecutor:
         assert result.latency_ms > 0
 
     def test_iterations_add_exec_only(self, device):
-        one = PreloadExecutor(SMARTMEM, device).run(_model(), check_support=False, iterations=1)
-        three = PreloadExecutor(SMARTMEM, device).run(_model(), check_support=False, iterations=3)
+        one = PreloadExecutor(SMARTMEM, device).run(
+            _model(), check_support=False, scenario=Scenario.prefill(1)
+        )
+        three = PreloadExecutor(SMARTMEM, device).run(
+            _model(), check_support=False, scenario=Scenario.prefill(3)
+        )
         assert three.details["init_ms"] == pytest.approx(one.details["init_ms"])
         assert three.latency_ms > one.latency_ms
 
@@ -136,8 +141,9 @@ class TestFlashMemExecutor:
         g = _model(blocks=4)
         big_plan = LcOpgSolver(FAST).solve(g, capacity)
         for n in (1, 64):
-            flash = FlashMemExecutor(device).run(g, big_plan, iterations=n)
-            smem = PreloadExecutor(SMARTMEM, device).run(g, check_support=False, iterations=n)
+            scenario = Scenario.prefill(n)
+            flash = FlashMemExecutor(device).run(g, big_plan, scenario=scenario)
+            smem = PreloadExecutor(SMARTMEM, device).run(g, check_support=False, scenario=scenario)
             if n == 1:
                 assert flash.latency_ms < smem.latency_ms
             else:

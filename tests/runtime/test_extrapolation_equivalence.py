@@ -1,11 +1,12 @@
-"""Differential tests: steady-state iteration extrapolation is exact.
+"""Differential tests: steady-state iteration replay is exact.
 
-``FlashMemExecutor.run`` records iterations 1-2 as instruction traces and,
-when they match (and alloc/free balance), replays the trace for iterations
->= 3 instead of re-simulating — re-executing the *same* float operations on
-raw queue columns and the raw delta log.  The claim is byte-identity, not
-approximation: every ``RunResult`` field except the volatile wall-clock
-counters must be equal with extrapolation on and off.
+The segment core records iterations 1-2 as instruction traces and, when
+they match (and alloc/free balance), replays the trace for iterations
+>= 3 instead of re-simulating — re-executing the *same* float operations
+on raw queue columns and the raw delta log.  The claim is byte-identity,
+not approximation: every ``RunResult`` field except the volatile
+wall-clock counters must be equal with replay on and off, for FlashMem and
+for the MNN preloading baseline.
 
 Compiles here use a reduced solver budget — plan quality is irrelevant to
 the equivalence property, only that both runs share one plan.
@@ -19,18 +20,27 @@ from repro.gpusim.device import get_device
 from repro.graph.models import load_model
 from repro.opg.problem import OpgConfig
 from repro.runtime.scenario import Scenario
+from tests.runtime.identity import (
+    assert_results_identical,
+    replay_on_off,
+    run,
+    runtime_cases,
+    tables_by_replay,
+)
 
 MODELS = ("ViT", "GPTN-S", "ResNet50")
 DEVICES = ("OnePlus 12", "Pixel 8")
 ITERATION_COUNTS = (1, 2, 7)
 
-#: Wall-clock observability fields, excluded from the byte-identity check.
-VOLATILE_DETAILS = {"sim_s", "pricing_hits", "pricing_misses", "replayed_iterations"}
-
 
 @pytest.fixture(scope="module")
 def fm():
     return FlashMem(FlashMemConfig(opg=OpgConfig(time_limit_s=1.5, max_nodes_per_window=300)))
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return {model: load_model(model) for model in MODELS}
 
 
 @pytest.fixture(scope="module")
@@ -42,28 +52,18 @@ def compiled_models(fm):
     }
 
 
-def assert_results_identical(fast, full):
-    assert fast.model == full.model and fast.device == full.device
-    assert fast.latency_ms == full.latency_ms
-    assert fast.phases == full.phases
-    assert fast.memory.samples == full.memory.samples
-    assert fast.peak_memory_bytes == full.peak_memory_bytes
-    assert fast.avg_memory_bytes == full.avg_memory_bytes
-    assert fast.energy_j == full.energy_j
-    assert fast.avg_power_w == full.avg_power_w
-    fast_details = {k: v for k, v in fast.details.items() if k not in VOLATILE_DETAILS}
-    full_details = {k: v for k, v in full.details.items() if k not in VOLATILE_DETAILS}
-    assert fast_details == full_details
-
-
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("device_name", DEVICES)
-@pytest.mark.parametrize("iterations", ITERATION_COUNTS)
-def test_extrapolation_byte_identical(fm, compiled_models, model, device_name, iterations):
+@pytest.mark.parametrize(
+    "runtime, iterations, device_name, model",
+    runtime_cases([(i, d, m) for i in ITERATION_COUNTS for d in DEVICES for m in MODELS]),
+)
+def test_extrapolation_byte_identical(
+    monkeypatch, fm, graphs, compiled_models, runtime, iterations, device_name, model
+):
     compiled = compiled_models[(model, device_name)]
     scenario = Scenario.prefill(iterations)
-    fast = fm.run(compiled, scenario=scenario, extrapolate=True)
-    full = fm.run(compiled, scenario=scenario, extrapolate=False)
+    fast, full = replay_on_off(
+        monkeypatch, lambda: run(runtime, fm, compiled, graphs[model], scenario)
+    )
     assert_results_identical(fast, full)
     replayed = fast.details.get("replayed_iterations", 0.0)
     if iterations > 3:
@@ -73,15 +73,12 @@ def test_extrapolation_byte_identical(fm, compiled_models, model, device_name, i
         assert replayed == 0.0
 
 
-def test_extrapolation_composes_with_scalar_pricing(fm, compiled_models):
-    """All four (tables, extrapolate) combinations agree bitwise."""
+def test_extrapolation_composes_with_scalar_pricing(monkeypatch, fm, compiled_models):
+    """All four (tables, replay) combinations agree bitwise."""
     compiled = compiled_models[("ViT", "OnePlus 12")]
-    results = [
-        fm.run(compiled, scenario=Scenario.prefill(6),
-               use_cost_tables=tables, extrapolate=extrapolate)
-        for tables in (True, False)
-        for extrapolate in (True, False)
-    ]
+    results = tables_by_replay(
+        monkeypatch, lambda: fm.run(compiled, scenario=Scenario.prefill(6))
+    )
     reference = results[0]
     for other in results[1:]:
         assert_results_identical(other, reference)

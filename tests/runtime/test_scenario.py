@@ -1,10 +1,4 @@
-"""Scenario API: validation, registry, and the ``iterations=`` shim.
-
-The executors' historical ``iterations=N`` keyword must keep producing
-byte-identical results through the deprecation shim (with a warning),
-while the ambiguous spelling — both ``scenario=`` and ``iterations=`` —
-is rejected outright.
-"""
+"""Scenario API: validation, the CLI registry, and executor hand-off."""
 
 import warnings
 
@@ -15,14 +9,7 @@ from repro.core.flashmem import FlashMem
 from repro.gpusim.device import get_device
 from repro.graph.models import load_model
 from repro.opg.problem import OpgConfig
-from repro.runtime.frameworks import get_profile
-from repro.runtime.preload import PreloadExecutor
-from repro.runtime.scenario import (
-    Scenario,
-    available_scenarios,
-    make_scenario,
-    resolve_scenario,
-)
+from repro.runtime.scenario import Scenario, available_scenarios, make_scenario
 
 MODEL = "ViT"
 DEVICE = "OnePlus 12"
@@ -88,45 +75,8 @@ def test_registry_backs_the_cli():
         make_scenario("chat")
 
 
-# ------------------------------------------------------------------- shims
-def test_resolve_scenario_paths():
-    assert resolve_scenario(None) == Scenario.prefill(1)
-    assert resolve_scenario(Scenario.prefill(5)) == Scenario.prefill(5)
-    assert resolve_scenario("prefill") == Scenario.prefill(1)
-    with pytest.warns(DeprecationWarning, match="iterations= is deprecated"):
-        assert resolve_scenario(None, iterations=7) == Scenario.prefill(7)
-    with pytest.raises(ValueError):
-        resolve_scenario(Scenario.prefill(2), iterations=2)
-
-
-def test_flashmem_iterations_shim_identical(fm, compiled):
-    """Old spelling: warns, but the result is byte-identical."""
-    new = fm.run(compiled, scenario=Scenario.prefill(4))
-    with pytest.warns(DeprecationWarning, match="iterations= is deprecated"):
-        old = fm.run(compiled, iterations=4)
-    assert old.latency_ms == new.latency_ms
-    assert old.memory.samples == new.memory.samples
-    assert old.energy_j == new.energy_j
-
-
+# ------------------------------------------------------------------ executors
 def test_flashmem_scenario_does_not_warn(fm, compiled):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         fm.run(compiled, scenario=Scenario.prefill(2))
-
-
-def test_flashmem_both_kwargs_rejected(fm, compiled):
-    with pytest.raises(ValueError, match="not both"):
-        fm.run(compiled, scenario=Scenario.prefill(2), iterations=2)
-
-
-def test_preload_iterations_shim_identical():
-    executor = PreloadExecutor(get_profile("MNN"), get_device(DEVICE))
-    graph = load_model(MODEL)
-    new = executor.run(graph, scenario=Scenario.prefill(3))
-    with pytest.warns(DeprecationWarning, match="iterations= is deprecated"):
-        old = executor.run(graph, iterations=3)
-    assert old.latency_ms == new.latency_ms
-    assert old.memory.samples == new.memory.samples
-    with pytest.raises(ValueError, match="not both"):
-        executor.run(graph, scenario=Scenario.prefill(3), iterations=3)

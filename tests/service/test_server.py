@@ -70,9 +70,12 @@ class TestProtocol:
             assert stats["requests"] == 1 and stats["compiles"] == 1
 
     def test_served_plan_matches_direct_compile(self, served_socket):
-        direct = execute_compile(REQUEST)
+        # The default budget: at 0.5 s the solver's wall-clock deadlines
+        # bind, so two compiles of one request can differ on a loaded host.
+        request = CompileRequest(model="ViT")
+        direct = execute_compile(request)
         with ServiceClient(served_socket) as client:
-            response = client.compile(REQUEST)
+            response = client.compile(request)
         served = response["plan"]
         served.pop("stats", None)
         expected = json.loads(direct.plan.to_json())

@@ -74,13 +74,14 @@ def test_sweep_prewarm_quick():
     assert runner._pool is None
 
 
-def test_decode_ab_quick():
-    """Decode extrapolation A/B structure in-process under a small token
-    count (the full bench runs 1000 tokens in subprocesses)."""
+def test_decode_ab_quick(monkeypatch):
+    """Decode replay A/B structure in-process under a small token count
+    (the full bench runs 1000 tokens in subprocesses)."""
     from repro.core.flashmem import FlashMem
     from repro.experiments import common
     from repro.gpusim.device import get_device
     from repro.graph.models import load_decode_model
+    from repro.runtime import segment
     from repro.runtime.scenario import Scenario
 
     fm = FlashMem(common.experiment_flashmem_config())
@@ -88,8 +89,9 @@ def test_decode_ab_quick():
         load_decode_model("GPTN-S", context_len=512), get_device("OnePlus 12")
     )
     scenario = Scenario.decode(tokens=32, context_len=512)
-    fast = fm.run(compiled, scenario=scenario, extrapolate=True)
-    full = fm.run(compiled, scenario=scenario, extrapolate=False)
+    fast = fm.run(compiled, scenario=scenario)
+    monkeypatch.setattr(segment, "EXTRAPOLATE_DEFAULT", False)
+    full = fm.run(compiled, scenario=scenario)
     assert fast.latency_ms == full.latency_ms
     assert fast.peak_memory_bytes == full.peak_memory_bytes
     assert fast.details["replayed_tokens"] > 0
