@@ -37,8 +37,9 @@ from repro.opg.problem import OpgConfig
 #: Version of the on-disk artifact format.  Bump whenever the pickled
 #: payload types change shape; old entries then simply address different
 #: paths and age out instead of being mis-loaded.  v3: plans carry a
-#: ``kv_plan`` (decode KV residency), run keys fold in the Scenario.
-ARTIFACT_SCHEMA_VERSION = 3
+#: ``kv_plan`` (decode KV residency), run keys fold in the Scenario.  v4:
+#: fleet episodes store absolute ``(times, totals)`` columns, not deltas.
+ARTIFACT_SCHEMA_VERSION = 4
 
 
 def _canonical_default(value):

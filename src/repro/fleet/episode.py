@@ -7,9 +7,12 @@ provider simulates each once — read-through to the persistent
 :class:`~repro.core.store.ArtifactStore` (kind ``episode``) when one is
 configured, exactly the compiled-model caching idiom in
 :mod:`repro.experiments.common` — and answers every further invocation from
-the memo.  Replay splices the cached columnar timeline at the invocation's
-start offset, so a replayed session is bitwise-identical to re-simulating
-(the simulator is deterministic and the columns are exact int64 deltas).
+the memo.  An episode keeps its memory timeline as absolute ``(times,
+totals)`` columns ending in the teardown row ``(latency_ms, 0)``, built and
+validated once in :meth:`Episode.from_run`; replay copies them into the
+cell's timeline shifted to the invocation's start, so a replayed session is
+bitwise-identical to re-simulating (the simulator is deterministic and the
+totals are exact int64 byte counts).
 
 ``memoize=False`` turns the provider into the naive engine (a fresh
 simulation per invocation) — the A/B baseline the throughput benchmark and
@@ -26,7 +29,7 @@ import numpy as np
 from repro.experiments import common
 from repro.graph.lowering import eliminate_layout_ops
 from repro.gpusim.device import THROTTLE_STATES, get_device
-from repro.gpusim.timeline import RunResult, session_deltas
+from repro.gpusim.timeline import RunResult
 from repro.runtime.executor import FlashMemExecutor
 from repro.runtime.frameworks import get_profile
 from repro.runtime.preload import PreloadExecutor
@@ -44,15 +47,14 @@ class Episode:
     state: str
     latency_ms: float
     energy_j: float
+    #: Max of ``totals`` (the run's ``peak_memory_bytes``, which executors
+    #: take from the same timeline).
     peak_bytes: int
     oom: bool
-    #: Memory timeline as (times, deltas) columns (see ``session_deltas``).
+    #: Memory timeline as absolute columns on the episode's own clock: the
+    #: run's step samples, then the teardown row ``(latency_ms, 0)``.
     times: np.ndarray
-    deltas: np.ndarray
-
-    def session(self, start_ms: float) -> Tuple[float, np.ndarray, np.ndarray, float]:
-        """This episode as a merge-ready session starting at ``start_ms``."""
-        return (start_ms, self.times, self.deltas, start_ms + self.latency_ms)
+    totals: np.ndarray
 
     @classmethod
     def from_run(
@@ -62,7 +64,24 @@ class Episode:
         scenario: Scenario,
         state: str,
     ) -> "Episode":
-        times, deltas = session_deltas(result.memory)
+        """Columns of ``result``'s timeline, checked replayable.
+
+        Raises ``ValueError`` if a total is negative or a sample lies outside
+        ``[0, latency_ms]`` or out of time order: replay lays sessions end to
+        end, which is a valid timeline only when each stays inside its own
+        ``[start, end]`` window.
+        """
+        samples = result.memory.samples
+        times = np.array([t for t, _ in samples] + [result.latency_ms], dtype=np.float64)
+        totals = np.array([v for _, v in samples] + [0], dtype=np.int64)
+        label = f"{result.model}/{result.runtime}@{result.device} episode"
+        if totals.min() < 0:
+            raise ValueError(f"{label}: memory cannot be negative")
+        if not (times[0] >= 0.0 and np.all(times[1:] >= times[:-1])):
+            raise ValueError(
+                f"{label}: timeline samples must be time-sorted within "
+                f"[0, latency_ms={result.latency_ms}]"
+            )
         return cls(
             model=result.model,
             device=result.device,
@@ -71,10 +90,10 @@ class Episode:
             state=state,
             latency_ms=result.latency_ms,
             energy_j=result.energy_j,
-            peak_bytes=result.peak_memory_bytes,
+            peak_bytes=int(totals.max()),
             oom=bool(result.details.get("oom")),
             times=times,
-            deltas=deltas,
+            totals=totals,
         )
 
 

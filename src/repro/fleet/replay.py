@@ -13,10 +13,14 @@ the *nominal* (unthrottled, no-queue) episode latency of the same work: an
 invocation misses its SLO when queueing and thermal throttling together
 stretch it past that budget.
 
-The cell's memory timeline is the columnar merge of every session
-(:func:`~repro.gpusim.timeline.merge_session_columns`); peak/average are
-computed vectorized, and a SHA-256 over the merged columns makes whole-run
-byte-identity checkable without shipping megabytes of samples around.
+The cell's memory timeline is the concatenation of its sessions
+(:func:`cell_timeline`): sessions never overlap, so each episode's memoized
+columns are copied in at the session's start, already in time order — the
+same columns, bit for bit, as the stable-sorted
+:func:`~repro.gpusim.timeline.merge_session_columns` of those sessions.
+Peak is the max of the episode peaks, average a vectorized step integral,
+and a SHA-256 over the columns makes whole-run byte-identity checkable
+without shipping megabytes of samples around.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ import hashlib
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fleet.episode import EpisodeProvider
+from repro.fleet.episode import Episode, EpisodeProvider
 from repro.fleet.trace import Trace
-from repro.gpusim.timeline import merge_session_columns
 
 #: Default latency budget: 3x the nominal solo episode latency.
 DEFAULT_SLO_MULTIPLIER = 3.0
@@ -79,7 +82,7 @@ class CellResult:
     peak_bytes: int = 0
     avg_bytes: float = 0.0
     makespan_ms: float = 0.0
-    #: SHA-256 over the merged (times, totals) columns — replay ≡ naive
+    #: SHA-256 over the cell's (times, totals) columns — replay ≡ naive
     #: byte-identity is equality of this digest plus the outcome list.
     timeline_sha256: str = ""
 
@@ -172,7 +175,7 @@ def replay_trace(
     invocations = trace.invocations
     n = len(invocations)
     heap: List[Any] = []  # (-priority, arrival_ms, seq)
-    sessions = []
+    sessions: List[Tuple[float, Episode]] = []
     next_arrival = 0
     free_at = 0.0
     while heap or next_arrival < n:
@@ -191,7 +194,7 @@ def replay_trace(
         nominal = provider.get(inv.model, device_name, runtime, inv.scenario, "nominal")
         end = start + episode.latency_ms
         free_at = end
-        sessions.append(episode.session(start))
+        sessions.append((start, episode))
         result.outcomes.append(
             InvocationOutcome(
                 index=index,
@@ -211,17 +214,43 @@ def replay_trace(
     result.makespan_ms = max(
         trace.duration_ms, max((o.end_ms for o in result.outcomes), default=0.0)
     )
-    times, totals = merge_session_columns(sessions)
-    result.peak_bytes = int(totals.max()) if len(totals) else 0
-    if result.makespan_ms > 0 and len(times):
-        # Step integral: totals[k] holds from times[k] to times[k+1], and the
-        # final level (zero once every session tore down) to the makespan.
+    times, totals = cell_timeline(sessions)
+    result.peak_bytes = max((episode.peak_bytes for _, episode in sessions), default=0)
+    if result.makespan_ms > 0:
+        # Step integral: totals[k] holds from times[k] to times[k+1]; the
+        # last row is zero (a teardown, or the origin), so nothing accrues
+        # from times[-1] to the makespan.
         held = np.diff(times)
-        area = float(np.dot(totals[:-1], held))
-        area += float(totals[-1]) * (result.makespan_ms - float(times[-1]))
-        result.avg_bytes = area / result.makespan_ms
-    digest = hashlib.sha256()
-    digest.update(times.tobytes())
-    digest.update(totals.tobytes())
+        result.avg_bytes = float(np.dot(totals[:-1], held)) / result.makespan_ms
+    digest = hashlib.sha256(times)
+    digest.update(totals)
     result.timeline_sha256 = digest.hexdigest()
     return result
+
+
+def cell_timeline(sessions: Sequence[Tuple[float, Episode]]) -> Tuple[np.ndarray, np.ndarray]:
+    """One cell's memory timeline as ``(times, totals)`` columns.
+
+    ``sessions`` holds ``(start_ms, episode)`` in start order.  The device
+    serves one invocation at a time, so each session starts at or after the
+    previous one's end, and every episode's columns lie inside ``[0,
+    latency_ms]`` and end at zero (:meth:`Episode.from_run` checks both).
+    Laying the columns end to end after the ``(0, 0)`` origin row therefore
+    gives time-sorted columns, equal bit for bit to the stable-sorted
+    :func:`~repro.gpusim.timeline.merge_session_columns` of the same sessions
+    (at a back-to-back handoff the earlier session's teardown row comes
+    first, as the stable sort keeps it).  The columns are filled into one
+    preallocated pair, with no sort and no per-session temporaries.
+    """
+    size = 1 + sum(len(episode.times) for _, episode in sessions)
+    times = np.empty(size, dtype=np.float64)
+    totals = np.empty(size, dtype=np.int64)
+    times[0] = 0.0
+    totals[0] = 0
+    row = 1
+    for start, episode in sessions:
+        end = row + len(episode.times)
+        np.add(episode.times, start, out=times[row:end])
+        totals[row:end] = episode.totals
+        row = end
+    return times, totals

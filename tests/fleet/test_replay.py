@@ -1,17 +1,79 @@
 """Tests for episode memoization and trace replay (scheduling + identity)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.store import ArtifactStore
 from repro.experiments import common
-from repro.fleet.episode import EpisodeProvider
-from repro.fleet.replay import CellResult, replay_trace
+from repro.fleet.episode import Episode, EpisodeProvider
+from repro.fleet.replay import CellResult, cell_timeline, replay_trace
 from repro.fleet.trace import ThrottleWindow, Trace, TraceInvocation, generate_trace
+from repro.gpusim.timeline import (
+    MemoryTimeline,
+    Phases,
+    RunResult,
+    merge_session_columns,
+    session_deltas,
+)
 from repro.runtime.scenario import Scenario
 
 PREFILL = Scenario.prefill(1)
 MIX = (("ViT", PREFILL, 1, 3.0), ("ResNet50", PREFILL, 0, 1.0))
+
+#: Two arrivals queue behind the first (back-to-back handoffs), the device
+#: then idles until 15 s, and a hot window covers the last two invocations,
+#: which hand off to each other again.
+HANDOFF_TRACE = Trace(
+    name="handoff",
+    seed=0,
+    duration_ms=30_000.0,
+    invocations=[
+        TraceInvocation(0.0, "ViT", PREFILL, priority=0),
+        TraceInvocation(1.0, "ResNet50", PREFILL, priority=0),
+        TraceInvocation(2.0, "ViT", PREFILL, priority=1),
+        TraceInvocation(15_000.0, "ResNet50", PREFILL, priority=0),
+        TraceInvocation(15_001.0, "ViT", PREFILL, priority=0),
+    ],
+    throttle=[ThrottleWindow(14_000.0, 30_000.0, "hot")],
+)
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The RunResult behind every Episode simulated in the test, by id.
+
+    The persistent store is switched off so every episode is simulated (and
+    seen here) rather than loaded.
+    """
+    captured = {}
+    from_run = Episode.from_run
+
+    def spy(result, **kwargs):
+        episode = from_run(result, **kwargs)
+        captured[id(episode)] = result
+        return episode
+
+    monkeypatch.setattr(Episode, "from_run", spy)
+    previous = common.swap_store(None)
+    yield captured
+    common.swap_store(previous)
+
+
+def _run_result(samples, latency_ms):
+    memory = MemoryTimeline()
+    memory.samples = list(samples)
+    return RunResult(
+        model="m",
+        runtime="r",
+        device="d",
+        latency_ms=latency_ms,
+        phases=Phases(),
+        memory=memory,
+        peak_memory_bytes=max(v for _, v in samples),
+        avg_memory_bytes=0.0,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +113,32 @@ class TestEpisodeProvider:
         with pytest.raises(KeyError):
             EpisodeProvider().get("ViT", "OnePlus 12", "FlashMem", PREFILL, "melting")
 
-    def test_episode_columns_round_trip(self):
+    def test_episode_columns_round_trip(self, runs):
         episode = EpisodeProvider().get("ViT", "OnePlus 12", "FlashMem", PREFILL)
+        run = runs[id(episode)]
         assert episode.latency_ms > 0
-        assert int(np.cumsum(episode.deltas).max()) == episode.peak_bytes
-        start, times, deltas, end = episode.session(100.0)
-        assert start == 100.0
-        assert end == pytest.approx(100.0 + episode.latency_ms)
+        # The run's samples, then the teardown row at the episode's end.
+        samples = list(zip(episode.times[:-1].tolist(), episode.totals[:-1].tolist()))
+        assert samples == run.memory.samples
+        assert (episode.times[-1], episode.totals[-1]) == (episode.latency_ms, 0)
+        assert episode.peak_bytes == int(episode.totals.max()) == run.peak_memory_bytes
+
+    def test_columns_accept_sample_at_latency(self):
+        run = _run_result([(0.0, 0), (1.0, 7), (2.0, 3)], latency_ms=2.0)
+        episode = Episode.from_run(run, scenario=PREFILL, state="nominal")
+        assert episode.times.tolist() == [0.0, 1.0, 2.0, 2.0]
+        assert episode.totals.tolist() == [0, 7, 3, 0]
+        assert episode.peak_bytes == 7
+
+    def test_columns_reject_negative_total(self):
+        run = _run_result([(0.0, 0), (1.0, -5)], latency_ms=2.0)
+        with pytest.raises(ValueError, match="negative"):
+            Episode.from_run(run, scenario=PREFILL, state="nominal")
+
+    def test_columns_reject_sample_after_latency(self):
+        run = _run_result([(0.0, 0), (1.0, 5), (2.5, 1)], latency_ms=2.0)
+        with pytest.raises(ValueError, match="latency_ms"):
+            Episode.from_run(run, scenario=PREFILL, state="nominal")
 
     def test_persistent_store_read_through(self, tmp_path):
         previous = common.swap_store(ArtifactStore(tmp_path))
@@ -138,6 +219,36 @@ class TestReplayIdentity:
         )
         assert naive.episodes_simulated > memo_cell.episodes_simulated
         assert memo_cell.canonical_json() == naive.canonical_json()
+
+    @pytest.mark.parametrize("runtime", ["FlashMem", "MNN"])
+    def test_cell_columns_equal_session_merge(self, runs, runtime):
+        provider = EpisodeProvider()
+        cell = replay_trace(HANDOFF_TRACE, "OnePlus 12", runtime, provider=provider)
+        ordered = sorted(cell.outcomes, key=lambda o: o.start_ms)
+        gaps = [b.start_ms - a.end_ms for a, b in zip(ordered, ordered[1:])]
+        assert gaps.count(0.0) >= 2 and max(gaps) > 0.0
+        assert {o.state for o in ordered} == {"nominal", "hot"}
+        sessions = [
+            (o.start_ms, provider.get(o.model, "OnePlus 12", runtime, PREFILL, o.state))
+            for o in ordered
+        ]
+        times, totals = cell_timeline(sessions)
+        # Oracle: the stable-sorted merge of each session's own run.
+        merged_times, merged_totals = merge_session_columns(
+            [
+                (start, *session_deltas(runs[id(episode)].memory), start + episode.latency_ms)
+                for start, episode in sessions
+            ]
+        )
+        assert times.tobytes() == merged_times.tobytes()
+        assert totals.tobytes() == merged_totals.tobytes()
+        assert cell.peak_bytes == int(merged_totals.max())
+        area = float(np.dot(merged_totals[:-1], np.diff(merged_times)))
+        area += float(merged_totals[-1]) * (cell.makespan_ms - float(merged_times[-1]))
+        assert cell.avg_bytes == area / cell.makespan_ms
+        digest = hashlib.sha256(merged_times.tobytes())
+        digest.update(merged_totals.tobytes())
+        assert cell.timeline_sha256 == digest.hexdigest()
 
     def test_far_fewer_simulations(self, trace, memo_cell):
         assert memo_cell.episodes_simulated < len(trace.invocations)
