@@ -25,6 +25,11 @@ BENCH_DIR = pathlib.Path(__file__).resolve().parent
 SRC_DIR = BENCH_DIR.parent / "src"
 RESULTS_DIR = BENCH_DIR.parent / "results"
 
+# Benchmarks import the solver oracles and window models from ``tests/``,
+# which resolves from the repo root whether or not pytest runs as ``-m``.
+if str(BENCH_DIR.parent) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR.parent))
+
 
 def report(name: str, text: str) -> None:
     """Print a rendered experiment and persist it under results/."""
@@ -41,13 +46,14 @@ def emit_record(record: dict) -> None:
 def ab_subprocess(module: str, func: str, *args, timeout: float = 900.0) -> dict:
     """Run ``benchmarks/<module>.py::<func>(*args)`` in a fresh interpreter.
 
-    The child runs with ``PYTHONPATH=[src, benchmarks]`` and
-    ``cwd=benchmarks`` and must print exactly one ``BENCH_RECORD <json>``
+    The child runs with ``PYTHONPATH=[src, benchmarks, repo root]`` (the
+    root makes the ``tests`` oracles importable) and ``cwd=benchmarks`` and
+    must print exactly one ``BENCH_RECORD <json>``
     line via :func:`emit_record`; that record is returned.  ``args`` must
     round-trip through ``repr`` (strings, numbers, bools).
     """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC_DIR), str(BENCH_DIR)])
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC_DIR), str(BENCH_DIR), str(BENCH_DIR.parent)])
     call = ", ".join(repr(a) for a in args)
     proc = subprocess.run(
         [sys.executable, "-c", f"import {module} as m; m.{func}({call})"],

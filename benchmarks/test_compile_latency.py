@@ -14,8 +14,9 @@ trajectory:
 The pre-PR baseline reverts all four compile-path deltas at once:
 ``SeedBudgets`` restores the unmemoized ``available()``,
 ``SeedPartitionSolver._windows`` restores the seed's layer-grid window
-partition (48-layer grid), ``exact_engine="reference"`` selects the seed
-EDF/prover, and ``window_reuse=False`` disables the cache.  Everything
+partition (48-layer grid), the seed EDF/prover oracles from
+``tests/oracles`` replace ``lcopg.edf_feasible``/``lcopg.prove_window``,
+and ``window_reuse=False`` disables the cache.  Everything
 else (CP core, fusion loop, models) is shared, so the ratio isolates this
 PR's compile-path work.
 
@@ -101,10 +102,12 @@ def _measure_side(side: str) -> None:
     from repro.fusion.adaptive import AdaptiveFusionPlanner
 
     if side == "baseline":
+        from tests.oracles import edf_feasible_reference, prove_window_reference
+
         lcopg.Budgets = SeedBudgets
-        solver = SeedPartitionSolver(
-            _experiment_opg(window_reuse=False), exact_engine="reference"
-        )
+        lcopg.edf_feasible = edf_feasible_reference
+        lcopg.prove_window = prove_window_reference
+        solver = SeedPartitionSolver(_experiment_opg(window_reuse=False))
     else:
         solver = lcopg.LcOpgSolver(_experiment_opg())
 

@@ -108,9 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also run a preloading baseline for comparison")
     run_p.add_argument("--time-limit", type=float, default=5.0,
                        help="LC-OPG solver budget in seconds")
-    run_p.add_argument("--portfolio", type=int, default=0,
-                       help="portfolio width K for per-window CP solves "
-                            "(K-1 alternate heuristics race for certificates)")
     run_p.add_argument("--solver-stats", action="store_true",
                        help="print the per-window CP solver statistics table")
     run_p.add_argument("--capacity-backend", default="analytic",
@@ -203,8 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan_p.add_argument("--device", default="OnePlus 12",
                        help="device preset name or alias (e.g. 'oneplus12')")
     plan_p.add_argument("--time-limit", type=float, default=5.0)
-    plan_p.add_argument("--portfolio", type=int, default=0,
-                        help="portfolio width K for per-window CP solves")
     plan_p.add_argument("--out", default=None, help="write the plan JSON here")
     plan_p.add_argument("--solver-stats", action="store_true",
                        help="print the per-window CP solver statistics table")
@@ -220,8 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="number of hotspot rows to print (default 25)")
     prof_compile.add_argument("--time-limit", type=float, default=5.0,
                               help="LC-OPG solver budget in seconds")
-    prof_compile.add_argument("--portfolio", type=int, default=0,
-                              help="portfolio width K for per-window CP solves")
     prof_run = prof_sub.add_parser(
         "run", help="cProfile one FlashMem.run (simulation hot path) and print hotspots"
     )
@@ -293,8 +286,7 @@ def _print_solver_stats(plan) -> None:
           f"({stats.nodes_per_sec:.0f} nodes/s); "
           f"{stats.windows_reused} of {stats.windows} windows replayed from cache")
     print(f"  tightenings {stats.propagations}; constraint evals: "
-          f"linear {stats.prop_linear}, implication {stats.prop_implication}; "
-          f"queue peak {stats.queue_peak}")
+          f"linear {stats.prop_linear}, implication {stats.prop_implication}")
     print(f"  time: propagate {stats.time_propagate_s:.3f}s, "
           f"branch {stats.time_branch_s:.3f}s, bound {stats.time_bound_s:.3f}s")
     print(f"  compile phases: cp {stats.cp_solve_s:.3f}s, "
@@ -302,12 +294,12 @@ def _print_solver_stats(plan) -> None:
           f"build {stats.build_model_s:.3f}s ({stats.edf_calls} EDF oracle calls)")
     if not stats.window_stats:
         return
-    header = f"  {'win':>4s} {'status':9s} {'nodes':>8s} {'nodes/s':>9s} {'props':>9s} {'qpeak':>6s} {'wall s':>8s}"
+    header = f"  {'win':>4s} {'status':9s} {'nodes':>8s} {'nodes/s':>9s} {'props':>9s} {'wall s':>8s}"
     print(header)
     for w in stats.window_stats:
         print(f"  {w['window']:>4d} {w['status']:9s} {w['nodes']:>8d} "
               f"{w['nodes_per_sec']:>9.0f} {w['propagations']:>9d} "
-              f"{w['queue_peak']:>6d} {w['wall_time_s']:>8.3f}")
+              f"{w['wall_time_s']:>8.3f}")
 
 
 def _print_fusion_iterations(report) -> None:
@@ -372,9 +364,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     device = get_device(args.device)
     graph = load_model(args.model)
-    config = FlashMemConfig(
-        opg=OpgConfig(time_limit_s=args.time_limit, portfolio=args.portfolio)
-    )
+    config = FlashMemConfig(opg=OpgConfig(time_limit_s=args.time_limit))
     fm = FlashMem(config)
     print(f"Profiling compile of {graph.summary()} for {device.name} ...")
     profiler = cProfile.Profile()
@@ -478,7 +468,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}")
     graph = _load_cli_graph(args.model, scenario)
     config = FlashMemConfig(
-        opg=OpgConfig(time_limit_s=args.time_limit, portfolio=args.portfolio),
+        opg=OpgConfig(time_limit_s=args.time_limit),
         capacity_backend=args.capacity_backend,
     )
     fm = FlashMem(config)
@@ -601,7 +591,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     device = get_device(args.device)
     graph = load_model(args.model)
-    config = OpgConfig(time_limit_s=args.time_limit, portfolio=args.portfolio)
+    config = OpgConfig(time_limit_s=args.time_limit)
     plan = LcOpgSolver(config).solve(
         graph, analytic_capacity_model(device), device_name=device.name
     )

@@ -5,14 +5,12 @@ from repro.core.flashmem import CompiledModel, FlashMem
 from repro.core.store import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactStore,
-    PlanStore,
-    config_fingerprint,
     flashmem_config_fingerprint,
     stable_fingerprint,
 )
 
 __all__ = [
     "FlashMemConfig", "CompiledModel", "FlashMem",
-    "ArtifactStore", "ARTIFACT_SCHEMA_VERSION", "PlanStore",
-    "config_fingerprint", "flashmem_config_fingerprint", "stable_fingerprint",
+    "ArtifactStore", "ARTIFACT_SCHEMA_VERSION",
+    "flashmem_config_fingerprint", "stable_fingerprint",
 ]

@@ -46,7 +46,6 @@ class Table4Row:
     nodes: int = 0
     nodes_per_sec: float = 0.0
     propagations: int = 0
-    queue_peak: int = 0
     cp_windows: int = 0
     heuristic_windows: int = 0
     # Compile-phase split + window-reuse counters (incremental pipeline).
@@ -64,21 +63,20 @@ class Table4Result:
 
     def render(self) -> str:
         # The paper's table keeps its exact row format; solver observability
-        # (nodes/sec, propagations, queue depth) rides below as its own block.
+        # (nodes/sec, propagations) rides below as its own block.
         main = render_table(
             ["Model", "Layers", "Process (s)", "Build (s)", "Solve (s)", "Status"],
             [(r.model, r.layers, r.process_s, r.build_s, r.solve_s, r.status) for r in self.rows],
             title=f"Table 4 — LC-OPG runtime (limit {self.time_limit_s:.0f} s per model)",
         )
         solver = render_table(
-            ["Model", "Nodes", "Nodes/s", "Propagations", "Queue peak", "CP win", "Greedy win"],
+            ["Model", "Nodes", "Nodes/s", "Propagations", "CP win", "Greedy win"],
             [
                 (
                     r.model,
                     r.nodes,
                     round(r.nodes_per_sec),
                     r.propagations,
-                    r.queue_peak,
                     r.cp_windows,
                     r.heuristic_windows,
                 )
@@ -109,25 +107,13 @@ def run(
     *,
     time_limit_s: float = 10.0,
     models: List[str] = None,
-    solver: str = "trail",
 ) -> Table4Result:
-    """``solver`` selects the CP engine: "trail" (production, bitset),
-    "queue" (the PR-5 dirty-queue engine), or "naive" (the seed
-    architecture, kept for A/B benchmarking)."""
-    from repro.opg.cpsat.naive import NaiveCpSolver
-    from repro.opg.cpsat.search import CpSolver
-
-    factory = {
-        "trail": CpSolver,
-        "queue": lambda **kw: CpSolver(engine="queue", **kw),
-        "naive": NaiveCpSolver,
-    }[solver]
     capacity = cached_capacity(device)
     rows = []
     for model in models or MODELS:
         graph = load_model(model)
         config = OpgConfig(time_limit_s=time_limit_s, max_nodes_per_window=2000)
-        plan = LcOpgSolver(config, solver_factory=factory).solve(graph, capacity, device_name=device)
+        plan = LcOpgSolver(config).solve(graph, capacity, device_name=device)
         rows.append(
             Table4Row(
                 model=model,
@@ -139,7 +125,6 @@ def run(
                 nodes=plan.stats.nodes_explored,
                 nodes_per_sec=plan.stats.nodes_per_sec,
                 propagations=plan.stats.propagations,
-                queue_peak=plan.stats.queue_peak,
                 cp_windows=plan.stats.cp_windows,
                 heuristic_windows=plan.stats.heuristic_windows,
                 cp_solve_s=plan.stats.cp_solve_s,

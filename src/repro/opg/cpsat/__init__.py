@@ -9,8 +9,6 @@ from repro.opg.cpsat.model import (
     Solution,
     SolveStatus,
 )
-from repro.opg.cpsat.naive import NaiveCpSolver
-from repro.opg.cpsat.propagation import Domains, IncrementalPropagator, Trail, propagate
 from repro.opg.cpsat.search import CpSolver
 from repro.opg.cpsat.stats import PropagationStats, SolverStats
 
@@ -22,12 +20,7 @@ __all__ = [
     "ModelIndex",
     "Solution",
     "SolveStatus",
-    "Domains",
-    "Trail",
-    "IncrementalPropagator",
-    "propagate",
     "CpSolver",
-    "NaiveCpSolver",
     "PropagationStats",
     "SolverStats",
 ]

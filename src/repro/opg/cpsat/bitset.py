@@ -1,12 +1,9 @@
 """Bitset propagation engine: packed watcher bitsets + resident sums.
 
-The round-2 raw-speed engine behind ``CpSolver(engine="bitset")``.  The
-PR-5 dirty-queue engine (:class:`repro.opg.cpsat.propagation.
-IncrementalPropagator`) already made propagation O(affected constraints);
-profiling shows the remaining per-node cost is *inside* each constraint
-re-evaluation — every ``_prop_linear`` re-sums its terms from scratch, and
-the deque/bytearray dirty set pays per-watcher Python iteration on every
-tightening.  This engine removes both:
+The one domain store, undo trail and propagator behind
+:class:`repro.opg.cpsat.search.CpSolver`.  Propagation is incremental —
+only the constraints watching a tightened bound are re-evaluated — and
+the per-evaluation cost is kept low by two representations:
 
 - **Resident constraint sums.**  ``csum_lo[c] = Σ coef·lo`` and
   ``csum_hi[c] = Σ coef·hi`` live alongside the domains and are updated by
@@ -19,10 +16,9 @@ tightening.  This engine removes both:
   ``n_linears + j`` = implication ``j``); a tightening marks all watchers
   dirty with ONE ``dirty |= mask`` word-parallel OR instead of a Python
   loop with membership checks.  The drain pops lowest-set-bits, so
-  constraints re-evaluate in ascending id order — a different order than
-  the FIFO queue, which is fine because bounds propagation is confluent:
-  both engines stop at the same unique fixpoint (this is what keeps plans
-  byte-identical with the engine toggled, see DESIGN.md).
+  constraints re-evaluate in ascending id order.  Bounds propagation is
+  confluent, so any evaluation order stops at the same unique fixpoint —
+  the one the full-sweep oracle in ``tests/oracles`` reaches.
 - **An unassigned-variable bitset for branching.**  Variable selection
   (smallest domain, objective vars first, lowest index on ties) walks only
   the set bits of ``unassigned & obj_mask`` (then ``unassigned``) instead
@@ -38,11 +34,10 @@ OPG window sizes (tens of constraints, cascades touching a handful) the
 fixed per-ufunc cost exceeds the entire scalar cascade — the measured
 tradeoff is recorded in DESIGN.md.
 
-One object implements both the Trail API (``mark`` / ``undo_to`` /
+One object implements both the trail API (``mark`` / ``undo_to`` /
 ``set_lo`` / ``set_hi`` / ``lower_bound`` / ``entries``) and the
-propagator API (``propagate_all`` / ``propagate_from`` / ``abandon``), so
-the search loop in :mod:`repro.opg.cpsat.search` runs unchanged over
-either engine.
+propagator API (``propagate_all`` / ``propagate_from`` / ``abandon``)
+that the search loop in :mod:`repro.opg.cpsat.search` drives.
 """
 
 from __future__ import annotations
@@ -167,8 +162,8 @@ class BitsetState:
         # ONLY on a lower-bound change (rule 1 when lo[cond] crosses
         # cond_ge, rule 2 when lo[then] crosses then_ub — the hi sides of
         # both guards can only turn false).  Upper-bound changes therefore
-        # dirty just the linears: ``watch_mask`` is per side, and set_hi
-        # ORs a strictly smaller mask than the queue engine's watch lists.
+        # dirty just the linears: the watch masks are per side, and set_hi
+        # ORs a strictly smaller mask than set_lo.
         lo_masks = [0] * n_vars
         hi_masks = [0] * n_vars
         for cid, con in enumerate(model.linears):
@@ -206,6 +201,15 @@ class BitsetState:
 
     # ------------------------------------------------------------ trail API
     def mark(self) -> int:
+        """Trail position to ``undo_to`` later — valid only at a node boundary.
+
+        A bound is logged once per epoch (its first change since the last
+        ``undo_to``), so a mark is an undo point only if no bound moves
+        between it and the next ``undo_to``: a later change to a bound the
+        current node already moved logs nothing, and undoing to the mark
+        would leave it in place.  The search marks after propagating a
+        node and opens every child with ``undo_to(mark)``.
+        """
         return len(self.entries)
 
     def set_lo(self, idx: int, value: int) -> None:
@@ -300,18 +304,16 @@ class BitsetState:
         self.unassigned = un
 
     # ------------------------------------------------------- propagator API
-    def propagate_all(self, trail, stats: PropagationStats) -> bool:
+    def propagate_all(self, stats: PropagationStats) -> bool:
         """Root propagation: every constraint starts dirty."""
         self.dirty = self._all_dirty
         return self._drain(stats)
 
-    def propagate_from(self, trail, dirty_vars, stats: PropagationStats) -> bool:
+    def propagate_from(self, stats: PropagationStats) -> bool:
         """Drain the dirt accumulated by set_lo/set_hi since the last drain.
 
-        Unlike the queue engine, seeding is implicit: the trail operations
-        that applied the branch already OR'd the branched variable's
-        watcher mask into ``dirty``, so the arguments are accepted only for
-        API compatibility.
+        Seeding is implicit: the trail operations that applied the branch
+        already OR'd the branched variable's watcher mask into ``dirty``.
         """
         return self._drain(stats)
 
@@ -339,8 +341,7 @@ class BitsetState:
                 ok = prop_linear(cid, stats)
                 # Clear after processing: the linear is at its local
                 # fixpoint, so self-dirt from its own tightenings is
-                # dropped (the queue engine's ``skip_cid``); dirt it put
-                # on OTHER constraints stays.
+                # dropped; dirt it put on OTHER constraints stays.
                 self.dirty &= ~low
                 if not ok:
                     self.dirty = 0
@@ -535,12 +536,11 @@ class BitsetState:
     def select_variable(self) -> Optional[int]:
         """Smallest-domain-first branching variable, or None when assigned.
 
-        Identical choice to ``CpSolver._select_variable``'s full scan —
-        objective variables strictly first, then minimum width, lowest
-        index on ties — but walking only the set bits of the unassigned
-        bitset, with an early exit at width 1 (no unassigned variable can
-        be narrower, and ascending bit order makes the first hit the
-        lowest-index tie-winner).
+        The choice of a full ascending scan — objective variables strictly
+        first, then minimum width, lowest index on ties — but walking only
+        the set bits of the unassigned bitset, with an early exit at width
+        1 (no unassigned variable can be narrower, and ascending bit order
+        makes the first hit the lowest-index tie-winner).
         """
         cand = self.unassigned & self.obj_mask
         if not cand:

@@ -9,7 +9,7 @@ Implements the modelling subset the OPG formulation needs (see DESIGN.md):
 - a linear minimisation objective.
 
 The solver lives in :mod:`repro.opg.cpsat.search`; propagation in
-:mod:`repro.opg.cpsat.propagation`.
+:mod:`repro.opg.cpsat.bitset`.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ class Implication:
 class ModelIndex:
     """Var→constraint watch lists, built once at :meth:`CpModel.freeze` time.
 
-    Drives the dirty-queue incremental propagator: when variable ``v``'s
-    bounds change, only ``var_linears[v]`` / ``var_implications[v]`` need
-    re-evaluation instead of every constraint in the model.
+    When variable ``v``'s bounds change, only ``var_linears[v]`` /
+    ``var_implications[v]`` need re-evaluation instead of every constraint
+    in the model (the bitset engine packs the same relation into per-var
+    masks).
     """
 
     #: var index -> ids into ``model.linears`` mentioning the var.

@@ -1,13 +1,12 @@
 """Trail-based branch-and-bound search for the CP model.
 
-Depth-first search with:
+Depth-first search over one mutable domain store — the
+:class:`~repro.opg.cpsat.bitset.BitsetState` — with:
 
-- ONE mutable domain store plus a :class:`Trail` undo log — entering a
-  branch records O(changes) entries and leaving pops them, replacing the
-  seed solver's O(vars) ``Domains.copy`` per child node;
+- an undo trail: entering a branch records O(changes) entries and leaving
+  pops them, instead of copying O(vars) domain arrays per child node;
 - incremental propagation at every node: only the constraints watching the
-  branched variable (and transitively affected ones) are re-evaluated,
-  via the var→constraint index frozen on the model;
+  tightened bounds (and transitively affected ones) are re-evaluated;
 - an incrementally-maintained objective lower bound (updated as bounds
   tighten) for one-comparison pruning against the incumbent;
 - hint-guided value ordering (try the decision hint, then interval split);
@@ -16,23 +15,20 @@ Depth-first search with:
   FEASIBLE rather than OPTIMAL).
 
 Every solve returns a :class:`SolverStats` on the Solution: nodes/sec,
-propagations by constraint kind, dirty-queue high-water mark, and the
-time split between propagate / branch / bound.
+propagations by constraint kind, trail depth, and the time split between
+propagate / branch / bound.
 
-The seed copy-based solver survives as
-:class:`repro.opg.cpsat.naive.NaiveCpSolver` — the differential-test
-oracle and the benchmark baseline.
+The seed copy-based solver is the differential-test oracle and the
+benchmark baseline; it lives under ``tests/oracles``, outside the package.
 """
 
 from __future__ import annotations
 
-import random
 import time
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.opg.cpsat.bitset import BitsetState
 from repro.opg.cpsat.model import CpModel, Solution, SolveStatus
-from repro.opg.cpsat.propagation import Domains, IncrementalPropagator, Trail
 from repro.opg.cpsat.stats import PropagationStats, SolverStats
 
 #: Deadline checks happen every ``_TIME_CHECK_MASK + 1`` nodes: a
@@ -41,75 +37,24 @@ _TIME_CHECK_MASK = 31
 
 
 class CpSolver:
-    """Configurable branch-and-bound solver (trail + incremental propagation).
+    """Branch-and-bound solver bounded by a wall-clock and a node budget.
 
-    ``engine`` selects the propagation backend:
-
-    - ``"bitset"`` (default): :class:`repro.opg.cpsat.bitset.BitsetState` —
-      packed watcher bitsets, resident constraint sums, unassigned-variable
-      bitset branching (this PR);
-    - ``"queue"``: the PR-5 dirty-queue :class:`IncrementalPropagator` +
-      :class:`Trail`, kept as the A/B baseline and for the engine-toggle
-      byte-identity tests.
-
-    Both engines stop every propagation at the same unique bounds fixpoint
-    and select identical branching variables, so the search tree — and
-    therefore every returned solution — is byte-identical across engines
-    whenever the node budget (not wall-clock) is the binding limit.
-
-    ``branching`` selects the variable-selection heuristic: "hint" (the
-    production default: smallest domain, objective variables first),
-    "constrained" (most-constrained-first by linear-constraint degree), or
-    "random" (uniform over unassigned, deterministic under ``seed``).  The
-    alternates exist for the portfolio (:mod:`repro.opg.cpsat.portfolio`);
-    only "hint" carries the cross-engine byte-identity guarantee.
-
-    ``target_supplier``, when given, is polled for an externally *proven*
-    optimal objective value (a portfolio certificate).  It only adds a stop
-    condition — once the incumbent reaches the certificate the solve ends,
-    OPTIMAL, with exactly the incumbent the un-targeted search would have
-    returned (the search never improves past a proven optimum, and no
-    pruning decision reads the target, so the explored prefix is identical
-    up to the stop point).
+    Branching is smallest-domain-first with objective variables first and
+    the lowest index on ties (:meth:`BitsetState.select_variable`); values
+    follow the decision hint, then an interval split.  Every choice is
+    deterministic, so whenever the node budget (not wall-clock) is the
+    binding limit the returned solution is a pure function of the model.
     """
 
-    def __init__(
-        self,
-        *,
-        time_limit_s: float = 10.0,
-        max_nodes: int = 2_000_000,
-        engine: str = "bitset",
-        branching: str = "hint",
-        seed: int = 0,
-        target_supplier: Optional[Callable[[], Optional[int]]] = None,
-    ) -> None:
-        if engine not in ("bitset", "queue"):
-            raise ValueError(f"unknown engine {engine!r}; use 'bitset' or 'queue'")
-        if branching not in ("hint", "constrained", "random"):
-            raise ValueError(
-                f"unknown branching {branching!r}; use 'hint', 'constrained', or 'random'"
-            )
+    def __init__(self, *, time_limit_s: float = 10.0, max_nodes: int = 2_000_000) -> None:
         self.time_limit_s = time_limit_s
         self.max_nodes = max_nodes
-        self.engine = engine
-        self.branching = branching
-        self.seed = seed
-        self.target_supplier = target_supplier
 
     def solve(self, model: CpModel) -> Solution:
         start = time.perf_counter()
         deadline = start + self.time_limit_s
         stats = SolverStats()
-        index = model.freeze()
-        if self.engine == "bitset":
-            state = BitsetState(model)
-            domains = trail = propagator = state
-            select = state.select_variable
-        else:
-            domains = Domains.from_model(model)
-            trail = Trail(domains, obj_coef=index.obj_coef, obj_offset=model.objective_offset)
-            propagator = IncrementalPropagator(model)
-            select = None
+        state = BitsetState(model)
         has_obj = bool(model.objective)
 
         # One cumulative PropagationStats for the whole solve (allocating
@@ -117,7 +62,7 @@ class CpSolver:
         # SolverStats once at exit.
         prop_stats = PropagationStats()
         t0 = time.perf_counter()
-        ok = propagator.propagate_all(trail, prop_stats)
+        ok = state.propagate_all(prop_stats)
         stats.time_propagate_s += time.perf_counter() - t0
         if not ok:
             stats.absorb(prop_stats)
@@ -125,7 +70,7 @@ class CpSolver:
             return Solution(status=SolveStatus.INFEASIBLE, wall_time_s=stats.wall_time_s, stats=stats)
         # If an incumbent ever matches the root relaxation bound it is
         # provably optimal — exit without exhausting the plateau.
-        root_bound = trail.lower_bound if has_obj else None
+        root_bound = state.lower_bound if has_obj else None
 
         best_values: Optional[List[int]] = None
         best_obj: Optional[int] = None
@@ -133,22 +78,12 @@ class CpSolver:
         timed_out = False
         node_budget_hit = False
 
-        lo, hi = domains.lo, domains.hi
-        obj_vars = index.obj_vars
-        if self.branching == "constrained":
-            degree = [len(ids) for ids in index.var_linears]
-            select = lambda: self._select_most_constrained(lo, hi, degree)  # noqa: E731
-        elif self.branching == "random":
-            rng = random.Random(self.seed)
-            select = lambda: self._select_random(lo, hi, rng)  # noqa: E731
-        elif select is None:
-            select = lambda: self._select_variable(lo, hi, obj_vars)  # noqa: E731
-        target: Optional[int] = None
-        target_supplier = self.target_supplier
+        lo, hi = state.lo, state.hi
+        select = state.select_variable
         # Iterative DFS over branch ops.  Each entry restores the trail to
         # ``mark`` (the parent's state) and then applies ``var in
         # [child_lo, child_hi]``; the root sentinel applies nothing.
-        stack: List[Tuple[int, int, int, int]] = [(trail.mark(), -1, 0, 0)]
+        stack: List[Tuple[int, int, int, int]] = [(state.mark(), -1, 0, 0)]
         while stack:
             if stats.nodes >= self.max_nodes:
                 node_budget_hit = True
@@ -161,28 +96,28 @@ class CpSolver:
 
             if var >= 0:
                 t0 = time.perf_counter()
-                trail.undo_to(mark)
+                state.undo_to(mark)
                 if child_lo > lo[var]:
-                    trail.set_lo(var, child_lo)
+                    state.set_lo(var, child_lo)
                 if child_hi < hi[var]:
-                    trail.set_hi(var, child_hi)
+                    state.set_hi(var, child_hi)
                 # The trail updated the objective bound as the branch was
                 # applied — prune before paying for propagation.
-                pruned = best_obj is not None and has_obj and trail.lower_bound >= best_obj
+                pruned = best_obj is not None and has_obj and state.lower_bound >= best_obj
                 stats.time_bound_s += time.perf_counter() - t0
                 if pruned:
-                    propagator.abandon()
+                    state.abandon()
                     continue
 
                 t0 = time.perf_counter()
-                ok = propagator.propagate_from(trail, (var,), prop_stats)
+                ok = state.propagate_from(prop_stats)
                 stats.time_propagate_s += time.perf_counter() - t0
-                if len(trail.entries) > stats.trail_depth_peak:
-                    stats.trail_depth_peak = len(trail.entries)
+                if len(state.entries) > stats.trail_depth_peak:
+                    stats.trail_depth_peak = len(state.entries)
                 if not ok:
                     continue
 
-            if best_obj is not None and has_obj and trail.lower_bound >= best_obj:
+            if best_obj is not None and has_obj and state.lower_bound >= best_obj:
                 continue  # cannot improve
 
             t0 = time.perf_counter()
@@ -199,19 +134,10 @@ class CpSolver:
                     if root_bound is not None and obj <= root_bound:
                         proven_by_bound = True
                         break
-                    # Portfolio certificate: an alternate proved the optimum.
-                    # Polled only at incumbent updates — the target never
-                    # steers pruning or selection, so the tree explored so
-                    # far matches the certificate-free search exactly.
-                    if target is None and target_supplier is not None:
-                        target = target_supplier()
-                    if target is not None and obj <= target:
-                        proven_by_bound = True
-                        break
                 continue
 
-            child_mark = trail.mark()
-            for b_lo, b_hi in reversed(self._branches(model, domains, branch_var)):
+            child_mark = state.mark()
+            for b_lo, b_hi in reversed(self._branches(model, state, branch_var)):
                 stack.append((child_mark, branch_var, b_lo, b_hi))
             stats.time_branch_s += time.perf_counter() - t0
 
@@ -226,14 +152,6 @@ class CpSolver:
                 wall_time_s=stats.wall_time_s,
                 stats=stats,
             )
-        # Late certificate: the proof may land after the last incumbent
-        # update — one final poll upgrades FEASIBLE to OPTIMAL (values are
-        # already the ones the certificate-free search would return).
-        if not proven_by_bound and best_obj is not None and target_supplier is not None:
-            if target is None:
-                target = target_supplier()
-            if target is not None and best_obj <= target:
-                proven_by_bound = True
         proven = proven_by_bound or not (timed_out or node_budget_hit)
         status = SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE
         return Solution(
@@ -248,50 +166,12 @@ class CpSolver:
 
     # ------------------------------------------------------------- internals
     @staticmethod
-    def _select_variable(
-        lo: List[int], hi: List[int], obj_vars: FrozenSet[int]
-    ) -> Optional[int]:
-        """Smallest-domain-first over unassigned variables (ties: objective
-        variables first so bounding bites early).  ``obj_vars`` is frozen on
-        the model — not rebuilt per node like the seed solver did."""
-        best_idx: Optional[int] = None
-        best_key: Optional[Tuple[int, int]] = None
-        for idx in range(len(lo)):
-            width = hi[idx] - lo[idx]
-            if width == 0:
-                continue
-            key = (0 if idx in obj_vars else 1, width)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_idx = idx
-        return best_idx
-
-    @staticmethod
-    def _select_most_constrained(lo, hi, degree: List[int]) -> Optional[int]:
-        """Portfolio alternate: branch on the unassigned variable watched by
-        the most linear constraints (ties: lowest index)."""
-        best_idx: Optional[int] = None
-        best_deg = -1
-        for idx in range(len(lo)):
-            if hi[idx] > lo[idx] and degree[idx] > best_deg:
-                best_deg = degree[idx]
-                best_idx = idx
-        return best_idx
-
-    @staticmethod
-    def _select_random(lo, hi, rng: random.Random) -> Optional[int]:
-        """Portfolio alternate: uniform over unassigned (deterministic seed)."""
-        open_vars = [idx for idx in range(len(lo)) if hi[idx] > lo[idx]]
-        if not open_vars:
-            return None
-        return rng.choice(open_vars)
-
-    @staticmethod
-    def _branches(model: CpModel, domains: Domains, idx: int) -> List[Tuple[int, int]]:
+    def _branches(model: CpModel, domains, idx: int) -> List[Tuple[int, int]]:
         """Branch plan for a variable, hint value first, then interval split.
 
-        Returned in preference order (the caller pushes them reversed onto
-        the DFS stack).
+        ``domains`` is anything with ``lo``/``hi`` bound sequences.  Returned
+        in preference order (the caller pushes them reversed onto the DFS
+        stack).
         """
         lo, hi = domains.lo[idx], domains.hi[idx]
         hint = model.variables[idx].hint

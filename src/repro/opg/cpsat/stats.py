@@ -2,14 +2,14 @@
 
 Two structs thread through the CP-SAT substrate:
 
-- :class:`PropagationStats` — one fixpoint computation (either a full sweep
-  by :func:`repro.opg.cpsat.propagation.propagate` or an incremental
-  dirty-queue run).  ``fixpoint_reached`` exposes whether the sweep variant
-  exhausted ``max_passes`` without converging, so callers never mistake a
+- :class:`PropagationStats` — propagation work (the solver keeps one
+  cumulative instance per solve; the full-sweep test oracle fills one per
+  fixpoint run).  ``fixpoint_reached`` exposes whether a sweep exhausted
+  its pass budget without converging, so callers never mistake a
   truncated propagation for a fixpoint.
 - :class:`SolverStats` — a whole solve call (nodes/sec, propagations by
-  constraint kind, dirty-queue high-water mark, time split between
-  propagate / branch / bound).  Carried on
+  constraint kind, trail depth, time split between propagate / branch /
+  bound).  Carried on
   :class:`~repro.opg.cpsat.model.Solution` and aggregated per window by
   ``opg.lcopg`` into the plan's provenance.
 """
@@ -22,7 +22,7 @@ from typing import Dict
 
 @dataclass
 class PropagationStats:
-    """Outcome of one propagation run (sweep or incremental)."""
+    """Outcome of propagation runs (sweep or incremental)."""
 
     #: Bound updates applied (lo raised or hi lowered).
     tightenings: int = 0
@@ -30,16 +30,14 @@ class PropagationStats:
     linear_props: int = 0
     #: Implication evaluations.
     implication_props: int = 0
-    #: False only when the sweep variant hit ``max_passes`` while bounds
-    #: were still moving; the dirty-queue propagator always converges.
+    #: False only when a full sweep hit its pass budget while bounds were
+    #: still moving; incremental propagation always converges.
     fixpoint_reached: bool = True
-    #: Dirty-constraint queue high-water mark (incremental runs only).
-    queue_peak: int = 0
 
 
 @dataclass
 class SolverStats:
-    """Observability for one ``CpSolver.solve`` (or ``NaiveCpSolver``) call."""
+    """Observability for one ``CpSolver.solve`` call."""
 
     nodes: int = 0
     #: Total bound tightenings across all propagation runs.
@@ -47,8 +45,6 @@ class SolverStats:
     #: Constraint evaluations by kind.
     linear_props: int = 0
     implication_props: int = 0
-    #: Dirty-queue high-water mark across the solve.
-    queue_peak: int = 0
     #: Deepest trail (undo-log) seen — proxy for search depth x activity.
     trail_depth_peak: int = 0
     #: Wall-clock split of the solve loop.
@@ -56,7 +52,7 @@ class SolverStats:
     time_branch_s: float = 0.0
     time_bound_s: float = 0.0
     wall_time_s: float = 0.0
-    #: Propagation runs that stopped before fixpoint (naive sweep only;
+    #: Propagation runs that stopped before fixpoint (full sweeps only;
     #: always 0 for the trail solver, asserted by its tests).
     fixpoint_incomplete: int = 0
 
@@ -69,8 +65,6 @@ class SolverStats:
         self.propagations += prop.tightenings
         self.linear_props += prop.linear_props
         self.implication_props += prop.implication_props
-        if prop.queue_peak > self.queue_peak:
-            self.queue_peak = prop.queue_peak
         if not prop.fixpoint_reached:
             self.fixpoint_incomplete += 1
 
@@ -81,7 +75,6 @@ class SolverStats:
             "propagations": self.propagations,
             "linear_props": self.linear_props,
             "implication_props": self.implication_props,
-            "queue_peak": self.queue_peak,
             "trail_depth_peak": self.trail_depth_peak,
             "time_propagate_s": round(self.time_propagate_s, 6),
             "time_branch_s": round(self.time_branch_s, 6),

@@ -19,27 +19,23 @@ the proof:
 FEASIBLE incumbent on a modest-sized window; on success the window's status
 upgrades to OPTIMAL (and the incumbent may improve).
 
-Two engines implement the same mathematics:
+EDF packs *weight-major*: weights in deadline order each take the
+earliest available capacity at or after their release.  For interval
+availability this is provably identical to the layer-major EDF sweep
+(peel the earliest-deadline weight: it wins every contested slot in its
+window under either rule, and the residual instance recurses).
+Weight-major packing vectorises over numpy prefix-capacity arrays, and —
+crucially — it is *incremental*: the release-vector search packs one
+weight per node with O(segment) undo (:class:`_EdfPacker`), so an
+infeasible prefix prunes its whole subtree instead of being rediscovered
+at every descendant leaf.
 
-- the **fast** engine (default, this PR) packs *weight-major*: weights in
-  deadline order each take the earliest available capacity at or after
-  their release.  For interval availability this is provably identical to
-  the layer-major EDF sweep (peel the earliest-deadline weight: it wins
-  every contested slot in its window under either rule, and the residual
-  instance recurses).  Weight-major packing vectorises over numpy
-  prefix-capacity arrays, and — crucially — it is *incremental*: the
-  release-vector search packs one weight per node with O(segment) undo
-  (:class:`_EdfPacker`), so an infeasible prefix prunes its whole subtree
-  instead of being rediscovered at every descendant leaf.
-- the **reference** engine is the seed implementation, kept verbatim
-  (:func:`edf_feasible_reference`, :func:`prove_window_reference`) as the
-  differential-test oracle and the pre-PR baseline for the compile-latency
-  A/B bench — the same pattern as ``cpsat.naive``.
-
-Both engines return identical packings; ``tests/opg/test_exact_differential``
-checks this on randomized instances.  They may differ only in *node
-accounting* when ``node_limit``/``time_limit_s`` interrupt the search,
-because subtree pruning visits fewer nodes.
+The seed layer-major sweep and full-re-pack prover are the oracles in
+``tests/oracles``; ``tests/opg/test_exact_differential`` checks on
+randomized instances that this module returns the packings, verdicts and
+objectives they do.  The two may differ only in *node accounting* when
+``node_limit``/``time_limit_s`` interrupt the search, because subtree
+pruning visits fewer nodes.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ def edf_feasible(
 
     Weight-major EDF on a numpy prefix-capacity array: weights in deadline
     order each fill the earliest remaining capacity of ``[release, i_w)``.
-    Produces exactly the packing of :func:`edf_feasible_reference`.
+    Produces exactly the packing of the seed layer-major EDF sweep.
     """
     if not weights:
         return {}
@@ -85,45 +81,6 @@ def edf_feasible(
         seg[: fill + 1] -= take
         base = releases[w.name]
         assignment[w.name] = {base + int(i): int(take[i]) for i in np.nonzero(take)[0]}
-    return assignment
-
-
-def edf_feasible_reference(
-    weights: Sequence[WeightInfo],
-    releases: Dict[str, int],
-    budgets: Budgets,
-) -> Optional[Dict[str, Dict[int, int]]]:
-    """Seed layer-major EDF sweep, kept as the differential-test oracle.
-
-    Standard earliest-deadline-first over capacitated slots: walk layers in
-    ascending order, at each layer give its remaining capacity to the active
-    weights (released, not yet due) with the nearest deadline ``i_w``.  For
-    interval-structured availability this greedy is exact.
-    """
-    if not weights:
-        return {}
-    lo = min(releases[w.name] for w in weights)
-    hi = max(w.consumer_layer for w in weights)
-    remaining = {w.name: w.total_chunks for w in weights}
-    by_deadline = sorted(weights, key=lambda w: w.consumer_layer)
-    assignment: Dict[str, Dict[int, int]] = {w.name: {} for w in weights}
-    for layer in range(lo, hi):
-        cap = budgets.available(layer)
-        if cap <= 0:
-            continue
-        for w in by_deadline:
-            if cap <= 0:
-                break
-            if remaining[w.name] == 0:
-                continue
-            if not releases[w.name] <= layer < w.consumer_layer:
-                continue
-            take = min(cap, remaining[w.name])
-            assignment[w.name][layer] = take
-            remaining[w.name] -= take
-            cap -= take
-    if any(remaining.values()):
-        return None
     return assignment
 
 
@@ -187,7 +144,7 @@ def _release_search_prep(
     ordered: Sequence[WeightInfo], budgets: Budgets
 ) -> Optional[Tuple[Dict[str, List[int]], List[int]]]:
     """Per-weight release options (latest-first) and the solo-distance
-    suffix bound shared by both prover engines; None when some weight has no
+    suffix bound the prover prunes with; None when some weight has no
     feasible release to reason about."""
     solo_dist: Dict[str, int] = {}
     release_options: Dict[str, List[int]] = {}
@@ -216,20 +173,15 @@ def prove_window(
     *,
     time_limit_s: float = 1.0,
     node_limit: int = 50_000,
-    engine: str = "fast",
 ) -> Tuple[Dict[str, Dict[int, int]], bool]:
     """Prove (or improve) the incumbent's total loading distance.
 
     Returns ``(best_assignment, proven)``.  The search enumerates release
     vectors weight by weight, latest-first, pruning any prefix whose
     optimistic objective (chosen releases + each remaining weight's solo
-    best) cannot beat the best known — and, with the fast engine, any prefix
-    whose incremental EDF packing already fails.  Budgets are only *read*.
+    best) cannot beat the best known — and any prefix whose incremental EDF
+    packing already fails.  Budgets are only *read*.
     """
-    if engine == "reference":
-        return prove_window_reference(
-            weights, budgets, incumbent, time_limit_s=time_limit_s, node_limit=node_limit
-        )
     if not weights:
         return dict(incumbent), True
     ordered = sorted(weights, key=lambda w: (w.consumer_layer, w.name))
@@ -270,62 +222,6 @@ def prove_window(
                 packer.pop()
             if not exhausted:
                 break
-
-    search(0, 0)
-    return best_assignment, exhausted
-
-
-def prove_window_reference(
-    weights: Sequence[WeightInfo],
-    budgets: Budgets,
-    incumbent: Dict[str, Dict[int, int]],
-    *,
-    time_limit_s: float = 1.0,
-    node_limit: int = 50_000,
-) -> Tuple[Dict[str, Dict[int, int]], bool]:
-    """Seed release-vector search (full EDF re-pack at every leaf), kept as
-    the pre-PR baseline for differential tests and the compile-latency A/B."""
-    if not weights:
-        return dict(incumbent), True
-    ordered = sorted(weights, key=lambda w: (w.consumer_layer, w.name))
-    prep = _release_search_prep(ordered, budgets)
-    if prep is None:
-        return dict(incumbent), False
-    release_options, suffix_solo = prep
-
-    best_assignment = dict(incumbent)
-    best_obj = _objective(ordered, incumbent)
-    deadline = time.perf_counter() + time_limit_s
-    nodes = 0
-    exhausted = True
-
-    releases: Dict[str, int] = {}
-
-    def search(index: int, dist_so_far: int) -> None:
-        nonlocal nodes, best_obj, best_assignment, exhausted
-        if not exhausted:
-            return
-        nodes += 1
-        if nodes > node_limit or time.perf_counter() > deadline:
-            exhausted = False
-            return
-        if dist_so_far + suffix_solo[index] >= best_obj:
-            return  # cannot beat the incumbent
-        if index == len(ordered):
-            packed = edf_feasible_reference(ordered, releases, budgets)
-            if packed is not None:
-                obj = _objective(ordered, packed)
-                if obj < best_obj:
-                    best_obj = obj
-                    best_assignment = packed
-            return
-        w = ordered[index]
-        for release in release_options[w.name]:
-            releases[w.name] = release
-            search(index + 1, dist_so_far + (w.consumer_layer - release))
-            if not exhausted:
-                break
-        releases.pop(w.name, None)
 
     search(0, 0)
     return best_assignment, exhausted

@@ -47,8 +47,9 @@ byte-identical plans.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import functools
+import gc
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ from repro.graph.dag import Graph
 from repro.graph.ops import OpKind
 from repro.opg.cpsat.model import CpModel, SolveStatus
 from repro.opg.cpsat.search import CpSolver
-from repro.opg.exact import edf_feasible, edf_feasible_reference, prove_window
+from repro.opg.exact import edf_feasible, prove_window
 from repro.opg.heuristics import Budgets, greedy_assign, greedy_schedule
 from repro.opg.plan import KvResidencyPlan, OverlapPlan, PlanStats, WeightSchedule
 from repro.opg.problem import OpgConfig, OpgProblem, WeightInfo, build_problem
@@ -198,44 +199,40 @@ class WindowCache:
         return self.hits / lookups if lookups else 0.0
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Hold the cyclic garbage collector off for one solve.
+
+    The windows split a wall-clock deadline, so a full collection landing
+    inside a solve — ~0.1 s once a process holds many compiled graphs —
+    can cut a CP window off before its first node and change the plan.
+    The garbage a solve makes is collected after it returns.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class LcOpgSolver:
     """Load-capacity-aware overlap planner.
 
     ``use_cp=False`` forces pure-heuristic mode (used by ablations and as
     the paper's hybrid fallback for pathological instances).
-    ``exact_engine`` selects the EDF oracle/prover implementation: "fast"
-    (incremental, numpy-backed — production) or "reference" (the seed
-    pure-Python path, kept for differential tests and A/B benches).
+
+    The CP solver, the EDF oracle and the exact prover are looked up by
+    module name (``CpSolver``, ``edf_feasible``, ``prove_window``) at each
+    call, so tests and benchmarks swap in the oracles under ``tests/`` by
+    monkeypatching this module.
     """
 
-    def __init__(
-        self,
-        config: Optional[OpgConfig] = None,
-        *,
-        use_cp: bool = True,
-        solver_factory=None,
-        exact_engine: str = "fast",
-    ) -> None:
-        if exact_engine not in ("fast", "reference"):
-            raise ValueError(f"unknown exact_engine {exact_engine!r}; use 'fast' or 'reference'")
+    def __init__(self, config: Optional[OpgConfig] = None, *, use_cp: bool = True) -> None:
         self.config = config or OpgConfig()
         self.use_cp = use_cp
-        #: CpSolver-compatible factory ``(time_limit_s=, max_nodes=) -> solver``;
-        #: benchmarks inject NaiveCpSolver here to A/B the seed architecture.
-        #: ``config.portfolio >= 2`` selects the portfolio solver unless the
-        #: caller injected a factory explicitly.
-        if solver_factory is not None:
-            self.solver_factory = solver_factory
-        elif self.config.portfolio >= 2:
-            from repro.opg.cpsat.portfolio import PortfolioCpSolver
-
-            self.solver_factory = functools.partial(
-                PortfolioCpSolver, k=self.config.portfolio
-            )
-        else:
-            self.solver_factory = CpSolver
-        self.exact_engine = exact_engine
-        self._edf = edf_feasible if exact_engine == "fast" else edf_feasible_reference
         self.window_cache: Optional[WindowCache] = (
             WindowCache(self.config.window_cache_entries) if self.config.window_reuse else None
         )
@@ -262,6 +259,16 @@ class LcOpgSolver:
         priority (no extra preload); λ -> 1 linearly approaches full
         preload, matching the paper's "higher preload ratio via larger λ".
         """
+        with _collector_paused():
+            return self._solve(graph, capacity_model, device_name, target_preload_ratio)
+
+    def _solve(
+        self,
+        graph: Graph,
+        capacity_model: LoadCapacityModel,
+        device_name: str,
+        target_preload_ratio: Optional[float],
+    ) -> OverlapPlan:
         stats = PlanStats()
         t0 = time.perf_counter()
         problem = build_problem(graph, capacity_model, self.config)
@@ -368,7 +375,7 @@ class LcOpgSolver:
             if isinstance(value, frozenset):
                 value = tuple(sorted(value))
             items.append((f.name, value))
-        return (tuple(items), self.use_cp, self.exact_engine, self.solver_factory)
+        return (tuple(items), self.use_cp)
 
     @staticmethod
     def _canonical_layers(
@@ -721,7 +728,7 @@ class LcOpgSolver:
                         break
                     releases[w.name] = min(avail)
                 stats.edf_calls += 1
-                if packable and self._edf(streaming, releases, budgets) is not None:
+                if packable and edf_feasible(streaming, releases, budgets) is not None:
                     break
                 defer(max(streaming, key=lambda w: w.nbytes))
                 streaming = [w for w in streaming if w.name not in preload_set]
@@ -780,7 +787,7 @@ class LcOpgSolver:
                 return None
             edf_releases[w.name] = min(avail)
         stats.edf_calls += 1
-        hints: Optional[Dict[str, Dict[int, int]]] = self._edf(weights, edf_releases, budgets)
+        hints: Optional[Dict[str, Dict[int, int]]] = edf_feasible(weights, edf_releases, budgets)
         if hints is None:
             stats.build_model_s += time.perf_counter() - build_start
             return None  # window is genuinely over-subscribed
@@ -852,7 +859,7 @@ class LcOpgSolver:
         stats.build_model_s += time.perf_counter() - build_start
 
         cp_start = time.perf_counter()
-        solution = self.solver_factory(
+        solution = CpSolver(
             time_limit_s=time_limit_s * 0.7, max_nodes=self.config.max_nodes_per_window
         ).solve(model)
         stats.cp_solve_s += time.perf_counter() - cp_start
@@ -899,7 +906,6 @@ class LcOpgSolver:
                     budgets,
                     placed,
                     time_limit_s=min(0.5, time_limit_s * 0.3),
-                    engine=self.exact_engine,
                 )
                 stats.exact_prover_s += time.perf_counter() - prover_start
                 if proven:
@@ -919,8 +925,6 @@ class LcOpgSolver:
         stats.propagations += sstats.propagations
         stats.prop_linear += sstats.linear_props
         stats.prop_implication += sstats.implication_props
-        if sstats.queue_peak > stats.queue_peak:
-            stats.queue_peak = sstats.queue_peak
         stats.time_propagate_s += sstats.time_propagate_s
         stats.time_branch_s += sstats.time_branch_s
         stats.time_bound_s += sstats.time_bound_s

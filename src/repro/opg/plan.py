@@ -186,8 +186,6 @@ class PlanStats:
     #: Constraint evaluations by kind.
     prop_linear: int = 0
     prop_implication: int = 0
-    #: Dirty-constraint queue high-water mark across windows.
-    queue_peak: int = 0
     #: Wall-clock split of the CP search loops.
     time_propagate_s: float = 0.0
     time_branch_s: float = 0.0

@@ -80,15 +80,6 @@ class OpgConfig:
     window_reuse: bool = True
     #: FIFO capacity of the window cache, in entries.
     window_cache_entries: int = 4096
-    #: Portfolio width K for the per-window CP solves: K-1 alternate
-    #: branching heuristics race the canonical search in worker processes,
-    #: supplying proven-optimal certificates that let it stop early (see
-    #: :mod:`repro.opg.cpsat.portfolio`).  Certificates only upgrade
-    #: statuses — plans are byte-identical with the portfolio on or off.
-    #: 0/1 disable; on a single usable core the portfolio always runs
-    #: sequentially (the alternates would just steal the canonical
-    #: search's core).
-    portfolio: int = 0
     #: Fraction of the device RAM budget the decode-phase KV caches may
     #: occupy as resident state.  The KV residency planner additionally
     #: caps the grant by the RAM the weight plan leaves free, so preload +

@@ -1,114 +1,31 @@
-"""Tests for the plan store and the command-line interface."""
+"""Tests for the config fingerprint and the command-line interface."""
 
 import json
 
 import pytest
 
-from repro.capacity.model import analytic_capacity_model
 from repro.cli import main as cli_main
-from repro.core.store import PlanStore, config_fingerprint
-from repro.graph.builder import GraphBuilder
-from repro.gpusim.device import oneplus_12
+from repro.core.config import FlashMemConfig
+from repro.core.store import flashmem_config_fingerprint
 from repro.opg.problem import OpgConfig
 
 
-def _model(name="store-test"):
-    b = GraphBuilder(name)
-    b.embedding(16, 500, 128)
-    b.transformer_block(16, 128, 4)
-    return b.finish()
-
-
-FAST = OpgConfig(time_limit_s=0.5, max_nodes_per_window=100, chunk_bytes=8 * 1024)
+def _fingerprint(**opg) -> str:
+    return flashmem_config_fingerprint(FlashMemConfig(opg=OpgConfig(**opg)))
 
 
 class TestFingerprint:
     def test_stable(self):
-        assert config_fingerprint(OpgConfig()) == config_fingerprint(OpgConfig())
+        assert _fingerprint() == _fingerprint()
 
     def test_sensitive_to_hyperparameters(self):
-        assert config_fingerprint(OpgConfig()) != config_fingerprint(OpgConfig(lam=0.5))
-        assert config_fingerprint(OpgConfig()) != config_fingerprint(
-            OpgConfig(m_peak_bytes=1 << 20)
-        )
+        assert _fingerprint() != _fingerprint(lam=0.5)
+        assert _fingerprint() != _fingerprint(m_peak_bytes=1 << 20)
 
     def test_hint_order_irrelevant(self):
-        a = OpgConfig(preload_hint_weights=frozenset({"x", "y"}))
-        b = OpgConfig(preload_hint_weights=frozenset({"y", "x"}))
-        assert config_fingerprint(a) == config_fingerprint(b)
-
-
-class TestPlanStore:
-    def test_miss_then_hit(self, tmp_path):
-        store = PlanStore(tmp_path)
-        capacity = analytic_capacity_model(oneplus_12())
-        graph = _model()
-        assert store.load(graph.name, "OnePlus 12", FAST) is None
-        plan = store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12")
-        cached = store.load(graph.name, "OnePlus 12", FAST)
-        assert cached is not None
-        assert cached.schedules.keys() == plan.schedules.keys()
-
-    def test_get_or_solve_uses_cache(self, tmp_path):
-        store = PlanStore(tmp_path)
-        capacity = analytic_capacity_model(oneplus_12())
-        graph = _model()
-        first = store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12")
-        again = store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12")
-        # Cache hit: identical serialized artifacts (not just equal plans).
-        assert again.to_json() == first.to_json()
-
-    def test_different_configs_stored_separately(self, tmp_path):
-        store = PlanStore(tmp_path)
-        capacity = analytic_capacity_model(oneplus_12())
-        graph = _model()
-        other = OpgConfig(time_limit_s=0.5, max_nodes_per_window=100, chunk_bytes=16 * 1024)
-        store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12")
-        store.get_or_solve(graph, capacity, other, device_name="OnePlus 12")
-        assert len(store.entries()) == 2
-
-    def test_corrupt_artifact_quarantined(self, tmp_path):
-        store = PlanStore(tmp_path)
-        capacity = analytic_capacity_model(oneplus_12())
-        graph = _model()
-        path = store.save(
-            store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12"), FAST
-        )
-        path.write_text(json.dumps({"nonsense": True}))
-        # Corrupt artifact: a miss, but quarantined visibly — not silently
-        # re-parsed (and re-missed) on every subsequent launch.
-        with pytest.warns(RuntimeWarning, match="quarantined corrupt artifact"):
-            assert store.load(graph.name, "OnePlus 12", FAST) is None
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert store.entries() == []  # quarantined files leave the entry listing
-        # The next get_or_solve re-solves once and persists a fresh artifact.
-        plan = store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12")
-        assert store.load(graph.name, "OnePlus 12", FAST) is not None
-        assert plan.model == graph.name
-
-    def test_weird_names_sanitized(self, tmp_path):
-        store = PlanStore(tmp_path)
-        capacity = analytic_capacity_model(oneplus_12())
-        graph = _model(name="weird/model name!")
-        path = store.save(
-            store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12"), FAST
-        )
-        assert path.exists()
-        assert "/" not in path.name
-
-    def test_save_is_atomic(self, tmp_path):
-        store = PlanStore(tmp_path)
-        capacity = analytic_capacity_model(oneplus_12())
-        graph = _model()
-        plan = store.get_or_solve(graph, capacity, FAST, device_name="OnePlus 12")
-        path = store.save(plan, FAST)
-        # No .tmp sibling left behind, and the artifact parses whole.
-        assert not list(tmp_path.glob("*.tmp"))
-        assert json.loads(path.read_text())["model"] == graph.name
-        # A .tmp straggler (crash mid-write) must not surface as an entry.
-        (tmp_path / (path.name + ".tmp")).write_text("{partial")
-        assert len(store.entries()) == 1
+        a = _fingerprint(preload_hint_weights=frozenset({"x", "y"}))
+        b = _fingerprint(preload_hint_weights=frozenset({"y", "x"}))
+        assert a == b
 
 
 class TestCli:
@@ -202,3 +119,13 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "ResNet50"], ["plan", "ResNet50"], ["profile", "compile", "ResNet50", "oneplus12"],
+    ], ids=["run", "plan", "profile-compile"])
+    def test_solver_selection_flags_rejected(self, argv, capsys):
+        """The solver has one engine: there is no option to pick another."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--portfolio", "2"])
+        assert exc.value.code == 2  # argparse usage error, before any compile
+        assert "--portfolio" in capsys.readouterr().err

@@ -1,10 +1,15 @@
-"""Tests for the CP-SAT substrate: model, propagation, branch-and-bound."""
+"""Tests for the CP-SAT substrate: model, propagation, branch-and-bound.
+
+``TestPropagation`` pins the tightening rules on the full-sweep oracle;
+``test_trail_propagation`` holds the production engine to the oracle's
+fixpoint.
+"""
 
 import pytest
 
 from repro.opg.cpsat.model import CpModel, SolveStatus
-from repro.opg.cpsat.propagation import Domains, propagate
 from repro.opg.cpsat.search import CpSolver
+from tests.oracles import Domains, propagate
 
 
 class TestModelBuilding:

@@ -4,15 +4,15 @@ The safety net for the trail/incremental rewrite: on 220 seeded random CP
 models (≤ 8 vars, mixed linears/implications, some infeasible, some
 satisfaction-only), the trail-based solver must report exactly the status
 and optimal objective that exhaustive enumeration does — and agree with
-the preserved seed solver (NaiveCpSolver).
+the preserved seed solver (``NaiveCpSolver`` in ``tests/oracles``).
 """
 
 import itertools
 import random
 
 from repro.opg.cpsat.model import CpModel, SolveStatus
-from repro.opg.cpsat.naive import NaiveCpSolver
 from repro.opg.cpsat.search import CpSolver
+from tests.oracles import NaiveCpSolver
 
 N_MODELS = 220
 #: Keep exhaustive enumeration cheap: cap the assignment-space size.

@@ -1,25 +1,20 @@
 """Randomized differential test: fast EDF oracle / prover ≡ seed reference.
 
 Safety net for the numpy weight-major EDF rewrite and the incremental
-release-vector prover: on seeded random windows, the fast engine must
+release-vector prover: on seeded random windows, ``edf_feasible`` must
 produce *exactly* the packing of the preserved seed implementation
-(``edf_feasible_reference``), and ``prove_window`` under generous limits
-must agree with ``prove_window_reference`` on both the proof verdict and
-the objective value — the same pattern ``test_cpsat_differential`` uses
-for the CP core.
+(``edf_feasible_reference`` in ``tests/oracles``), and ``prove_window``
+under generous limits must agree with ``prove_window_reference`` on both
+the proof verdict and the objective value — the same pattern
+``test_cpsat_differential`` uses for the CP core.
 """
 
 import random
 
-from repro.opg.exact import (
-    edf_feasible,
-    edf_feasible_reference,
-    prove_window,
-    prove_window_reference,
-    _objective,
-)
+from repro.opg.exact import _objective, edf_feasible, prove_window
 from repro.opg.heuristics import Budgets
 from repro.opg.problem import WeightInfo
+from tests.oracles import edf_feasible_reference, prove_window_reference
 
 N_INSTANCES = 150
 
@@ -120,18 +115,3 @@ class TestProverDifferential:
                 assert _objective(weights, fast) == _objective(weights, ref)
                 proofs += 1
         assert proofs > 10
-
-    def test_fast_engine_selected_through_prove_window(self):
-        rng = random.Random(3)
-        weights, _, budgets = _random_window(rng)
-        weights = [w for w in weights if w.total_chunks > 0]
-        incumbent = _incumbent_for(weights, budgets)
-        if incumbent is None or any(not a for a in incumbent.values()):
-            return
-        via_engine = prove_window(
-            weights, budgets, incumbent, time_limit_s=5.0, node_limit=100_000, engine="reference"
-        )
-        direct = prove_window_reference(
-            weights, budgets, incumbent, time_limit_s=5.0, node_limit=100_000
-        )
-        assert via_engine[1] == direct[1]

@@ -1,10 +1,13 @@
 """Tests for the LC-OPG solver, plan structure, and validation."""
 
+import gc
+
 import pytest
 
 from repro.capacity.model import analytic_capacity_model
 from repro.graph.builder import GraphBuilder
 from repro.gpusim.device import oneplus_12
+from repro.opg import lcopg
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.plan import OverlapPlan, WeightSchedule
 from repro.opg.problem import OpgConfig, build_problem
@@ -111,6 +114,31 @@ class TestLcOpg:
         assert {n: s.transforms for n, s in a.schedules.items()} == {
             n: s.transforms for n, s in b.schedules.items()
         }
+
+
+class TestCollectorPaused:
+    """A solve's wall-clock window budgets must not absorb GC pauses."""
+
+    def test_no_collection_inside_solve(self, capacity, monkeypatch):
+        seen = []
+
+        class Probe(lcopg.CpSolver):
+            def solve(self, model):
+                seen.append(gc.isenabled())
+                return super().solve(model)
+
+        monkeypatch.setattr(lcopg, "CpSolver", Probe)
+        LcOpgSolver(FAST).solve(_transformer(), capacity, device_name="OnePlus 12")
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, capacity):
+        gc.disable()
+        try:
+            LcOpgSolver(FAST).solve(_transformer(), capacity, device_name="OnePlus 12")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestPlanStructure:

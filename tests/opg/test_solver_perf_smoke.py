@@ -10,9 +10,9 @@ compare ``results/BENCH_solver.json`` before/after via
 ``benchmarks/test_solver_throughput.py``.
 """
 
-from repro.opg.cpsat.bench import build_window_model
 from repro.opg.cpsat.model import SolveStatus
 from repro.opg.cpsat.search import CpSolver
+from tests.opg.window_models import build_window_model
 
 #: (n_weights, n_layers, cap, seed, node_budget, known_optimal_objective).
 #: Current trail solver needs ~1.2k and ~6.6k nodes respectively.
@@ -37,8 +37,8 @@ def test_fixed_windows_reach_optimal_within_node_budget():
 
 
 def test_propagation_work_stays_incremental():
-    # The whole point of the dirty queue: per-node constraint evaluations
-    # must stay far below models' full constraint count.  The 8-weight
+    # The whole point of the watcher bitsets: per-node constraint
+    # evaluations must stay far below models' full constraint count.  The 8-weight
     # window has ~60 constraints; a full-sweep engine re-evaluates all of
     # them (several passes) per node, the incremental one only a fraction.
     model = build_window_model(8, 14, 6, 23)

@@ -1,73 +1,90 @@
-"""Unit tests for the trail-based incremental propagation core."""
+"""Unit tests for the trail-based incremental propagation core.
+
+:class:`BitsetState` is both the search's undo trail and its propagator.
+The tests drive it the way ``CpSolver`` does: a mark is taken at a node
+boundary and every node opens with ``undo_to`` (see ``BitsetState.mark``).
+The full-sweep ``propagate`` and the ``objective_lower_bound`` re-scan in
+``tests/oracles`` are the references.
+"""
 
 import random
 
+from repro.opg.cpsat.bitset import BitsetState
 from repro.opg.cpsat.model import CpModel, SolveStatus
-from repro.opg.cpsat.propagation import (
-    Domains,
-    IncrementalPropagator,
-    Trail,
-    objective_lower_bound,
-    propagate,
-)
 from repro.opg.cpsat.search import CpSolver
 from repro.opg.cpsat.stats import PropagationStats
+from tests.oracles import Domains, objective_lower_bound, propagate
+
+
+def _state(lo, hi, objective=(), offset=0) -> BitsetState:
+    """A constraint-free state over variables with the given bounds;
+    ``objective`` is ``(var index, coefficient)`` pairs."""
+    m = CpModel()
+    vs = [m.new_int(l, h, f"v{i}") for i, (l, h) in enumerate(zip(lo, hi))]
+    if objective:
+        m.minimize([(vs[i], coef) for i, coef in objective], offset=offset)
+    return BitsetState(m)
+
+
+def _open_node(state: BitsetState) -> int:
+    """Open a search node as ``CpSolver`` does; returns its undo point."""
+    mark = state.mark()
+    state.undo_to(mark)
+    return mark
 
 
 class TestTrail:
+    """The trail API: mark / set_lo / set_hi / undo_to / lower_bound."""
+
     def test_set_and_undo_restores_bounds(self):
-        d = Domains([0, 0, 0], [9, 9, 9])
-        trail = Trail(d)
-        mark = trail.mark()
-        trail.set_lo(0, 4)
-        trail.set_hi(1, 5)
-        trail.set_lo(0, 6)  # second tightening of the same var
-        assert (d.lo[0], d.hi[1]) == (6, 5)
-        trail.undo_to(mark)
-        assert d.lo == [0, 0, 0] and d.hi == [9, 9, 9]
-        assert len(trail) == 0
+        state = _state([0, 0, 0], [9, 9, 9])
+        mark = _open_node(state)
+        state.set_lo(0, 4)
+        state.set_hi(1, 5)
+        state.set_lo(0, 6)  # second tightening of the same var
+        assert (state.lo[0], state.hi[1]) == (6, 5)
+        state.undo_to(mark)
+        assert list(state.lo) == [0, 0, 0] and list(state.hi) == [9, 9, 9]
+        assert state.entries == []
 
     def test_nested_marks_unwind_partially(self):
-        d = Domains([0], [9])
-        trail = Trail(d)
-        trail.set_lo(0, 2)
-        inner = trail.mark()
-        trail.set_lo(0, 7)
-        trail.undo_to(inner)
-        assert d.lo[0] == 2
+        state = _state([0], [9])
+        _open_node(state)
+        state.set_lo(0, 2)
+        inner = _open_node(state)
+        state.set_lo(0, 7)
+        state.undo_to(inner)
+        assert state.lo[0] == 2
 
     def test_incremental_objective_lower_bound(self):
         # minimise 2*a - 3*b + 1: bound moves with lo(a) and hi(b).
-        d = Domains([0, 0], [10, 10])
-        trail = Trail(d, obj_coef={0: 2, 1: -3}, obj_offset=1)
-        assert trail.lower_bound == 1 + 0 - 30
-        mark = trail.mark()
-        trail.set_lo(0, 4)   # +8
-        trail.set_hi(1, 6)   # -3*(6-10) = +12
-        assert trail.lower_bound == 1 + 8 - 18
-        trail.undo_to(mark)
-        assert trail.lower_bound == 1 - 30
+        state = _state([0, 0], [10, 10], objective=[(0, 2), (1, -3)], offset=1)
+        assert state.lower_bound == 1 + 0 - 30
+        mark = _open_node(state)
+        state.set_lo(0, 4)   # +8
+        state.set_hi(1, 6)   # -3*(6-10) = +12
+        assert state.lower_bound == 1 + 8 - 18
+        state.undo_to(mark)
+        assert state.lower_bound == 1 - 30
 
     def test_bound_matches_rescan_under_random_ops(self):
         rng = random.Random(7)
         m = CpModel()
         vs = [m.new_int(0, 8, f"v{i}") for i in range(5)]
         m.minimize([(vs[0], 2), (vs[1], -1), (vs[3], 3)], offset=4)
-        index = m.freeze()
-        d = Domains.from_model(m)
-        trail = Trail(d, obj_coef=index.obj_coef, obj_offset=m.objective_offset)
+        state = BitsetState(m)
         marks = []
         for _ in range(200):
             if marks and rng.random() < 0.3:
-                trail.undo_to(marks.pop())
+                state.undo_to(marks.pop())
             else:
-                marks.append(trail.mark())
+                marks.append(_open_node(state))
                 idx = rng.randrange(5)
-                if rng.random() < 0.5 and d.lo[idx] < d.hi[idx]:
-                    trail.set_lo(idx, d.lo[idx] + 1)
-                elif d.hi[idx] > d.lo[idx]:
-                    trail.set_hi(idx, d.hi[idx] - 1)
-            assert trail.lower_bound == objective_lower_bound(m, d)
+                if rng.random() < 0.5 and state.lo[idx] < state.hi[idx]:
+                    state.set_lo(idx, state.lo[idx] + 1)
+                elif state.hi[idx] > state.lo[idx]:
+                    state.set_hi(idx, state.hi[idx] - 1)
+            assert state.lower_bound == objective_lower_bound(m, state)
 
 
 class TestModelFreeze:
@@ -106,24 +123,24 @@ class TestModelFreeze:
         assert idx.obj_coef == {a.index: 2, b.index: -1}
 
 
-def _assert_same_fixpoint(model: CpModel) -> None:
-    """Sweep and incremental propagation must land on identical bounds."""
+def _assert_same_fixpoint(model: CpModel) -> BitsetState:
+    """Sweep oracle and bitset root propagation must land on identical bounds."""
     sweep = Domains.from_model(model)
     ok_sweep, sweep_stats = propagate(model, sweep)
     assert sweep_stats.fixpoint_reached
 
-    inc = Domains.from_model(model)
-    trail = Trail(inc)
-    prop = IncrementalPropagator(model)
-    stats = PropagationStats()
-    ok_inc = prop.propagate_all(trail, stats)
+    state = BitsetState(model)
+    ok = state.propagate_all(PropagationStats())
 
-    assert ok_inc == ok_sweep
+    assert ok == ok_sweep
     if ok_sweep:
-        assert inc.lo == sweep.lo and inc.hi == sweep.hi
+        assert list(state.lo) == sweep.lo and list(state.hi) == sweep.hi
+    return state
 
 
 class TestIncrementalPropagator:
+    """The propagator API: propagate_all / propagate_from over watcher bitsets."""
+
     def test_matches_sweep_on_linear_chain(self):
         m = CpModel()
         a = m.new_int(0, 10, "a")
@@ -144,6 +161,7 @@ class TestIncrementalPropagator:
 
     def test_matches_sweep_on_random_models(self):
         rng = random.Random(99)
+        unit = mixed = 0
         for _ in range(80):
             m = CpModel()
             vs = [m.new_int(rng.randint(0, 2), rng.randint(3, 9), f"v{i}") for i in range(5)]
@@ -158,7 +176,11 @@ class TestIncrementalPropagator:
             for _ in range(rng.randint(0, 3)):
                 i, j = rng.sample(range(5), 2)
                 m.add_implication(vs[i], rng.randint(0, 8), vs[j], rng.randint(0, 8))
-            _assert_same_fixpoint(m)
+            con_unit = _assert_same_fixpoint(m).con_unit
+            unit += sum(terms is not None for terms in con_unit)
+            mixed += sum(terms is None for terms in con_unit)
+        # Coefficients 1-3: both the unit fast path and the general path ran.
+        assert unit > 10 and mixed > 10
 
     def test_dirty_seeding_propagates_only_affected(self):
         m = CpModel()
@@ -167,40 +189,27 @@ class TestIncrementalPropagator:
         c = m.new_int(0, 10, "c")  # disconnected from a
         m.add_sum_le([(a, 1), (b, 1)], 12)
         m.add_sum_le([(c, 1)], 9)
-        prop = IncrementalPropagator(m)
-        d = Domains.from_model(m)
-        trail = Trail(d)
-        stats = PropagationStats()
-        assert prop.propagate_all(trail, stats)  # root fixpoint (hi[c] -> 9)
+        state = BitsetState(m)
+        assert state.propagate_all(PropagationStats())  # root fixpoint (hi[c] -> 9)
         # Now branch on a: only constraint 0 should be touched.
-        trail.set_lo(a.index, 8)
+        _open_node(state)
+        state.set_lo(a.index, 8)
+        assert state.dirty == 0b01
         stats = PropagationStats()
-        assert prop.propagate_from(trail, (a.index,), stats)
-        assert d.hi[b.index] == 4
+        assert state.propagate_from(stats)
+        assert state.hi[b.index] == 4
         assert stats.linear_props == 1  # constraint on c never re-evaluated
 
-    def test_infeasibility_detected_and_queue_left_clean(self):
+    def test_conflict_leaves_dirty_clean(self):
         m = CpModel()
         a = m.new_int(0, 5, "a")
         b = m.new_int(0, 5, "b")
         m.add_linear([(a, 1), (b, 1)], lo=8, hi=10)
         m.add_sum_le([(a, 1)], 1)
         m.add_sum_le([(b, 1)], 1)
-        prop = IncrementalPropagator(m)
-        d = Domains.from_model(m)
-        trail = Trail(d)
-        assert not prop.propagate_all(trail, PropagationStats())
-        assert not prop._queue  # ready for reuse after a conflict
-
-    def test_queue_peak_recorded(self):
-        m = CpModel()
-        vs = [m.new_int(0, 9, f"v{i}") for i in range(6)]
-        for i in range(5):
-            m.add_sum_le([(vs[i], 1), (vs[i + 1], 1)], 9)
-        prop = IncrementalPropagator(m)
-        stats = PropagationStats()
-        prop.propagate_all(Trail(Domains.from_model(m)), stats)
-        assert stats.queue_peak >= 1
+        state = BitsetState(m)
+        assert not state.propagate_all(PropagationStats())
+        assert state.dirty == 0  # ready for reuse after a conflict
 
 
 class TestSweepFixpointGuard:
@@ -253,8 +262,9 @@ class TestTrailSolverBehaviour:
         assert sol.status is SolveStatus.OPTIMAL and sol.objective == 6
         d = sol.stats.as_dict()
         for key in ("nodes", "propagations", "linear_props", "implication_props",
-                    "queue_peak", "time_propagate_s", "time_branch_s", "nodes_per_sec"):
+                    "trail_depth_peak", "time_propagate_s", "time_branch_s", "nodes_per_sec"):
             assert key in d
+        assert "queue_peak" not in d  # no engine reports one
 
     def test_infeasible_still_carries_stats(self):
         m = CpModel()

@@ -110,9 +110,10 @@ class TestFingerprint:
         window = [_w("a", 2, 10, range(6, 10))]
         base = LcOpgSolver(FAST)._window_fingerprint(window, budgets, set())[0]
         other_cfg = LcOpgSolver(dataclasses.replace(FAST, lam=0.5))
-        other_engine = LcOpgSolver(FAST, exact_engine="reference")
+        # use_cp picks the window engine: CP search or the greedy heuristic.
+        greedy_only = LcOpgSolver(FAST, use_cp=False)
         assert other_cfg._window_fingerprint(window, budgets, set())[0] != base
-        assert other_engine._window_fingerprint(window, budgets, set())[0] != base
+        assert greedy_only._window_fingerprint(window, budgets, set())[0] != base
 
     def test_time_limit_excluded_from_key(self):
         """Wall-clock budget must not invalidate entries (node budgets bind)."""

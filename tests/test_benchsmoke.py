@@ -6,9 +6,10 @@ paying the full measurement cost:
 - every benchmark module is imported (module-level wiring — workload
   tables, cache paths, seed-emulation helpers — executes and must be
   sound);
-- the measurement pipelines this PR's infrastructure owns (solver
-  microbench, sweep runner, portfolio) additionally *run* under tiny
-  time/node caps, checking result structure rather than perf bars.
+- the A/B measurement pipelines (solver microbench, sweep prewarm,
+  decode replay, capacity, fleet, service) additionally *run* under tiny
+  time/node caps or workloads, checking result structure rather than
+  perf bars.
 
 Deselected by default (see ``tests/conftest.py``), so the tier-1 suite
 stays fast.
@@ -48,15 +49,14 @@ def test_bench_module_loads(path):
 
 
 def test_solver_microbench_quick():
-    """Three-way engine comparison structure under a tiny node cap."""
-    from repro.opg.cpsat.bench import WORKLOAD, run_throughput_benchmark
+    """Bitset-vs-naive comparison structure under a tiny node cap."""
+    bench = _load_bench_module(BENCH_DIR / "test_solver_throughput.py")
 
-    result = run_throughput_benchmark(time_limit_s=0.5, max_nodes=500)
-    for side in ("trail", "queue", "naive"):
-        assert len(result[side]["windows"]) == len(WORKLOAD)
+    result = bench.run_throughput_benchmark(time_limit_s=0.5, max_nodes=500)
+    for side in ("trail", "naive"):
+        assert len(result[side]["windows"]) == len(bench.WORKLOAD)
     assert result["speedup_nodes_per_sec"] > 0
-    assert result["speedup_vs_queue"] > 0
-    assert len(result["per_window_speedup"]) == len(WORKLOAD)
+    assert len(result["per_window_speedup"]) == len(bench.WORKLOAD)
 
 
 def test_sweep_prewarm_quick():
@@ -184,18 +184,3 @@ def test_service_pool_prewarm_quick(tmp_path):
         assert reply["source"] == "compiled"
         assert reply["path"] is not None and reply["pid"] is not None
     assert pool._pool is None
-
-
-def test_portfolio_quick():
-    """Portfolio solve under tiny caps: status/objective sane, memo hit."""
-    from repro.opg.cpsat.bench import build_window_model
-    from repro.opg.cpsat.portfolio import PortfolioCpSolver
-    from repro.opg.cpsat.search import CpSolver
-
-    model = build_window_model(6, 10, 6, 11)
-    base = CpSolver(time_limit_s=2.0, max_nodes=5000).solve(
-        build_window_model(6, 10, 6, 11)
-    )
-    solution = PortfolioCpSolver(time_limit_s=2.0, max_nodes=5000, k=3).solve(model)
-    assert solution.status.value in ("OPTIMAL", "FEASIBLE")
-    assert solution.values == base.values
