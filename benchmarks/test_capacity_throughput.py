@@ -313,9 +313,12 @@ def _measure_compile(side: str) -> None:
 def _measure_warm(phase: str, store_root: str) -> None:
     """Build the default capacity model through a persistent store."""
     from repro.capacity import cache as capacity_cache
-    from repro.core.store import ArtifactStore
+    from repro.core.store import ArtifactStore, swap_store
 
-    capacity_cache.set_capacity_store(ArtifactStore(store_root))
+    # This child's store serves only the capacity model, so its hits are
+    # the capacity model's warm loads.
+    store = ArtifactStore(store_root)
+    swap_store(store)
     wall0 = time.perf_counter()
     model = capacity_cache.trained_capacity_model(DEVICE)
     emit_record(
@@ -323,7 +326,7 @@ def _measure_warm(phase: str, store_root: str) -> None:
             "phase": phase,
             "wall_s": round(time.perf_counter() - wall0, 3),
             "trains": capacity_cache.STATS["trains"],
-            "store_hits": capacity_cache.STATS["store_hits"],
+            "store_hits": store.stats.hits,
             "holdout_rmse_log10": round(model.report.holdout_rmse_log10, 4),
         }
     )

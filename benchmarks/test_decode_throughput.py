@@ -40,12 +40,13 @@ CACHE_DIR = str(pathlib.Path(__file__).resolve().parent.parent / ".artifact-cach
 def _measure_side(side: str) -> None:
     """Child entry: time CHILD_REPEATS decode runs, report the fastest."""
     from repro.core.flashmem import FlashMem
+    from repro.core.store import ArtifactStore, swap_store
     from repro.experiments import common
     from repro.runtime import segment
     from repro.runtime.scenario import Scenario
 
     segment.EXTRAPOLATE_DEFAULT = side == "fast"
-    common.configure_cache(CACHE_DIR)
+    swap_store(ArtifactStore(CACHE_DIR))
     compiled = common.cached_decode_compile(MODEL, DEVICE, CONTEXT)
     fm = FlashMem(common.experiment_flashmem_config())
     scenario = Scenario.decode(tokens=TOKENS, context_len=CONTEXT)
@@ -78,14 +79,14 @@ def _measure_side(side: str) -> None:
 
 def _warm_compile() -> None:
     """Populate the shared store with the decode plan both children load."""
+    from repro.core.store import ArtifactStore, swap_store
     from repro.experiments import common
 
-    previous = common.swap_store(None)
+    previous = swap_store(ArtifactStore(CACHE_DIR))
     try:
-        common.configure_cache(CACHE_DIR)
         common.cached_decode_compile(MODEL, DEVICE, CONTEXT)
     finally:
-        common.swap_store(previous)
+        swap_store(previous)
 
 
 def _run_ab() -> dict:

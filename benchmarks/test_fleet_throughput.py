@@ -69,11 +69,11 @@ def _cell_digest(cell) -> str:
 
 def _measure_side(side: str) -> None:
     """Child entry: time CHILD_REPEATS single-cell replays, report the fastest."""
-    from repro.experiments import common
+    from repro.core.store import ArtifactStore, swap_store
     from repro.fleet.episode import EpisodeProvider
     from repro.fleet.replay import replay_trace
 
-    common.configure_cache(CACHE_DIR)
+    swap_store(ArtifactStore(CACHE_DIR))
     trace = _ab_trace(AB_INVOCATIONS)
     memoize = side == "memo"
 
@@ -90,7 +90,7 @@ def _measure_side(side: str) -> None:
     replay_trace(trace, DEVICE, RUNTIME, provider=EpisodeProvider())
     # Episode persistence off from here: each timed pass must rebuild its
     # memo by simulation, not load a previous pass's episodes.
-    common.swap_store(None)
+    swap_store(None)
     gc.collect()
     gc.disable()
     best = None
@@ -117,11 +117,11 @@ def _measure_side(side: str) -> None:
 
 def _warm_compiles() -> None:
     """Populate the shared store with every compiled plan the trace needs."""
+    from repro.core.store import ArtifactStore, swap_store
     from repro.experiments import common
 
-    previous = common.swap_store(None)
+    previous = swap_store(ArtifactStore(CACHE_DIR))
     try:
-        common.configure_cache(CACHE_DIR)
         trace = _ab_trace(AB_INVOCATIONS)
         for inv in trace.invocations:
             if inv.scenario.is_decode:
@@ -129,7 +129,7 @@ def _warm_compiles() -> None:
             else:
                 common.cached_compile(inv.model, DEVICE)
     finally:
-        common.swap_store(previous)
+        swap_store(previous)
 
 
 def _run_ab() -> dict:
@@ -158,11 +158,11 @@ def _run_ab() -> dict:
 
 def _run_identity() -> dict:
     """Replay ≡ naive byte-identity across the device × runtime matrix."""
-    from repro.experiments import common
+    from repro.core.store import swap_store
     from repro.fleet.episode import EpisodeProvider
     from repro.fleet.replay import replay_trace
 
-    previous = common.swap_store(None)  # identity must not depend on a store
+    previous = swap_store(None)  # identity must not depend on a store
     try:
         trace = _ab_trace(IDENTITY_INVOCATIONS)
         cells = {}
@@ -181,7 +181,7 @@ def _run_identity() -> dict:
                 }
         return {"invocations": IDENTITY_INVOCATIONS, "cells": cells}
     finally:
-        common.swap_store(previous)
+        swap_store(previous)
 
 
 def _run_scaleout(tmp_path) -> dict:

@@ -47,8 +47,8 @@ CHILD_REPEATS = 3
 AB_SAMPLES = 2
 
 #: The suite's persistent store (absolute: children run with a different
-#: cwd).  Compiled plans are warmed here by the parent; pricing-table and
-#: run-result entries written along the way are harmless cache content.
+#: cwd).  Compiled plans are warmed here by the parent; run-result
+#: entries written along the way are harmless cache content.
 CACHE_DIR = str(pathlib.Path(__file__).resolve().parent.parent / ".artifact-cache")
 
 #: multi_iter peak simulated memory per side.  Latencies are bitwise
@@ -218,9 +218,9 @@ _SCENARIOS = {
 
 def _measure_side(side: str, scenario: str) -> None:
     """Child entry: time CHILD_REPEATS passes, report the fastest."""
-    from repro.experiments import common
+    from repro.core.store import ArtifactStore, swap_store
 
-    common.configure_cache(CACHE_DIR)
+    swap_store(ArtifactStore(CACHE_DIR))
     if side == "seed":
         _install_seed_emulation()
     one_pass, summarize = _SCENARIOS[scenario]()
@@ -244,16 +244,16 @@ def _measure_side(side: str, scenario: str) -> None:
 # -------------------------------------------------------------------- parent
 def _warm_compiles() -> None:
     """Populate the shared store with every compiled plan the children load."""
+    from repro.core.store import ArtifactStore, swap_store
     from repro.experiments import common
     from repro.graph.models import EVALUATED_MODELS
 
-    previous = common.swap_store(None)
+    previous = swap_store(ArtifactStore(CACHE_DIR))
     try:
-        common.configure_cache(CACHE_DIR)
         for model in EVALUATED_MODELS:
             common.cached_compile(model, DEVICE)
     finally:
-        common.swap_store(previous)
+        swap_store(previous)
 
 
 def _ab(scenario: str, identity_keys) -> dict:

@@ -9,12 +9,7 @@ from repro.capacity.classify import (
     threshold_for,
     threshold_for_kind,
 )
-from repro.capacity.cache import (
-    capacity_model_key,
-    capacity_store,
-    set_capacity_store,
-    trained_capacity_model,
-)
+from repro.capacity.cache import capacity_model_key, trained_capacity_model
 from repro.capacity.gbt import FlatTree, GBTConfig, GradientBoostedTrees, RegressionTree
 from repro.capacity.model import (
     CapacityModelReport,
@@ -40,8 +35,6 @@ __all__ = [
     "GradientBoostedTrees",
     "RegressionTree",
     "capacity_model_key",
-    "capacity_store",
-    "set_capacity_store",
     "trained_capacity_model",
     "CapacityModelReport",
     "LoadCapacityModel",

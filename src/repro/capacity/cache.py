@@ -4,21 +4,18 @@ Training the paper's GBT latency regressor — profile a model zoo under
 embedded loads, fit a few hundred histogram trees — is the expensive part
 of the ``gbt`` capacity backend, and it is pure function of
 (device, profile configuration, GBT configuration, seed).  This module
-gives it the same read-through treatment compiled plans and pricing tables
-already get: sweeps, the compile service, and fleet replay train each
-(device, profile-set) regressor once and warm-reuse it across processes.
-
-The store hook mirrors ``repro.gpusim.pricing``: the experiment layer
-installs the active :class:`~repro.core.store.ArtifactStore` via
-:func:`set_capacity_store` (this module must not import the experiment
-layer).  An in-process dict sits in front of the store so repeated
-``trained_capacity_model`` calls within one process are lookups.
+gives it the same :func:`~repro.core.store.read_through` treatment compiled
+plans get: sweeps, the compile service, and fleet replay train each
+(device, profile-set) regressor once and warm-reuse it across processes
+that share the active store.  An in-process dict sits in front of the
+store so repeated ``trained_capacity_model`` calls within one process are
+lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.capacity.gbt import GBTConfig
 from repro.capacity.model import LoadCapacityModel
@@ -27,6 +24,7 @@ from repro.capacity.profiler import (
     LoadCapacityProfiler,
     ProfileDataset,
 )
+from repro.core.store import read_through, stable_fingerprint
 from repro.gpusim.device import DeviceProfile, get_device
 from repro.graph.models import EVALUATED_MODELS, load_model
 
@@ -41,33 +39,12 @@ DEFAULT_MAX_OPS_PER_MODEL = 24
 #: Relative lognormal measurement jitter (the profiler's default).
 DEFAULT_PROFILE_NOISE = 0.03
 
-#: Persistent store, or None (in-process caching only) — installed by the
-#: experiment layer via :func:`set_capacity_store`.
-_CAPACITY_STORE = None
+#: In-process model cache keyed by the store key's fingerprint.
+_MODELS: Dict[str, LoadCapacityModel] = {}
 
-#: In-process model cache keyed by the same fingerprint as the store entry.
-_MODELS: Dict[tuple, LoadCapacityModel] = {}
-
-#: Process-global counters: ``trains`` regressor fits this process actually
-#: ran, ``store_hits`` warm loads.  The warm-reuse benchmark bar asserts a
-#: warm store-cached rerun keeps ``trains`` at 0.
-STATS: Dict[str, int] = {"trains": 0, "store_hits": 0}
-
-
-def set_capacity_store(store) -> Optional[object]:
-    """Install the persistent store for trained capacity models.
-
-    Accepts None to disable.  Returns the previously installed store.
-    """
-    global _CAPACITY_STORE
-    previous = _CAPACITY_STORE
-    _CAPACITY_STORE = store
-    return previous
-
-
-def capacity_store() -> Optional[object]:
-    """The active persistent store, or None when disabled."""
-    return _CAPACITY_STORE
+#: Process-global count of regressor fits this process actually ran.  The
+#: warm-reuse benchmark bar asserts a warm store-cached rerun keeps it at 0.
+STATS: Dict[str, int] = {"trains": 0}
 
 
 def clear_capacity_cache() -> None:
@@ -153,26 +130,22 @@ def trained_capacity_model(
         gbt_config=config,
         seed=seed,
     )
-    mkey = (profile.name, tuple(models), int(max_ops_per_model), float(noise),
-            tuple(float(r) for r in ratios), tuple(sorted(asdict(config).items())),
-            int(seed))
-    cached = _MODELS.get(mkey)
-    if cached is not None:
-        return cached
+    fingerprint = stable_fingerprint(key)
+    model = _MODELS.get(fingerprint)
+    if model is not None:
+        return model
 
-    stored = _CAPACITY_STORE.load(key) if _CAPACITY_STORE is not None else None
-    if stored is not None:
-        STATS["store_hits"] += 1
-        model = LoadCapacityModel(profile, backend="gbt", regressor=stored["regressor"])
-        model.report = stored["report"]
-    else:
+    def train() -> Dict[str, Any]:
         dataset = _profile(
             profile, models,
             max_ops_per_model=max_ops_per_model, noise=noise, ratios=ratios, seed=seed,
         )
-        model = LoadCapacityModel.from_dataset(profile, dataset, seed=seed, gbt_config=config)
+        trained = LoadCapacityModel.from_dataset(profile, dataset, seed=seed, gbt_config=config)
         STATS["trains"] += 1
-        if _CAPACITY_STORE is not None:
-            _CAPACITY_STORE.save(key, {"regressor": model.regressor, "report": model.report})
-    _MODELS[mkey] = model
+        return {"regressor": trained.regressor, "report": trained.report}
+
+    payload = read_through(key, train)
+    model = LoadCapacityModel(profile, backend="gbt", regressor=payload["regressor"])
+    model.report = payload["report"]
+    _MODELS[fingerprint] = model
     return model

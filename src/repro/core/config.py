@@ -53,8 +53,3 @@ class FlashMemConfig:
         the cost of a larger resident set (Figure 8's right end)."""
         lam = min(1.0, 0.9 + preload_ratio * 0.1)
         return cls(opg=OpgConfig(m_peak_bytes=1024 * 1024 * 1024, lam=lam))
-
-    @classmethod
-    def fast_solver(cls) -> "FlashMemConfig":
-        """Tight solver budget for tests and quick experiments."""
-        return cls(opg=OpgConfig(time_limit_s=2.0, max_nodes_per_window=500))

@@ -11,6 +11,11 @@ change addresses a fresh entry.  Writes are atomic (unique tmp file +
 ``os.replace``) so racing writers can never tear an entry, and unreadable
 entries are quarantined to a ``.corrupt`` sibling instead of being
 silently re-missed forever.
+
+A process has one active store (:func:`swap_store` installs it,
+:func:`active_store` reads it), and every persisted artifact goes through
+:func:`read_through`.  This module imports nothing else from ``repro``, so
+every layer can use the slot without importing the layers that set it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import pickle
 import sys
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 #: Version of the on-disk artifact format.  Bump whenever the pickled
 #: payload types change shape; old entries then simply address different
@@ -236,3 +241,41 @@ class ArtifactStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.pkl"))
+
+
+#: The process's persistent store, or None (in-process caching only).
+_ACTIVE: Optional[ArtifactStore] = None
+
+
+def active_store() -> Optional[ArtifactStore]:
+    """The store :func:`read_through` persists to, or None when disabled."""
+    return _ACTIVE
+
+
+def swap_store(store: Optional[ArtifactStore]) -> Optional[ArtifactStore]:
+    """Install ``store`` (None disables persistence); returns the previous one.
+
+    Any object with the store's ``load``/``save``/``contains``/``stats``
+    interface works, e.g. a pool worker's
+    :class:`~repro.service.store.ReadThroughStore`.
+    """
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, store
+    return previous
+
+
+def read_through(key: Mapping[str, Any], compute: Callable[[], Any]) -> Any:
+    """The value stored under ``key``, else ``compute()`` saved under ``key``.
+
+    With no active store ``compute`` runs on every call.  A stored None
+    reads as a miss, so ``compute`` must not return None (store a sentinel).
+    """
+    store = _ACTIVE
+    if store is not None:
+        value = store.load(key)
+        if value is not None:
+            return value
+    value = compute()
+    if store is not None:
+        store.save(key, value)
+    return value

@@ -5,10 +5,11 @@ for repeated runs) and two cache layers so Table 7, Table 8, Table 9, and
 Figure 10 reuse each (model, device) compilation instead of re-solving:
 
 - an in-process ``lru_cache`` layer (always on, exactly the seed behavior);
-- an optional persistent :class:`~repro.core.store.ArtifactStore` layer,
-  enabled via :func:`configure_cache`, that survives across processes —
-  sweep workers and repeated CLI invocations load each other's compiled
-  models and run results instead of re-solving.
+- the process's persistent store, when one is installed with
+  :func:`repro.core.store.swap_store`: each cell goes through
+  :func:`~repro.core.store.read_through`, so sweep workers and repeated CLI
+  invocations load each other's compiled models and run results instead of
+  re-solving.
 
 Keys carry (model, device, config fingerprint) and the artifact schema
 version, so a config or format change addresses fresh entries.
@@ -16,16 +17,14 @@ version, so a config or format change addresses fresh entries.
 
 from __future__ import annotations
 
-import pathlib
 from functools import lru_cache
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.capacity import cache as capacity_cache
 from repro.capacity.model import LoadCapacityModel, analytic_capacity_model
 from repro.core.config import FlashMemConfig
 from repro.core.flashmem import CompiledModel, FlashMem
-from repro.core.store import ArtifactStore, flashmem_config_fingerprint
-from repro.gpusim import pricing
+from repro.core.store import flashmem_config_fingerprint, read_through
 from repro.gpusim.device import get_device
 from repro.gpusim.timeline import RunResult
 from repro.graph.dag import Graph
@@ -48,9 +47,6 @@ PREFILL_ONCE = Scenario.prefill(1)
 #: from a miss.
 _UNSUPPORTED = "__model-not-supported__"
 
-#: The persistent artifact store, or None (in-process caching only).
-_STORE: Optional[ArtifactStore] = None
-
 
 def experiment_opg_config(**overrides) -> OpgConfig:
     """Solver settings sized for experiment sweeps (seconds, not minutes)."""
@@ -70,68 +66,9 @@ def experiment_flashmem_config(**overrides) -> FlashMemConfig:
     return FlashMemConfig(opg=experiment_opg_config(**overrides), **fm_kwargs)
 
 
-# --------------------------------------------------------- persistent layer
-def configure_cache(cache_dir: Union[str, pathlib.Path, None]) -> Optional[ArtifactStore]:
-    """Point the persistent artifact cache at ``cache_dir`` (None disables).
-
-    Returns the active store.  The in-process ``lru_cache`` layer is
-    unaffected: values computed under any store configuration are identical
-    for identical keys.
-    """
-    global _STORE
-    _STORE = ArtifactStore(cache_dir) if cache_dir is not None else None
-    pricing.set_pricing_store(_STORE)
-    capacity_cache.set_capacity_store(_STORE)
-    return _STORE
-
-
-def cache_store() -> Optional[ArtifactStore]:
-    """The active persistent store, or None when disabled."""
-    return _STORE
-
-
-def swap_store(store: Optional[ArtifactStore]) -> Optional[ArtifactStore]:
-    """Install ``store`` (may be None) and return the previous one.
-
-    The inline sweep path uses this to scope its cache configuration to one
-    run instead of leaking it into the calling process.
-    """
-    global _STORE
-    previous = _STORE
-    _STORE = store
-    pricing.set_pricing_store(store)
-    capacity_cache.set_capacity_store(store)
-    return previous
-
-
-def cache_stats() -> Dict[str, int]:
-    """Persistent-store + pricing counters (store fields zero when disabled).
-
-    Store traffic (``hits``/``misses``/``stores``/``corrupt``) comes from the
-    :class:`ArtifactStore`; ``pricing_hits``/``pricing_misses`` count the
-    in-process cost-table LRU across every simulated run this process made.
-    """
-    stats = (_STORE.stats.snapshot() if _STORE
-             else {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0})
-    stats["pricing_hits"] = pricing.STATS.table_hits
-    stats["pricing_misses"] = pricing.STATS.table_misses
-    stats["capacity_trains"] = capacity_cache.STATS["trains"]
-    stats["capacity_store_hits"] = capacity_cache.STATS["store_hits"]
-    return stats
-
-
 def experiment_config_fingerprint() -> str:
     """Fingerprint of the standard experiment configuration."""
     return flashmem_config_fingerprint(experiment_flashmem_config())
-
-
-def _store_load(key: Dict[str, Any]) -> Optional[Any]:
-    return _STORE.load(key) if _STORE is not None else None
-
-
-def _store_save(key: Dict[str, Any], value: Any) -> None:
-    if _STORE is not None:
-        _STORE.save(key, value)
 
 
 def compile_key(
@@ -190,33 +127,40 @@ def cached_capacity(device_name: str, backend: str = "analytic") -> LoadCapacity
     return analytic_capacity_model(get_device(device_name))
 
 
+def _compile(graph: Graph, device_name: str) -> CompiledModel:
+    fm = FlashMem(experiment_flashmem_config())
+    return fm.compile(graph, get_device(device_name), capacity=cached_capacity(device_name))
+
+
+def _preload_run(framework: str, device_name: str, graph: Graph, scenario: Scenario,
+                 *, check_support: bool = True) -> Any:
+    """One baseline run, or :data:`_UNSUPPORTED` when the framework cannot
+    run the model."""
+    profile = get_profile(framework)
+    try:
+        return PreloadExecutor(profile, get_device(device_name)).run(
+            graph, scenario=scenario, check_support=check_support
+        )
+    except ModelNotSupportedError:
+        return _UNSUPPORTED
+
+
 @lru_cache(maxsize=64)
 def cached_compile(model: str, device_name: str) -> CompiledModel:
     """Full-pipeline FlashMem compilation, cached per (model, device)."""
-    key = compile_key(model, device_name)
-    stored = _store_load(key)
-    if stored is not None:
-        return stored
-    fm = FlashMem(experiment_flashmem_config())
-    compiled = fm.compile(
-        cached_graph(model), get_device(device_name), capacity=cached_capacity(device_name)
-    )
-    _store_save(key, compiled)
-    return compiled
+    return read_through(compile_key(model, device_name),
+                        lambda: _compile(cached_graph(model), device_name))
 
 
 @lru_cache(maxsize=256)
 def flashmem_result(model: str, device_name: str, iterations: int = 1) -> RunResult:
     """Cached FlashMem prefill run (``iterations`` passes of the graph)."""
     scenario = Scenario.prefill(iterations)
-    key = flashmem_run_key(model, device_name, scenario)
-    stored = _store_load(key)
-    if stored is not None:
-        return stored
-    fm = FlashMem(experiment_flashmem_config())
-    result = fm.run(cached_compile(model, device_name), scenario=scenario)
-    _store_save(key, result)
-    return result
+    return read_through(
+        flashmem_run_key(model, device_name, scenario),
+        lambda: FlashMem(experiment_flashmem_config()).run(
+            cached_compile(model, device_name), scenario=scenario),
+    )
 
 
 @lru_cache(maxsize=512)
@@ -230,22 +174,15 @@ def framework_result(
     elimination — runs the layout-eliminated graph, like FlashMem.
     """
     scenario = Scenario.prefill(iterations)
-    key = framework_run_key(framework, model, device_name, scenario)
-    stored = _store_load(key)
-    if stored is not None:
-        return None if stored == _UNSUPPORTED else stored
-    profile = get_profile(framework)
-    graph = cached_graph(model)
-    if framework == "SMem":
-        graph = eliminate_layout_ops(graph)
-    try:
-        result: Optional[RunResult] = PreloadExecutor(profile, get_device(device_name)).run(
-            graph, scenario=scenario
-        )
-    except ModelNotSupportedError:
-        result = None
-    _store_save(key, _UNSUPPORTED if result is None else result)
-    return result
+
+    def run() -> Any:
+        graph = cached_graph(model)
+        if framework == "SMem":
+            graph = eliminate_layout_ops(graph)
+        return _preload_run(framework, device_name, graph, scenario)
+
+    result = read_through(framework_run_key(framework, model, device_name, scenario), run)
+    return None if result == _UNSUPPORTED else result
 
 
 # ------------------------------------------------------------- decode cells
@@ -258,18 +195,8 @@ def cached_decode_graph(model: str, context_len: int) -> Graph:
 def cached_decode_compile(model: str, device_name: str, context_len: int) -> CompiledModel:
     """Decode-phase compilation (weights resident, KV residency planned),
     cached per (model, device, prompt length)."""
-    key = compile_key(model, device_name, context_len)
-    stored = _store_load(key)
-    if stored is not None:
-        return stored
-    fm = FlashMem(experiment_flashmem_config())
-    compiled = fm.compile(
-        cached_decode_graph(model, context_len),
-        get_device(device_name),
-        capacity=cached_capacity(device_name),
-    )
-    _store_save(key, compiled)
-    return compiled
+    return read_through(compile_key(model, device_name, context_len),
+                        lambda: _compile(cached_decode_graph(model, context_len), device_name))
 
 
 @lru_cache(maxsize=256)
@@ -279,14 +206,11 @@ def flashmem_decode_result(
     """Cached FlashMem autoregressive decode: ``tokens`` generated after a
     ``context_len``-token prompt, KV cache streamed per the residency plan."""
     scenario = Scenario.decode(tokens=tokens, context_len=context_len)
-    key = flashmem_run_key(model, device_name, scenario)
-    stored = _store_load(key)
-    if stored is not None:
-        return stored
-    fm = FlashMem(experiment_flashmem_config())
-    result = fm.run(cached_decode_compile(model, device_name, context_len), scenario=scenario)
-    _store_save(key, result)
-    return result
+    return read_through(
+        flashmem_run_key(model, device_name, scenario),
+        lambda: FlashMem(experiment_flashmem_config()).run(
+            cached_decode_compile(model, device_name, context_len), scenario=scenario),
+    )
 
 
 @lru_cache(maxsize=256)
@@ -295,25 +219,17 @@ def framework_decode_result(
 ) -> Optional[RunResult]:
     """Cached preloading-baseline decode (unbounded KV growth)."""
     scenario = Scenario.decode(tokens=tokens, context_len=context_len)
-    key = framework_run_key(framework, model, device_name, scenario)
-    stored = _store_load(key)
-    if stored is not None:
-        return None if stored == _UNSUPPORTED else stored
-    profile = get_profile(framework)
-    graph = cached_decode_graph(model, context_len)
-    try:
-        result: Optional[RunResult] = PreloadExecutor(profile, get_device(device_name)).run(
-            graph, scenario=scenario, check_support=False
-        )
-    except ModelNotSupportedError:
-        result = None
-    _store_save(key, _UNSUPPORTED if result is None else result)
-    return result
+    result = read_through(
+        framework_run_key(framework, model, device_name, scenario),
+        lambda: _preload_run(framework, device_name, cached_decode_graph(model, context_len),
+                             scenario, check_support=False),
+    )
+    return None if result == _UNSUPPORTED else result
 
 
 def clear_caches() -> None:
     """Drop all in-process cached compilations/results (tests use this for
-    isolation).  The persistent store, if configured, is untouched."""
+    isolation).  The persistent store, if one is active, is untouched."""
     for fn in (cached_graph, cached_capacity, cached_compile, flashmem_result,
                framework_result, cached_decode_graph, cached_decode_compile,
                flashmem_decode_result, framework_decode_result):

@@ -3,9 +3,8 @@
 An *episode* is one invocation's full simulation under a fixed
 ``(model, device, runtime, scenario, throttle-state)`` tuple.  A fleet trace
 has thousands of invocations but only a handful of distinct episodes, so the
-provider simulates each once — read-through to the persistent
-:class:`~repro.core.store.ArtifactStore` (kind ``episode``) when one is
-configured, exactly the compiled-model caching idiom in
+provider simulates each once — through :func:`~repro.core.store.read_through`
+(kind ``episode``), like the compiled models in
 :mod:`repro.experiments.common` — and answers every further invocation from
 the memo.  An episode keeps its memory timeline as absolute ``(times,
 totals)`` columns ending in the teardown row ``(latency_ms, 0)``, built and
@@ -22,10 +21,11 @@ the byte-identity tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
+from repro.core.store import read_through
 from repro.experiments import common
 from repro.graph.lowering import eliminate_layout_ops
 from repro.gpusim.device import THROTTLE_STATES, get_device
@@ -115,11 +115,10 @@ def episode_key(
 class EpisodeProvider:
     """Read-through episode cache over the deterministic simulator.
 
-    ``get`` answers from, in order: the in-process memo, the persistent
-    artifact store (when :func:`repro.experiments.common.configure_cache`
-    or a pool worker's read-through store is active), and a fresh
-    simulation.  With ``memoize=False`` every ``get`` simulates — the naive
-    per-invocation engine used as the benchmark baseline.
+    ``get`` answers from, in order: the in-process memo, the active
+    artifact store, and a fresh simulation.  With ``memoize=False`` every
+    ``get`` simulates — the naive per-invocation engine used as the
+    benchmark baseline.
     """
 
     def __init__(self, *, memoize: bool = True) -> None:
@@ -143,29 +142,22 @@ class EpisodeProvider:
                 f"unknown throttle state {state!r}; "
                 f"available: {sorted(THROTTLE_STATES)}"
             )
-        if not self.memoize:
+
+        def simulate() -> Episode:
             self.simulated += 1
             return self._simulate(model, device_name, runtime, scenario, state)
+
+        if not self.memoize:
+            return simulate()
         memo_key = (model, device_name, runtime, scenario, state)
+        simulated = self.simulated
         episode = self._memo.get(memo_key)
-        if episode is not None:
+        if episode is None:
+            episode = self._memo[memo_key] = read_through(
+                episode_key(model, device_name, runtime, scenario, state), simulate
+            )
+        if self.simulated == simulated:
             self.replayed += 1
-            return episode
-        store = common.cache_store()
-        stored: Optional[Episode] = (
-            store.load(episode_key(model, device_name, runtime, scenario, state))
-            if store is not None
-            else None
-        )
-        if stored is not None:
-            self.replayed += 1
-            self._memo[memo_key] = stored
-            return stored
-        self.simulated += 1
-        episode = self._simulate(model, device_name, runtime, scenario, state)
-        self._memo[memo_key] = episode
-        if store is not None:
-            store.save(episode_key(model, device_name, runtime, scenario, state), episode)
         return episode
 
     # ------------------------------------------------------------ simulate

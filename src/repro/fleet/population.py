@@ -3,9 +3,9 @@
 One fleet run shards the grid's cells over a pre-warmed
 :class:`~concurrent.futures.ProcessPoolExecutor`
 (:func:`repro.sweep.runner.prewarm_executor` — spawn + import + store init
-paid before the timed work).  Workers share the episode/compile artifact
-store through the PR-8 read-through idiom: each writes a private
-``worker-local/<pid>`` layer and reads through to the shared directory, so
+paid before the timed work).  Workers run the compile service's
+:func:`~repro.service.pool.worker_init`: each writes a private
+``worker-local/<pid>`` store and reads through to the shared directory, so
 one worker's simulated episode is every later cell's cache hit without
 write races.
 
@@ -15,12 +15,12 @@ how much device-population time one machine can evaluate per second.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.store import ArtifactStore, active_store, swap_store
 from repro.fleet.episode import EpisodeProvider
 from repro.fleet.replay import DEFAULT_SLO_MULTIPLIER, CellResult, replay_trace
 from repro.fleet.trace import Trace
@@ -95,21 +95,6 @@ class FleetReport:
         return "\n".join(lines) + "\n"
 
 
-def _fleet_worker_init(shared_dir: Optional[str]) -> None:
-    """Pool-worker pre-warm: imports + read-through store (PR-8 idiom)."""
-    from repro.service.pool import WORKER_LOCAL_DIR, raise_recursion_limit
-
-    raise_recursion_limit()
-    from repro.experiments import common
-    from repro.gpusim import pricing  # noqa: F401 — import cost is the point
-
-    if shared_dir is not None:
-        from repro.service.store import ReadThroughStore
-
-        private = os.path.join(shared_dir, WORKER_LOCAL_DIR, str(os.getpid()))
-        common.swap_store(ReadThroughStore(private, shared_dir))
-
-
 def _replay_cell(
     trace_json: Dict[str, Any],
     device: str,
@@ -155,11 +140,8 @@ def run_fleet(
     )
     trace_json = trace.to_json()
     if jobs == 1 or len(grid) <= 1:
-        from repro.core.store import ArtifactStore
-        from repro.experiments import common
-
-        previous = common.swap_store(
-            ArtifactStore(cache_dir) if cache_dir is not None else common.cache_store()
+        previous = swap_store(
+            ArtifactStore(cache_dir) if cache_dir is not None else active_store()
         )
         try:
             provider = EpisodeProvider(memoize=memoize)
@@ -176,16 +158,17 @@ def run_fleet(
                 )
             report.wall_s = time.perf_counter() - start
         finally:
-            common.swap_store(previous)
+            swap_store(previous)
         report.jobs = 1
         return report
 
+    from repro.service.pool import worker_init
     from repro.sweep.runner import prewarm_executor
 
     workers = min(jobs, len(grid))
     pool = ProcessPoolExecutor(
         max_workers=workers,
-        initializer=_fleet_worker_init,
+        initializer=worker_init,
         initargs=(str(cache_dir) if cache_dir is not None else None,),
     )
     try:

@@ -13,19 +13,15 @@ approximately.  ``tests/gpusim/test_pricing_differential.py`` pins ``==``
 equality across every device preset, op class, efficiency, and
 ``extra_bytes`` grid; the scalar model remains the differential oracle.
 
-Tables are memoized twice:
+Tables are memoized in an in-process LRU keyed on the full pricing input
+(device profile plus one row per kernel), shared by repeated runs of the
+same compiled model.  They are not persisted: loading a table from the
+artifact store costs more than pricing it again (see DESIGN.md).
 
-- an in-process LRU keyed on the full pricing input (device profile plus
-  one row per kernel), shared by repeated runs of the same compiled model;
-- optionally the persistent :class:`~repro.core.store.ArtifactStore` from
-  the experiment layer, installed via :func:`set_pricing_store` (the gpusim
-  package cannot import ``repro.experiments`` — the hook keeps the
-  dependency pointing outward).
-
-:data:`STATS` counts table hits/misses, persistent-store traffic, simulated
-runs, simulated wall seconds, and extrapolated iterations; executors thread
-per-run deltas into ``RunResult.details`` and the sweep layer aggregates
-them into the suite cache-stats line.
+:data:`STATS` counts table hits/misses, simulated runs, simulated wall
+seconds, and extrapolated iterations; executors thread per-run deltas into
+``RunResult.details`` and the sweep layer aggregates them into the suite
+cache-stats line.
 """
 
 from __future__ import annotations
@@ -86,14 +82,11 @@ class SimStats:
 
     table_hits: int = 0
     table_misses: int = 0
-    store_hits: int = 0
-    store_stores: int = 0
     runs: int = 0
     sim_s: float = 0.0
     replayed_iterations: int = 0
 
-    _FIELDS = ("table_hits", "table_misses", "store_hits", "store_stores",
-               "runs", "sim_s", "replayed_iterations")
+    _FIELDS = ("table_hits", "table_misses", "runs", "sim_s", "replayed_iterations")
 
     def snapshot(self) -> Dict[str, float]:
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -102,46 +95,8 @@ class SimStats:
         return {name: getattr(self, name) - before.get(name, 0) for name in self._FIELDS}
 
 
-#: The live counters.  Reset only by tests (fresh SimStats via reset_stats).
+#: The live counters.
 STATS = SimStats()
-
-
-def reset_stats() -> None:
-    """Zero the process-wide counters (test isolation)."""
-    global STATS
-    STATS = SimStats()
-
-
-# ------------------------------------------------------------- store hook
-_PRICING_STORE = None  # ArtifactStore | None — installed by repro.experiments
-
-
-def set_pricing_store(store) -> Optional[object]:
-    """Install the persistent table store (None disables); returns previous.
-
-    Called by ``repro.experiments.common.configure_cache``/``swap_store`` so
-    sweep workers and repeated CLI invocations share priced tables without
-    gpusim importing the experiment layer.
-    """
-    global _PRICING_STORE
-    previous = _PRICING_STORE
-    _PRICING_STORE = store
-    return previous
-
-
-def _store_key(device: DeviceProfile, rows: Tuple[KernelRow, ...]) -> Dict[str, object]:
-    return {
-        "kind": "pricing-table",
-        "device": {
-            "name": device.name,
-            "um_bw": device.um_bw,
-            "tm_upload_bw": device.tm_upload_bw,
-            "fp16_gflops": device.fp16_gflops,
-            "kernel_launch_ms": device.kernel_launch_ms,
-        },
-        "rows": [[cls.value, flops, moved, out, extra, eff, int(div)]
-                 for cls, flops, moved, out, extra, eff, div in rows],
-    }
 
 
 # ------------------------------------------------------------ table build
@@ -228,22 +183,9 @@ def kernel_time_table(device: DeviceProfile, rows: Sequence[KernelRow]) -> np.nd
         STATS.table_hits += 1
         return table
     STATS.table_misses += 1
-    store = _PRICING_STORE
-    store_key = None
-    if store is not None:
-        store_key = _store_key(device, rows)
-        stored = store.load(store_key)
-        if stored is not None and len(stored) == len(rows):
-            STATS.store_hits += 1
-            table = np.asarray(stored, dtype=np.float64)
-            _TABLES.put(key, table)
-            return table
     table = _compute_table(device, rows)
     table.setflags(write=False)
     _TABLES.put(key, table)
-    if store is not None:
-        store.save(store_key, table)
-        STATS.store_stores += 1
     return table
 
 
@@ -312,8 +254,7 @@ def flash_attention_time_table(
     """Priced tiled-attention latencies (ms) for ``rows``, memoized.
 
     Shares the in-process LRU with :func:`kernel_time_table` under a tagged
-    key.  No persistent-store layer: flash tables are tiny (a handful of
-    rows per context-length segment) and cheap to recompute.
+    key.
     """
     rows = tuple(rows)
     key = (device, "flash-attention", rows)

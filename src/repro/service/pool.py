@@ -24,6 +24,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
+from repro.core.store import ArtifactStore, active_store, swap_store
 from repro.sweep.runner import PathLike, prewarm_executor
 
 #: Compiled-model graphs are node chains thousands of frames deep; the pool
@@ -44,11 +45,14 @@ def raise_recursion_limit(limit: int = RECURSION_LIMIT) -> None:
         sys.setrecursionlimit(limit)
 
 
-def _service_worker_init(shared_dir: Optional[str]) -> None:
-    """Worker-side pre-warm: imports, recursion headroom, read-through store.
+def worker_init(shared_dir: Optional[str]) -> None:
+    """Pool-worker pre-warm: imports, recursion headroom, read-through store.
 
-    Runs once per worker process under ``prewarm()``'s barrier, so none of
-    this cost lands on a served request.
+    Installs a :class:`~repro.service.store.ReadThroughStore` over
+    ``<shared_dir>/worker-local/<pid>`` when ``shared_dir`` is given.  The
+    compile pool and the fleet replay pool both run it once per worker
+    under ``prewarm_executor``'s barrier, so none of this cost lands on the
+    served or timed work.
     """
     raise_recursion_limit()
     from repro.experiments import common  # noqa: F401 — import cost is the point
@@ -58,7 +62,7 @@ def _service_worker_init(shared_dir: Optional[str]) -> None:
         from repro.service.store import ReadThroughStore
 
         private = os.path.join(shared_dir, WORKER_LOCAL_DIR, str(os.getpid()))
-        common.swap_store(ReadThroughStore(private, shared_dir))
+        swap_store(ReadThroughStore(private, shared_dir))
 
 
 def compile_request_job(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -70,13 +74,12 @@ def compile_request_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     bytes the daemon publishes), and is pickled straight through the pool
     only in the store-less configuration (``value``).
     """
-    from repro.experiments import common
     from repro.service.request import CompileRequest, execute_compile
 
     start = time.perf_counter()
     request = CompileRequest.from_payload(payload).normalized()
     key = request.store_key()
-    store = common.cache_store()
+    store = active_store()
     reply: Dict[str, Any] = {"pid": os.getpid(), "path": None, "value": None}
     if store is not None:
         cached = store.load(key)
@@ -122,20 +125,17 @@ class CompilePool:
             return
         raise_recursion_limit()  # daemon side unpickles pool results
         if self.workers == 0:
-            from repro.core.store import ArtifactStore
-            from repro.experiments import common
-
             # Inline mode scopes the process-global store to the pool's
             # lifetime (restored by close()): compiles must see exactly the
             # service's store, not whatever the host process had installed.
             store = ArtifactStore(self.cache_dir) if self.cache_dir is not None else None
-            self._prev_store = common.swap_store(store)
+            self._prev_store = swap_store(store)
             self._pool = ThreadPoolExecutor(max_workers=1,
                                             thread_name_prefix="compile-inline")
             return
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
-            initializer=_service_worker_init,
+            initializer=worker_init,
             initargs=(self.cache_dir,),
         )
         prewarm_executor(self._pool, self.workers, barrier_s)
@@ -151,7 +151,5 @@ class CompilePool:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
         if self._prev_store is not _UNSET:
-            from repro.experiments import common
-
-            common.swap_store(self._prev_store)
+            swap_store(self._prev_store)
             self._prev_store = _UNSET

@@ -2,9 +2,9 @@
 
 The parallel scale-out problem with one shared :class:`ArtifactStore` is
 write traffic: N workers compiling concurrently all want to persist
-compiled models, pricing tables, and window caches, and although the
-store's atomic writes make races *safe*, they still serialize on the same
-files and directories.  The service splits the roles instead:
+compiled models, capacity models, and episodes, and although the store's
+atomic writes make races *safe*, they still serialize on the same files
+and directories.  The service splits the roles instead:
 
 - every pool worker gets a :class:`ReadThroughStore` — a private
   worker-local :class:`ArtifactStore` consulted first, with the shared
@@ -52,11 +52,12 @@ def unpickle_envelope(blob: bytes, key: Mapping[str, Any], schema: int) -> Any:
 class ReadThroughStore:
     """Two-level artifact store for service pool workers.
 
-    Implements the subset of the :class:`ArtifactStore` interface the
-    experiment layer and the pricing-table cache consume (``load`` /
-    ``load_many`` / ``save`` / ``contains`` / ``path_for`` / ``stats``), so
-    a worker can install it via ``repro.experiments.common.swap_store`` and
-    every cache layer in the process transparently becomes read-through.
+    Implements the subset of the :class:`ArtifactStore` interface that
+    :func:`~repro.core.store.read_through`, the sweep runner and the compile
+    pool consume (``load`` / ``load_many`` / ``save`` / ``contains`` /
+    ``path_for`` / ``stats``), so a worker can install it with
+    :func:`repro.core.store.swap_store` and every persisted artifact in the
+    process transparently becomes two-level.
     """
 
     def __init__(self, private_root, shared_root, *,

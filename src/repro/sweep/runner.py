@@ -16,8 +16,9 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.core.store import ArtifactStore, active_store, read_through, swap_store
 from repro.sweep.cells import Cell
 
 PathLike = Union[str, Path]
@@ -49,25 +50,21 @@ def _driver_render_key(name: str) -> Dict[str, str]:
 
 
 def _run_driver(name: str) -> tuple:
-    """Render one driver, consulting the persistent store first.
+    """Render one driver through the active store; returns (text, cache_hit).
 
     Driver renders are cached whole — including wall-clock-derived fields
     like Table 4 solve times — which is what makes a warm ``experiment all``
     rerun byte-for-byte identical to the cold run that populated the store.
     """
-    from repro.experiments import common
+    rendered = False
 
-    store = common.cache_store()
-    key = _driver_render_key(name)
-    if store is not None:
-        stored = store.load(key)
-        if stored is not None:
-            return stored["text"], True
-    module = importlib.import_module(f"repro.experiments.{name}")
-    text = module.run().render()
-    if store is not None:
-        store.save(key, {"text": text})
-    return text, False
+    def render() -> Dict[str, str]:
+        nonlocal rendered
+        rendered = True
+        module = importlib.import_module(f"repro.experiments.{name}")
+        return {"text": module.run().render()}
+
+    return read_through(_driver_render_key(name), render)["text"], not rendered
 
 
 def _execute_cell(cell: Cell) -> CellOutcome:
@@ -75,7 +72,7 @@ def _execute_cell(cell: Cell) -> CellOutcome:
     from repro.experiments import common
     from repro.gpusim import pricing
 
-    store = common.cache_store()
+    store = active_store()
     before = store.stats.snapshot() if store is not None else {}
     sim_before = pricing.STATS.snapshot()
     start = time.perf_counter()
@@ -106,12 +103,12 @@ def _execute_cell(cell: Cell) -> CellOutcome:
 
 
 def _worker_init(cache_dir: Optional[str]) -> None:
-    """Configure the worker-local store and pay the heavy imports up front,
-    so the first real cell a worker receives does cell work only."""
-    from repro.experiments.common import configure_cache
-    from repro.gpusim import pricing  # noqa: F401 — import cost is the point
+    """Install the worker's store and pay the heavy imports up front, so
+    the first real cell a worker receives does cell work only."""
+    from repro.experiments import common  # noqa: F401 — import cost is the point
+    from repro.gpusim import pricing  # noqa: F401
 
-    configure_cache(cache_dir)
+    swap_store(ArtifactStore(cache_dir) if cache_dir is not None else None)
 
 
 def _worker_warmup(delay_s: float) -> int:
@@ -132,6 +129,37 @@ def prewarm_executor(pool: ProcessPoolExecutor, workers: int, barrier_s: float) 
     """
     futures = [pool.submit(_worker_warmup, barrier_s) for _ in range(workers)]
     return [future.result() for future in futures]
+
+
+def format_cache_line(cache_dir: Optional[str], store: Mapping[str, int],
+                      sim: Mapping[str, float]) -> str:
+    """One-line summary of store traffic and pricing LRU traffic."""
+    pricing_part = ""
+    if sim.get("table_hits", 0) or sim.get("table_misses", 0):
+        pricing_part = (f"; pricing tables: {int(sim.get('table_hits', 0))} hits, "
+                        f"{int(sim.get('table_misses', 0))} misses")
+    if cache_dir is None:
+        return "cache: disabled (--no-cache)" + pricing_part
+    return (f"cache: {store['hits']} hits, {store['misses']} misses, {store['stores']} stored"
+            + (f", {store['corrupt']} quarantined" if store["corrupt"] else "")
+            + f" (dir {cache_dir})" + pricing_part)
+
+
+def format_sim_line(sim: Mapping[str, float], wall_s: float, wall_label: str) -> Optional[str]:
+    """Simulated time vs ``wall_s``, or None when no cell simulated.
+
+    ``sim_s`` is the wall time spent inside executor runs; the rest of
+    ``wall_s`` is compile/solve/render/cache traffic.
+    """
+    runs = int(sim.get("runs", 0))
+    if not runs:
+        return None
+    line = (f"simulation: {runs} run(s), {sim.get('sim_s', 0.0):.2f}s simulated "
+            f"vs {wall_s:.1f}s {wall_label}")
+    replayed = int(sim.get("replayed_iterations", 0))
+    if replayed:
+        line += f", {replayed} iteration(s) extrapolated"
+    return line
 
 
 @dataclass
@@ -173,37 +201,7 @@ class SweepReport:
 
     def cache_line(self) -> str:
         """One-line cache-traffic summary for the CLI output."""
-        sim = self.sim_totals()
-        pricing_part = ""
-        priced = sim.get("table_hits", 0) + sim.get("table_misses", 0)
-        if priced:
-            pricing_part = (f"; pricing tables: {int(sim.get('table_hits', 0))} hits, "
-                            f"{int(sim.get('table_misses', 0))} misses")
-        if self.cache_dir is None:
-            return "cache: disabled (--no-cache)" + pricing_part
-        t = self.store_totals()
-        return (f"cache: {t['hits']} hits, {t['misses']} misses, {t['stores']} stored"
-                + (f", {t['corrupt']} quarantined" if t["corrupt"] else "")
-                + f" (dir {self.cache_dir})" + pricing_part)
-
-    def sim_line(self) -> Optional[str]:
-        """Summary of simulated time vs everything else, when cells simulated.
-
-        ``sim_s`` is the wall time spent inside executor runs; the remainder
-        of the sweep wall clock is compile/solve/render/cache traffic.  None
-        when no cell ran a simulation (fully warm sweeps).
-        """
-        sim = self.sim_totals()
-        runs = int(sim.get("runs", 0))
-        if not runs:
-            return None
-        sim_s = sim.get("sim_s", 0.0)
-        line = (f"simulation: {runs} run(s), {sim_s:.2f}s simulated "
-                f"vs {self.wall_s:.1f}s total sweep wall")
-        replayed = int(sim.get("replayed_iterations", 0))
-        if replayed:
-            line += f", {replayed} iteration(s) extrapolated"
-        return line
+        return format_cache_line(self.cache_dir, self.store_totals(), self.sim_totals())
 
     def render(self) -> str:
         lines = [f"sweep: {len(self.outcomes)} cells, {self.jobs} job(s), "
@@ -213,7 +211,7 @@ class SweepReport:
             hit = " [cached]" if o.cache_hit else ""
             lines.append(f"  {status} {o.cell.label():40s} {o.wall_s:7.2f}s{hit}"
                          + (f"  {o.error}" if o.error else ""))
-        sim_line = self.sim_line()
+        sim_line = format_sim_line(self.sim_totals(), self.wall_s, "total sweep wall")
         if sim_line:
             lines.append(sim_line)
         lines.append(self.cache_line())
@@ -280,9 +278,6 @@ class SweepRunner:
         outcomes: List[CellOutcome] = []
         done = 0
         if self.jobs == 1 or len(cells) <= 1:
-            from repro.core.store import ArtifactStore
-            from repro.experiments.common import swap_store
-
             store = ArtifactStore(self.cache_dir) if self.cache_dir is not None else None
             previous = swap_store(store)
             try:

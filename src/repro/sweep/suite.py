@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.sweep.cells import driver_cells, primitive_cells
-from repro.sweep.runner import SweepReport, SweepRunner
+from repro.sweep.runner import SweepReport, SweepRunner, format_cache_line, format_sim_line
 
 #: Default persistent cache location (CLI: overridable via --cache-dir or
 #: the REPRO_CACHE_DIR environment variable; --no-cache disables).
@@ -62,32 +62,6 @@ class SuiteReport:
                 totals[k] = totals.get(k, 0.0) + v
         return totals
 
-    def cache_line(self) -> str:
-        sim = self.sim_totals()
-        pricing_part = ""
-        if sim.get("table_hits", 0) or sim.get("table_misses", 0):
-            pricing_part = (f"; pricing tables: {int(sim.get('table_hits', 0))} hits, "
-                            f"{int(sim.get('table_misses', 0))} misses")
-        if self.drivers.cache_dir is None:
-            return "cache: disabled (--no-cache)" + pricing_part
-        t = self.store_totals()
-        return (f"cache: {t['hits']} hits, {t['misses']} misses, {t['stores']} stored"
-                + (f", {t['corrupt']} quarantined" if t["corrupt"] else "")
-                + f" (dir {self.drivers.cache_dir})" + pricing_part)
-
-    def sim_line(self) -> Optional[str]:
-        """Total simulated time vs suite render wall, when anything simulated."""
-        sim = self.sim_totals()
-        runs = int(sim.get("runs", 0))
-        if not runs:
-            return None
-        line = (f"simulation: {runs} run(s), {sim.get('sim_s', 0.0):.2f}s simulated "
-                f"vs {self.wall_s:.1f}s suite wall")
-        replayed = int(sim.get("replayed_iterations", 0))
-        if replayed:
-            line += f", {replayed} iteration(s) extrapolated"
-        return line
-
     def summary(self) -> str:
         """Per-driver status lines plus the sweep sim/cache-stats lines."""
         by_name = {o.cell.name: o for o in self.drivers.outcomes}
@@ -109,10 +83,11 @@ class SuiteReport:
             f"suite: {len(self.names)} drivers, {len(self.drivers.failures)} failed, "
             f"{self.wall_s:.1f}s wall, {self.drivers.jobs} job(s)"
         )
-        sim_line = self.sim_line()
+        sim = self.sim_totals()
+        sim_line = format_sim_line(sim, self.wall_s, "suite wall")
         if sim_line:
             lines.append(sim_line)
-        lines.append(self.cache_line())
+        lines.append(format_cache_line(self.drivers.cache_dir, self.store_totals(), sim))
         return "\n".join(lines)
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.capacity.gbt import FlatTree, GBTConfig, GradientBoostedTrees, RegressionTree
 from repro.capacity.model import LoadCapacityModel, analytic_capacity_model
 from repro.capacity.profiler import LoadCapacityProfiler
-from repro.core.store import ArtifactStore
+from repro.core.store import ArtifactStore, swap_store
 from repro.fusion.fuser import fuse_graph
 from repro.graph.models import load_model
 from repro.gpusim.device import get_device
@@ -148,7 +148,7 @@ class TestStoreCachedRegressor:
     def test_trained_capacity_model_warm_reload_identical(self, tmp_path):
         from repro.capacity import cache as capacity_cache
 
-        previous = capacity_cache.set_capacity_store(ArtifactStore(tmp_path))
+        previous = swap_store(ArtifactStore(tmp_path))
         capacity_cache.clear_capacity_cache()
         try:
             trains_before = capacity_cache.STATS["trains"]
@@ -161,5 +161,5 @@ class TestStoreCachedRegressor:
             ops = [n.spec for n in load_model("ViT").nodes()]
             assert warm.capacity_bytes_batch(ops) == cold.capacity_bytes_batch(ops)
         finally:
-            capacity_cache.set_capacity_store(previous)
+            swap_store(previous)
             capacity_cache.clear_capacity_cache()

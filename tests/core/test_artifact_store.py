@@ -5,7 +5,14 @@ import pickle
 
 import pytest
 
-from repro.core.store import ARTIFACT_SCHEMA_VERSION, ArtifactStore, stable_fingerprint
+from repro.core.store import (
+    ARTIFACT_SCHEMA_VERSION,
+    ArtifactStore,
+    active_store,
+    read_through,
+    stable_fingerprint,
+    swap_store,
+)
 
 KEY = {"kind": "flashmem-run", "model": "ViT", "device": "OnePlus 12", "config": "abc"}
 
@@ -99,6 +106,63 @@ class TestQuarantine:
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert store.load(KEY) is None
         assert store.stats.corrupt == 1
+
+
+def _counting_compute(value):
+    """A ``compute`` for :func:`read_through` that records each call."""
+    calls = []
+
+    def compute():
+        calls.append(value)
+        return value
+
+    return compute, calls
+
+
+class TestReadThrough:
+    @pytest.fixture(autouse=True)
+    def _no_active_store(self):
+        previous = swap_store(None)
+        yield
+        swap_store(previous)
+
+    def test_without_store_computes_every_call(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        compute, calls = _counting_compute({"v": 1})
+        assert read_through(KEY, compute) == {"v": 1}
+        assert read_through(KEY, compute) == {"v": 1}
+        assert len(calls) == 2
+        assert not list(tmp_path.iterdir())  # nothing written anywhere
+
+    def test_first_call_saves_second_loads(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        swap_store(store)
+        compute, calls = _counting_compute({"v": 1})
+        assert read_through(KEY, compute) == {"v": 1}
+        assert store.stats.snapshot() == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 0}
+        assert read_through(KEY, compute) == {"v": 1}
+        assert len(calls) == 1
+        assert store.stats.hits == 1 and store.stats.stores == 1
+
+    def test_corrupt_entry_recomputed_and_resaved(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        swap_store(store)
+        path = store.save(KEY, {"v": 0})
+        path.write_bytes(b"not a pickle")
+        compute, calls = _counting_compute({"v": 1})
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt artifact"):
+            assert read_through(KEY, compute) == {"v": 1}
+        assert len(calls) == 1 and store.stats.corrupt == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert ArtifactStore(tmp_path).load(KEY) == {"v": 1}  # re-saved
+
+    def test_swap_store_returns_previous(self, tmp_path):
+        first, second = ArtifactStore(tmp_path / "a"), ArtifactStore(tmp_path / "b")
+        assert swap_store(first) is None
+        assert active_store() is first
+        assert swap_store(second) is first
+        assert swap_store(None) is second
+        assert active_store() is None
 
 
 def _hammer_store(root, worker_id, iterations):

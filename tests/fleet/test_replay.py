@@ -5,8 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.store import ArtifactStore
-from repro.experiments import common
+from repro.core.store import ArtifactStore, swap_store
 from repro.fleet.episode import Episode, EpisodeProvider
 from repro.fleet.replay import CellResult, cell_timeline, replay_trace
 from repro.fleet.trace import ThrottleWindow, Trace, TraceInvocation, generate_trace
@@ -56,9 +55,9 @@ def runs(monkeypatch):
         return episode
 
     monkeypatch.setattr(Episode, "from_run", spy)
-    previous = common.swap_store(None)
+    previous = swap_store(None)
     yield captured
-    common.swap_store(previous)
+    swap_store(previous)
 
 
 def _run_result(samples, latency_ms):
@@ -141,7 +140,7 @@ class TestEpisodeProvider:
             Episode.from_run(run, scenario=PREFILL, state="nominal")
 
     def test_persistent_store_read_through(self, tmp_path):
-        previous = common.swap_store(ArtifactStore(tmp_path))
+        previous = swap_store(ArtifactStore(tmp_path))
         try:
             first = EpisodeProvider()
             first.get("ViT", "OnePlus 12", "FlashMem", PREFILL)
@@ -152,7 +151,7 @@ class TestEpisodeProvider:
             assert second.simulated == 0
             assert second.replayed == 1
         finally:
-            common.swap_store(previous)
+            swap_store(previous)
 
 
 class TestReplayScheduling:

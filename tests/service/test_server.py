@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.core.store import swap_store
 from repro.experiments import common
 from repro.service.request import CompileRequest, execute_compile
 from repro.service.server import ServiceClient, run_server
@@ -26,7 +27,7 @@ def _isolate_caches():
     common.clear_caches()
     yield
     common.clear_caches()
-    common.swap_store(None)
+    swap_store(None)
 
 
 REQUEST = CompileRequest(model="ViT", time_limit_s=0.5)

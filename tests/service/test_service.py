@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.core.store import ArtifactStore, stable_fingerprint
+from repro.core.store import ArtifactStore, active_store, stable_fingerprint, swap_store
 from repro.experiments import common
 from repro.service import (
     CompilePool,
@@ -32,7 +32,7 @@ def _isolate_caches():
     common.clear_caches()
     yield
     common.clear_caches()
-    common.swap_store(None)
+    swap_store(None)
 
 
 # A tiny model keeps every compile in these tests well under a second.
@@ -286,23 +286,23 @@ class TestFailureInjection:
 class TestInlinePoolHygiene:
     def test_inline_pool_scopes_and_restores_global_store(self, tmp_path):
         sentinel = ArtifactStore(tmp_path / "host")
-        previous = common.swap_store(sentinel)
+        previous = swap_store(sentinel)
         assert previous is None
         try:
             with CompilePool(workers=0, cache_dir=tmp_path / "svc") as pool:
                 pool.prewarm()
-                assert common.cache_store() is not sentinel
-            assert common.cache_store() is sentinel
+                assert active_store() is not sentinel
+            assert active_store() is sentinel
         finally:
-            common.swap_store(previous)
+            swap_store(previous)
 
     def test_pool_close_on_exception_path(self, tmp_path):
-        sentinel = common.cache_store()
+        sentinel = active_store()
         with pytest.raises(RuntimeError, match="boom"):
             with CompilePool(workers=0, cache_dir=tmp_path) as pool:
                 pool.prewarm()
                 raise RuntimeError("boom")
-        assert common.cache_store() is sentinel
+        assert active_store() is sentinel
 
 
 class TestProcessPoolService:

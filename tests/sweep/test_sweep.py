@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.store import ArtifactStore, active_store, swap_store
 from repro.experiments import common
 from repro.sweep.cells import Cell, driver_cells, primitive_cells
 from repro.sweep.runner import SweepRunner
@@ -15,7 +16,7 @@ def _isolate_caches():
     common.clear_caches()
     yield
     common.clear_caches()
-    common.swap_store(None)
+    swap_store(None)
 
 
 class TestCells:
@@ -59,18 +60,19 @@ class TestRunner:
         report = SweepRunner(jobs=2, cache_dir=tmp_path).run(cells)
         assert [o.cell for o in report.outcomes] == sorted(cells)
         assert not report.failures
-        # Each cell persists its run exactly once; kernel pricing tables
-        # priced along the way are additional store content.
+        # Each cell persists its run exactly once, and nothing else: kernel
+        # pricing tables stay in the in-process LRU.
         assert len(list((tmp_path / "framework-run").glob("*.pkl"))) == len(cells)
-        assert report.store_totals()["stores"] >= len(cells)
+        assert report.store_totals()["stores"] == len(cells)
+        assert not (tmp_path / "pricing-table").exists()
 
     def test_inline_run_restores_previous_store(self, tmp_path):
-        sentinel = common.swap_store(None)
+        sentinel = swap_store(None)
         assert sentinel is None
         SweepRunner(jobs=1, cache_dir=tmp_path).run(
             [Cell("framework", "ViT", "OnePlus 12", "MNN")]
         )
-        assert common.cache_store() is None
+        assert active_store() is None
 
     def test_context_manager_closes_pool_on_exception(self, tmp_path):
         with pytest.raises(RuntimeError, match="boom"):
@@ -109,14 +111,14 @@ class TestCrossProcessCache:
         assert not cold.failures and cold.store_totals()["stores"] >= 1
         # Warm: fresh in-process caches, everything served from the store.
         common.clear_caches()
-        common.configure_cache(tmp_path)
+        swap_store(ArtifactStore(tmp_path))
         warm_result = common.flashmem_result("ResNet50", "OnePlus 12")
-        direct = common.cache_store().load(
+        direct = active_store().load(
             common.flashmem_run_key("ResNet50", "OnePlus 12", common.PREFILL_ONCE)
         )
         assert pickle.dumps(warm_result) == pickle.dumps(direct)
-        assert common.cache_stats()["hits"] >= 1
-        assert common.cache_stats()["stores"] == 0
+        assert active_store().stats.hits >= 1
+        assert active_store().stats.stores == 0
 
 
 class TestSuite:
@@ -127,6 +129,7 @@ class TestSuite:
         names = ["table5", "background_texture"]
         cold = run_suite(names, jobs=1, cache_dir=cache, results_dir=out_cold)
         assert cold.ok
+        assert not any(o.cache_hit for o in cold.drivers.outcomes)
         assert sorted(p.name for p in cold.written) == ["background_texture.txt", "table5.txt"]
         assert "Table 5" in (out_cold / "table5.txt").read_text()
         assert "cache:" in cold.summary()

@@ -104,11 +104,11 @@ def test_capacity_ab_quick(tmp_path):
     reload retrains nothing (the full bench measures the fit/query/compile
     bars in subprocesses; see benchmarks/test_capacity_throughput.py)."""
     from repro.capacity import cache as capacity_cache
-    from repro.core.store import ArtifactStore
+    from repro.core.store import ArtifactStore, swap_store
     from repro.fusion.fuser import fuse_graph
     from repro.graph.models import load_model
 
-    previous = capacity_cache.set_capacity_store(ArtifactStore(tmp_path))
+    previous = swap_store(ArtifactStore(tmp_path))
     capacity_cache.clear_capacity_cache()
     try:
         kwargs = dict(models=("GPTN-S",), max_ops_per_model=8)
@@ -123,7 +123,7 @@ def test_capacity_ab_quick(tmp_path):
         assert capacity_cache.STATS["trains"] == trains0 + 1
         assert warm.capacity_bytes_batch(ops) == batch
     finally:
-        capacity_cache.set_capacity_store(previous)
+        swap_store(previous)
         capacity_cache.clear_capacity_cache()
 
 
@@ -156,6 +156,7 @@ def test_service_dedup_quick(tmp_path):
     """Inline-mode service pass: K duplicates coalesce to one compile and
     a rerun is a pure store hit (the full bench measures the wall-clock
     dedup bar and scale-out; see benchmarks/test_service_scaleout.py)."""
+    from repro.core.store import swap_store
     from repro.experiments import common
     from repro.service import CompileRequest, compile_many
 
@@ -169,7 +170,7 @@ def test_service_dedup_quick(tmp_path):
         assert warm.source == "store"
     finally:
         common.clear_caches()
-        common.swap_store(None)
+        swap_store(None)
 
 
 def test_service_pool_prewarm_quick(tmp_path):
