@@ -284,6 +284,7 @@ def _print_solver_stats(plan) -> None:
     stats = plan.stats
     print(f"Solver stats: {stats.nodes_explored} nodes over {stats.cp_windows} CP windows "
           f"({stats.nodes_per_sec:.0f} nodes/s); "
+          f"{stats.floor_closed_windows} closed by the SRPT floor; "
           f"{stats.windows_reused} of {stats.windows} windows replayed from cache")
     print(f"  tightenings {stats.propagations}; constraint evals: "
           f"linear {stats.prop_linear}, implication {stats.prop_implication}")
@@ -307,12 +308,13 @@ def _print_fusion_iterations(report) -> None:
     print(f"Adaptive fusion: {report.total_windows_reused} of {report.total_windows} "
           f"windows reused across {len(report.solver_iterations)} solves "
           f"({report.window_reuse_rate * 100:.0f}%)")
-    print(f"  {'iter':>4s} {'status':9s} {'windows':>7s} {'reused':>6s} "
+    print(f"  {'iter':>4s} {'status':9s} {'windows':>7s} {'reused':>6s} {'floor':>5s} "
           f"{'cp s':>7s} {'prover s':>8s} {'greedy s':>8s} {'edf':>6s}")
     for it in report.solver_iterations:
         print(f"  {it['iteration']:>4d} {it['status']:9s} {it['windows']:>7d} "
-              f"{it['windows_reused']:>6d} {it['cp_solve_s']:>7.3f} "
-              f"{it['exact_prover_s']:>8.3f} {it['greedy_s']:>8.3f} {it['edf_calls']:>6d}")
+              f"{it['windows_reused']:>6d} {it['floor_closed_windows']:>5d} "
+              f"{it['cp_solve_s']:>7.3f} {it['exact_prover_s']:>8.3f} "
+              f"{it['greedy_s']:>8.3f} {it['edf_calls']:>6d}")
 
 
 def _cmd_profile_run(args: argparse.Namespace) -> int:
@@ -371,18 +373,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler.enable()
     compiled = fm.compile(graph, device)
     profiler.disable()
-    stats = compiled.plan.stats
+    # A prefill compile runs the adaptive-fusion loop, whose report holds
+    # every LC-OPG solve; the final plan's stats cover only one of them.
+    report = compiled.fusion_report
+    split = {key: sum(it[key] for it in report.solver_iterations) for key in (
+        "process_nodes_s", "build_model_s", "cp_solve_s", "exact_prover_s", "greedy_s",
+        "edf_calls", "windows_reused", "windows")}
     print(f"compile finished in {compiled.compile_s:.2f}s "
-          f"(status {stats.solver_status})")
-    print(f"  phase split: process {stats.process_nodes_s:.3f}s, "
-          f"build {stats.build_model_s:.3f}s, cp {stats.cp_solve_s:.3f}s, "
-          f"prover {stats.exact_prover_s:.3f}s, greedy {stats.greedy_s:.3f}s "
-          f"({stats.edf_calls} EDF oracle calls; "
-          f"{stats.windows_reused}/{stats.windows} windows replayed)")
+          f"(status {compiled.plan.stats.solver_status})")
+    print(f"  phase split over {len(report.solver_iterations)} solves: "
+          f"process {split['process_nodes_s']:.3f}s, "
+          f"build {split['build_model_s']:.3f}s, cp {split['cp_solve_s']:.3f}s, "
+          f"prover {split['exact_prover_s']:.3f}s, greedy {split['greedy_s']:.3f}s "
+          f"({split['edf_calls']} EDF oracle calls; "
+          f"{split['windows_reused']}/{split['windows']} windows replayed)")
     print(f"top {args.top} functions by cumulative time:")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.top)
-    if compiled.fusion_report is not None and compiled.fusion_report.solver_iterations:
-        _print_fusion_iterations(compiled.fusion_report)
+    _print_fusion_iterations(report)
     return 0
 
 
@@ -597,7 +604,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     )
     stats = plan.stats
     print(f"{plan.model} on {plan.device}: {stats.solver_status}")
-    print(f"  windows {stats.windows} (cp {stats.cp_windows}, heuristic {stats.heuristic_windows})")
+    print(f"  windows {stats.windows} (cp {stats.cp_windows}, floor {stats.floor_closed_windows}, "
+          f"heuristic {stats.heuristic_windows})")
     print(f"  solve {stats.solve_s:.2f}s, build {stats.build_model_s:.2f}s")
     print(f"  preload {plan.preload_ratio * 100:.1f}% "
           f"({len(plan.preloaded_weights)} of {len(plan.schedules)} weights)")

@@ -37,8 +37,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 #: ``kv_plan`` (decode KV residency), run keys fold in the Scenario.  v4:
 #: fleet episodes store absolute ``(times, totals)`` columns, not deltas.
 #: v5: ``PlanStats`` and ``OpgConfig`` each drop a field that served the
-#: deleted alternative CP solvers.
-ARTIFACT_SCHEMA_VERSION = 5
+#: deleted alternative CP solvers.  v6: ``PlanStats`` gains
+#: ``floor_closed_windows``, and windows the SRPT floor closes no longer
+#: count CP nodes or windows.
+ARTIFACT_SCHEMA_VERSION = 6
 
 
 def _canonical_default(value):

@@ -47,6 +47,7 @@ class Table4Row:
     nodes_per_sec: float = 0.0
     propagations: int = 0
     cp_windows: int = 0
+    floor_closed_windows: int = 0
     heuristic_windows: int = 0
     # Compile-phase split + window-reuse counters (incremental pipeline).
     cp_solve_s: float = 0.0
@@ -70,7 +71,7 @@ class Table4Result:
             title=f"Table 4 — LC-OPG runtime (limit {self.time_limit_s:.0f} s per model)",
         )
         solver = render_table(
-            ["Model", "Nodes", "Nodes/s", "Propagations", "CP win", "Greedy win"],
+            ["Model", "Nodes", "Nodes/s", "Propagations", "CP win", "Floor win", "Greedy win"],
             [
                 (
                     r.model,
@@ -78,6 +79,7 @@ class Table4Result:
                     round(r.nodes_per_sec),
                     r.propagations,
                     r.cp_windows,
+                    r.floor_closed_windows,
                     r.heuristic_windows,
                 )
                 for r in self.rows
@@ -126,6 +128,7 @@ def run(
                 nodes_per_sec=plan.stats.nodes_per_sec,
                 propagations=plan.stats.propagations,
                 cp_windows=plan.stats.cp_windows,
+                floor_closed_windows=plan.stats.floor_closed_windows,
                 heuristic_windows=plan.stats.heuristic_windows,
                 cp_solve_s=plan.stats.cp_solve_s,
                 exact_prover_s=plan.stats.exact_prover_s,

@@ -1,4 +1,5 @@
-"""Exact window prover: close the CP incumbent's optimality gap.
+"""Exact window reasoning: the EDF oracle, the SRPT distance floor and the
+release-vector prover that close the CP incumbent's optimality gap.
 
 The OPG chunk formulation has a large plateau — the objective depends only
 on each weight's *earliest* transform layer (z_w), not on how the remaining
@@ -18,6 +19,15 @@ the proof:
 ``prove_window`` is invoked by LC-OPG after the CP search returns a
 FEASIBLE incumbent on a modest-sized window; on success the window's status
 upgrades to OPTIMAL (and the incumbent may improve).
+
+:func:`srpt_distance_floor` runs *before* any CP model exists.  With the
+lookback dropped, one window is a preemptive single-machine schedule run
+backwards in layer order (weight = job of ``total_chunks`` units released
+at ``i_w - 1``, layer = slot of ``Budgets.available`` units), and its
+total loading distance is, up to a constant, the jobs' summed completion
+slots, which reverse-time SRPT minimises (Schrage 1968).  LC-OPG commits a
+window's decision hint without search when the hint already meets that
+floor.
 
 EDF packs *weight-major*: weights in deadline order each take the
 earliest available capacity at or after their release.  For interval
@@ -40,6 +50,7 @@ pruning visits fewer nodes.
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,6 +93,48 @@ def edf_feasible(
         base = releases[w.name]
         assignment[w.name] = {base + int(i): int(take[i]) for i in np.nonzero(take)[0]}
     return assignment
+
+
+def srpt_distance_floor(weights: Sequence[WeightInfo], budgets: Budgets) -> Optional[int]:
+    """Lower bound on one window's total loading distance sum(i_w - z_w).
+
+    Walks layers downward from the highest consumer.  Weight ``w`` becomes
+    available at layer ``i_w - 1`` and needs ``total_chunks`` units; layer
+    ``l`` supplies ``budgets.available(l)`` units, which go to the available
+    weight with the fewest remaining chunks first, and ``z_w`` is the layer
+    where ``w``'s last chunk lands.  The walk ignores the lookback, so it
+    solves a relaxation of the window's CP model, and SRPT minimises the
+    number of unfinished weights after every layer — hence their summed
+    distance.  The bound is exact when every candidate interval reaches
+    layer 0.  Returns None if a weight has no chunks or cannot finish by
+    layer 0.  Budgets are only *read*.
+    """
+    if any(w.total_chunks <= 0 for w in weights):
+        return None
+    pending = sorted(weights, key=lambda w: w.consumer_layer)
+    released: List[Tuple[int, int]] = []  # (remaining chunks, tie-break id)
+    unfinished = len(pending)
+    floor = 0
+    layer = pending[-1].consumer_layer if pending else 0
+    while unfinished:
+        layer -= 1
+        if layer < 0:
+            return None
+        while pending and pending[-1].consumer_layer > layer:
+            w = pending.pop()
+            heapq.heappush(released, (w.total_chunks, len(pending)))
+            floor += w.consumer_layer
+        cap = budgets.available(layer)
+        while cap > 0 and released:
+            remaining, key = released[0]
+            if remaining > cap:
+                heapq.heapreplace(released, (remaining - cap, key))
+                break
+            heapq.heappop(released)
+            cap -= remaining
+            floor -= layer
+            unfinished -= 1
+    return floor
 
 
 class _EdfPacker:

@@ -60,7 +60,7 @@ from repro.graph.dag import Graph
 from repro.graph.ops import OpKind
 from repro.opg.cpsat.model import CpModel, SolveStatus
 from repro.opg.cpsat.search import CpSolver
-from repro.opg.exact import edf_feasible, prove_window
+from repro.opg.exact import edf_feasible, prove_window, srpt_distance_floor
 from repro.opg.heuristics import Budgets, greedy_assign, greedy_schedule
 from repro.opg.plan import KvResidencyPlan, OverlapPlan, PlanStats, WeightSchedule
 from repro.opg.problem import OpgConfig, OpgProblem, WeightInfo, build_problem
@@ -224,10 +224,12 @@ class LcOpgSolver:
     ``use_cp=False`` forces pure-heuristic mode (used by ablations and as
     the paper's hybrid fallback for pathological instances).
 
-    The CP solver, the EDF oracle and the exact prover are looked up by
-    module name (``CpSolver``, ``edf_feasible``, ``prove_window``) at each
-    call, so tests and benchmarks swap in the oracles under ``tests/`` by
-    monkeypatching this module.
+    The CP solver, the EDF oracle, the SRPT distance floor and the exact
+    prover are looked up by module name (``CpSolver``, ``edf_feasible``,
+    ``srpt_distance_floor``, ``prove_window``) at each call, so tests and
+    benchmarks swap in the oracles under ``tests/`` by monkeypatching this
+    module (patching ``srpt_distance_floor`` to return None forces every
+    window through the CP search).
     """
 
     def __init__(self, config: Optional[OpgConfig] = None, *, use_cp: bool = True) -> None:
@@ -770,7 +772,8 @@ class LcOpgSolver:
         time_limit_s: float,
         stats: PlanStats,
     ) -> Optional[Tuple[Dict[str, Dict[int, int]], SolveStatus]]:
-        """Build and solve the CP model for one window.
+        """Build and solve the CP model for one window — or skip both when
+        the decision hint already meets the SRPT distance floor.
 
         Returns None when no feasible schedule was found (callers fall back);
         otherwise commits budgets and returns the placements.
@@ -800,6 +803,21 @@ class LcOpgSolver:
                 greedy_ok = False
         if greedy_ok:
             hints = {k: v for k, v in greedy_hints.items() if v is not None}
+        # A hint that meets the SRPT floor is optimal, and it is exactly what
+        # B&B would return: the hint is a solution, so the first hinted
+        # descent lands on it, and the incumbent is replaced only on strict
+        # improvement.  Commit it without building the model.
+        floor = srpt_distance_floor(weights, budgets)
+        if floor is not None and floor >= sum(
+            w.consumer_layer - min(hints[w.name]) for w in weights
+        ):
+            placed = {w.name: dict(sorted(hints[w.name].items())) for w in weights}
+            for assignment in placed.values():
+                for l, chunks in assignment.items():
+                    budgets.consume(l, chunks)
+            stats.floor_closed_windows += 1
+            stats.build_model_s += time.perf_counter() - build_start
+            return placed, SolveStatus.OPTIMAL
         # Per-weight latest feasible load layer (solo, against current
         # budgets): a valid upper bound for z_w that makes the objective
         # bound tight enough to *prove* optimality on uncontended windows.

@@ -163,6 +163,10 @@ class PlanStats:
     solver_status: str = "UNKNOWN"
     windows: int = 0
     cp_windows: int = 0
+    #: Windows whose decision hint met the SRPT distance floor, committed
+    #: as OPTIMAL with no CP model and no search (not counted in
+    #: ``cp_windows``; see DESIGN.md "compile-path performance").
+    floor_closed_windows: int = 0
     heuristic_windows: int = 0
     #: Windows replayed from the solver's cross-solve window cache instead
     #: of being re-solved (adaptive-fusion iterations leave most windows

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.config import FlashMemConfig
+from repro.core.flashmem import FlashMem
 from repro.core.store import flashmem_config_fingerprint
 from repro.opg.problem import OpgConfig
 
@@ -61,6 +62,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Solver stats" in out
         assert "nodes/s" in out
+        assert "closed by the SRPT floor" in out
 
     def test_run_solver_stats(self, capsys):
         code = cli_main(["run", "ResNet50", "--time-limit", "1", "--solver-stats"])
@@ -70,9 +72,17 @@ class TestCli:
         assert "windows replayed from cache" in out
         assert "compiled in" in out
 
-    def test_profile_compile(self, capsys):
+    def test_profile_compile(self, capsys, monkeypatch):
+        compiled = []
+        compile_fn = FlashMem.compile
+
+        def spy(self, *args, **kwargs):
+            compiled.append(compile_fn(self, *args, **kwargs))
+            return compiled[-1]
+
+        monkeypatch.setattr(FlashMem, "compile", spy)
         code = cli_main(
-            ["profile", "compile", "ResNet50", "oneplus12", "--top", "5", "--time-limit", "1"]
+            ["profile", "compile", "DepA-S", "oneplus12", "--top", "5", "--time-limit", "0.5"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -80,6 +90,12 @@ class TestCli:
         assert "OnePlus 12" in out  # alias resolved to the canonical preset
         assert "cumulative" in out
         assert "compile finished in" in out
+        # The phase split covers every adaptive-fusion solve, not the last.
+        (solves,) = [c.fusion_report.solver_iterations for c in compiled]
+        assert len(solves) > 1
+        split = next(line for line in out.splitlines() if "phase split" in line)
+        assert f"over {len(solves)} solves" in split
+        assert f"cp {sum(it['cp_solve_s'] for it in solves):.3f}s" in split
 
     def test_device_alias_accepted_by_run(self, capsys):
         code = cli_main(["run", "ResNet50", "--device", "PIXEL-8", "--time-limit", "1"])

@@ -137,3 +137,4 @@ class TestMultiModelEnergyPortability:
         row = result.rows[0]
         assert row.status in ("OPTIMAL", "FEASIBLE")
         assert row.solve_s <= 2.0 * 2  # respects the budget (with slack)
+        assert row.floor_closed_windows > 0 and "Floor win" in result.render()

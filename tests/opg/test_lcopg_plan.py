@@ -128,6 +128,9 @@ class TestCollectorPaused:
                 return super().solve(model)
 
         monkeypatch.setattr(lcopg, "CpSolver", Probe)
+        # The SRPT floor closes every window of this model before the CP
+        # search; switch it off so the windows reach the spy.
+        monkeypatch.setattr(lcopg, "srpt_distance_floor", lambda *a: None)
         LcOpgSolver(FAST).solve(_transformer(), capacity, device_name="OnePlus 12")
         assert seen and not any(seen)
         assert gc.isenabled()
