@@ -6,8 +6,8 @@ and thermal/battery throttle windows.  The replay engine
 (:mod:`repro.fleet.replay`) schedules it FIFO per device, fetching each
 distinct ``(model, device, runtime, scenario, throttle-state)`` *episode*
 from a memo (:mod:`repro.fleet.episode`) that simulates it exactly once and
-copies its cached timeline columns, shifted to each invocation's start, into
-the cell's timeline.
+streams its cached timeline columns, shifted to each invocation's start, into
+the cell's timeline digest and average.
 :mod:`repro.fleet.population` fans the device × runtime grid out over a
 pre-warmed process pool and reports SLO attainment / p50 / p99 / energy per
 cell plus the headline simulated-device-hours-per-wall-clock-second.

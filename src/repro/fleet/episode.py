@@ -8,10 +8,10 @@ provider simulates each once — through :func:`~repro.core.store.read_through`
 :mod:`repro.experiments.common` — and answers every further invocation from
 the memo.  An episode keeps its memory timeline as absolute ``(times,
 totals)`` columns ending in the teardown row ``(latency_ms, 0)``, built and
-validated once in :meth:`Episode.from_run`; replay copies them into the
-cell's timeline shifted to the invocation's start, so a replayed session is
-bitwise-identical to re-simulating (the simulator is deterministic and the
-totals are exact int64 byte counts).
+validated once in :meth:`Episode.from_run`; replay streams them into the
+cell's digest and step integral shifted to the invocation's start, so a
+replayed session is bitwise-identical to re-simulating (the simulator is
+deterministic and the totals are exact int64 byte counts).
 
 ``memoize=False`` turns the provider into the naive engine (a fresh
 simulation per invocation) — the A/B baseline the throughput benchmark and

@@ -138,7 +138,6 @@ def run_fleet(
         jobs=jobs,
         cache_dir=str(cache_dir) if cache_dir is not None else None,
     )
-    trace_json = trace.to_json()
     if jobs == 1 or len(grid) <= 1:
         previous = swap_store(
             ArtifactStore(cache_dir) if cache_dir is not None else active_store()
@@ -166,6 +165,7 @@ def run_fleet(
     from repro.sweep.runner import prewarm_executor
 
     workers = min(jobs, len(grid))
+    trace_json = trace.to_json()
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=worker_init,

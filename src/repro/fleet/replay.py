@@ -13,14 +13,15 @@ the *nominal* (unthrottled, no-queue) episode latency of the same work: an
 invocation misses its SLO when queueing and thermal throttling together
 stretch it past that budget.
 
-The cell's memory timeline is the concatenation of its sessions
-(:func:`cell_timeline`): sessions never overlap, so each episode's memoized
-columns are copied in at the session's start, already in time order — the
-same columns, bit for bit, as the stable-sorted
-:func:`~repro.gpusim.timeline.merge_session_columns` of those sessions.
-Peak is the max of the episode peaks, average a vectorized step integral,
-and a SHA-256 over the columns makes whole-run byte-identity checkable
-without shipping megabytes of samples around.
+The cell's memory timeline is the concatenation of its sessions: sessions
+never overlap, so each episode's memoized columns, shifted to the session's
+start, follow one another in time order — the same columns, bit for bit, as
+the stable-sorted :func:`~repro.gpusim.timeline.merge_session_columns` of
+those sessions.  That timeline is streamed, not held
+(:func:`cell_columns`): one session at a time, its rows feed a SHA-256 and
+the two float64 columns of the step integral behind the average.  The
+digest makes whole-run byte-identity checkable without shipping megabytes
+of samples around; peak is the max of the episode peaks.
 """
 
 from __future__ import annotations
@@ -214,43 +215,62 @@ def replay_trace(
     result.makespan_ms = max(
         trace.duration_ms, max((o.end_ms for o in result.outcomes), default=0.0)
     )
-    times, totals = cell_timeline(sessions)
     result.peak_bytes = max((episode.peak_bytes for _, episode in sessions), default=0)
+    result.timeline_sha256, totals, held = cell_columns(sessions)
     if result.makespan_ms > 0:
-        # Step integral: totals[k] holds from times[k] to times[k+1]; the
-        # last row is zero (a teardown, or the origin), so nothing accrues
-        # from times[-1] to the makespan.
-        held = np.diff(times)
+        # Step integral: totals[k] holds for held[k] ms; the last row is
+        # zero (a teardown, or the origin), so nothing accrues after it.
         result.avg_bytes = float(np.dot(totals[:-1], held)) / result.makespan_ms
-    digest = hashlib.sha256(times)
-    digest.update(totals)
-    result.timeline_sha256 = digest.hexdigest()
     return result
 
 
-def cell_timeline(sessions: Sequence[Tuple[float, Episode]]) -> Tuple[np.ndarray, np.ndarray]:
-    """One cell's memory timeline as ``(times, totals)`` columns.
+def cell_columns(
+    sessions: Sequence[Tuple[float, Episode]],
+) -> Tuple[str, np.ndarray, np.ndarray]:
+    """One cell's timeline digest and step-integral columns, one session at a time.
 
     ``sessions`` holds ``(start_ms, episode)`` in start order.  The device
     serves one invocation at a time, so each session starts at or after the
     previous one's end, and every episode's columns lie inside ``[0,
     latency_ms]`` and end at zero (:meth:`Episode.from_run` checks both).
-    Laying the columns end to end after the ``(0, 0)`` origin row therefore
-    gives time-sorted columns, equal bit for bit to the stable-sorted
-    :func:`~repro.gpusim.timeline.merge_session_columns` of the same sessions
-    (at a back-to-back handoff the earlier session's teardown row comes
-    first, as the stable sort keeps it).  The columns are filled into one
-    preallocated pair, with no sort and no per-session temporaries.
+    The cell's ``(times, totals)`` timeline is therefore the ``(0, 0)``
+    origin row followed by each episode's columns, times shifted to the
+    session's start — equal bit for bit to the stable-sorted
+    :func:`~repro.gpusim.timeline.merge_session_columns` of the same
+    sessions (at a back-to-back handoff the earlier session's teardown row
+    comes first, as the stable sort keeps it).
+
+    That timeline is never built.  Returns ``(sha256, totals, held)``:
+
+    - ``sha256``: hex digest of the times column's bytes, then the int64
+      totals column's, fed one session at a time;
+    - ``totals``: the totals column as float64, the cast :func:`numpy.dot`
+      would make of it anyway;
+    - ``held``: ``times[k+1] - times[k]``, the subtractions
+      :func:`numpy.diff` makes of the times column (across a session
+      boundary, from the previous session's last shifted time or the
+      origin's ``0.0``).
     """
     size = 1 + sum(len(episode.times) for _, episode in sessions)
-    times = np.empty(size, dtype=np.float64)
-    totals = np.empty(size, dtype=np.int64)
-    times[0] = 0.0
-    totals[0] = 0
-    row = 1
+    digest = hashlib.sha256(np.zeros(1, dtype=np.float64))
+    held = np.empty(size - 1, dtype=np.float64)
+    longest = max((len(episode.times) for _, episode in sessions), default=0)
+    shifted = np.empty(longest, dtype=np.float64)
+    previous = 0.0
+    row = 0
     for start, episode in sessions:
-        end = row + len(episode.times)
-        np.add(episode.times, start, out=times[row:end])
-        totals[row:end] = episode.totals
-        row = end
-    return times, totals
+        times = np.add(episode.times, start, out=shifted[: len(episode.times)])
+        digest.update(times)
+        held[row] = times[0] - previous
+        np.subtract(times[1:], times[:-1], out=held[row + 1 : row + len(times)])
+        previous = times[-1]
+        row += len(times)
+    digest.update(np.zeros(1, dtype=np.int64))
+    totals = np.empty(size, dtype=np.float64)
+    totals[0] = 0.0
+    row = 1
+    for _, episode in sessions:
+        digest.update(episode.totals)
+        totals[row : row + len(episode.totals)] = episode.totals
+        row += len(episode.totals)
+    return digest.hexdigest(), totals, held

@@ -51,6 +51,18 @@ def _busy_intervals(events, kinds=None) -> List[Tuple[float, float]]:
     return merged
 
 
+def _total_length(intervals: List[Tuple[float, float]]) -> float:
+    """Summed interval length as a plain left fold.
+
+    Not the built-in ``sum``: Python 3.12 made float ``sum`` compensated,
+    which would let the energy figures depend on the interpreter version.
+    """
+    total = 0.0
+    for start, end in intervals:
+        total += end - start
+    return total
+
+
 def _overlap_length(a: List[Tuple[float, float]], b: List[Tuple[float, float]]) -> float:
     """Total length of the intersection of two disjoint interval lists."""
     total = 0.0
@@ -76,8 +88,8 @@ def measure_energy(queues: DualQueue, device: DeviceProfile, *, end_ms: float = 
     horizon = max(queues.makespan_ms, end_ms)
     io_busy = queues.io.busy_intervals()
     gpu_busy = queues.gpu.busy_intervals()
-    io_total = sum(e - s for s, e in io_busy)
-    gpu_total = sum(e - s for s, e in gpu_busy)
+    io_total = _total_length(io_busy)
+    gpu_total = _total_length(gpu_busy)
     overlap = _overlap_length(io_busy, gpu_busy)
     io_only = io_total - overlap
     gpu_only = gpu_total - overlap

@@ -138,9 +138,8 @@ def merge_session_columns(
     for non-overlapping sessions the columns are sample-for-sample what the
     seed per-``record`` merge loop produced.  Its caller is
     :class:`~repro.runtime.multimodel.FifoPipeline`, whose timed arrivals
-    can overlap; the fleet replay, whose sessions never overlap, lays them
-    end to end instead (:func:`repro.fleet.replay.cell_timeline`) and is
-    tested against this merge.
+    can overlap; the fleet replay, whose sessions never overlap, streams
+    them end to end instead and is tested against this merge.
     """
     times_parts: List[np.ndarray] = [np.zeros(1, dtype=np.float64)]
     delta_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]

@@ -8,7 +8,8 @@ builds the lowered graph by abbreviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.graph.dag import Graph
 from repro.graph.models import convnet, sam, transformer
@@ -16,61 +17,65 @@ from repro.graph.models import convnet, sam, transformer
 
 @dataclass(frozen=True)
 class ModelCard:
-    """Reference characterization of an evaluated model (paper Table 6)."""
+    """Reference characterization of an evaluated model (paper Table 6).
+
+    ``paper`` is the model's Table 6 row ``(params M, MACs G, layers)``.
+    The solver-scaling variants have none — Table 4 doesn't report MACs or
+    layer counts, and placeholder zeros would make anything that normalizes
+    by them divide by zero or pass vacuously — so theirs is derived from the
+    built graph on first read, not at import.
+    """
 
     abbr: str
     full_name: str
     input_type: str
     task: str
-    paper_params_m: float
-    paper_macs_g: float
-    paper_layers: int
-    builder: Callable[[], Graph]
+    paper: Optional[Tuple[float, float, int]]
+    builder: Callable[..., Graph]
+
+    @cached_property
+    def _row(self) -> Tuple[float, float, int]:
+        if self.paper is not None:
+            return self.paper
+        graph = self.builder()
+        return (
+            round(graph.total_params / 1e6, 1),
+            round(graph.total_macs / 1e9, 1),
+            graph.num_layers,
+        )
+
+    @property
+    def paper_params_m(self) -> float:
+        return self._row[0]
+
+    @property
+    def paper_macs_g(self) -> float:
+        return self._row[1]
+
+    @property
+    def paper_layers(self) -> int:
+        return self._row[2]
 
 
 _CARDS: List[ModelCard] = [
-    ModelCard("GPTN-S", "GPTNeo-Small", "Text", "NLP", 164, 16, 606, transformer.gpt_neo_small),
-    ModelCard("GPTN-1.3B", "GPTNeo-1.3B", "Text", "NLP", 1419, 170, 1110, transformer.gpt_neo_1p3b),
-    ModelCard("GPTN-2.7B", "GPTNeo-2.7B", "Text", "NLP", 2781, 342, 1446, transformer.gpt_neo_2p7b),
-    ModelCard("ResNet50", "ResNet50", "Image", "Classification", 25.6, 4.1, 141, convnet.resnet50),
-    ModelCard("SAM-2", "SegmentationAnything-2", "Image", "Segmentation", 215, 218, 1668, sam.sam2),
-    ModelCard("ViT", "ViT", "Image", "Classification", 103, 21, 819, transformer.vit),
-    ModelCard("DeepViT", "DeepViT", "Image", "Classification", 204, 42, 1395, transformer.deepvit),
-    ModelCard("SD-UNet", "StableDiffusion-UNet", "Image", "Generation", 860, 78, 1271, convnet.sd_unet),
-    ModelCard("Whisp-M", "Whisper-Medium", "Audio", "Speech Recognition", 356, 55, 2026, transformer.whisper_medium),
-    ModelCard("DepA-S", "DepthAnything-Small", "Video", "Segmentation", 24.3, 14, 1108, convnet.depth_anything_small),
-    ModelCard("DepA-L", "DepthAnything-Large", "Video", "Segmentation", 333, 180, 2007, convnet.depth_anything_large),
+    ModelCard("GPTN-S", "GPTNeo-Small", "Text", "NLP", (164, 16, 606), transformer.gpt_neo_small),
+    ModelCard("GPTN-1.3B", "GPTNeo-1.3B", "Text", "NLP", (1419, 170, 1110), transformer.gpt_neo_1p3b),
+    ModelCard("GPTN-2.7B", "GPTNeo-2.7B", "Text", "NLP", (2781, 342, 1446), transformer.gpt_neo_2p7b),
+    ModelCard("ResNet50", "ResNet50", "Image", "Classification", (25.6, 4.1, 141), convnet.resnet50),
+    ModelCard("SAM-2", "SegmentationAnything-2", "Image", "Segmentation", (215, 218, 1668), sam.sam2),
+    ModelCard("ViT", "ViT", "Image", "Classification", (103, 21, 819), transformer.vit),
+    ModelCard("DeepViT", "DeepViT", "Image", "Classification", (204, 42, 1395), transformer.deepvit),
+    ModelCard("SD-UNet", "StableDiffusion-UNet", "Image", "Generation", (860, 78, 1271), convnet.sd_unet),
+    ModelCard("Whisp-M", "Whisper-Medium", "Audio", "Speech Recognition", (356, 55, 2026), transformer.whisper_medium),
+    ModelCard("DepA-S", "DepthAnything-Small", "Video", "Segmentation", (24.3, 14, 1108), convnet.depth_anything_small),
+    ModelCard("DepA-L", "DepthAnything-Large", "Video", "Segmentation", (333, 180, 2007), convnet.depth_anything_large),
 ]
-
-def _derived_card(
-    abbr: str, full_name: str, input_type: str, task: str, builder: Callable[..., Graph]
-) -> ModelCard:
-    """Characterize a solver-scaling variant from its built graph.
-
-    The paper's Table 4 doesn't report MACs/layer counts for these, and the
-    previous placeholder zeros made anything that normalizes by them (decode
-    throughput-per-MAC, layer-count sanity checks) divide by zero or pass
-    vacuously.  Graph construction is cheap (pure dataclass assembly), so
-    derive all three fields from the real topology.
-    """
-    graph = builder()
-    return ModelCard(
-        abbr,
-        full_name,
-        input_type,
-        task,
-        round(graph.total_params / 1e6, 1),
-        round(graph.total_macs / 1e9, 1),
-        graph.num_layers,
-        builder,
-    )
-
 
 #: Solver-scaling variants used only by the paper's Table 4.
 _SOLVER_CARDS: List[ModelCard] = [
-    _derived_card("ViT-8B", "ViT-8B", "Image", "Classification", transformer.vit_8b),
-    _derived_card("Llama2-13B", "Llama2-13B", "Text", "NLP", transformer.llama2_13b),
-    _derived_card("Llama2-70B", "Llama2-70B", "Text", "NLP", transformer.llama2_70b),
+    ModelCard("ViT-8B", "ViT-8B", "Image", "Classification", None, transformer.vit_8b),
+    ModelCard("Llama2-13B", "Llama2-13B", "Text", "NLP", None, transformer.llama2_13b),
+    ModelCard("Llama2-70B", "Llama2-70B", "Text", "NLP", None, transformer.llama2_70b),
 ]
 
 MODEL_CARDS: Dict[str, ModelCard] = {c.abbr: c for c in _CARDS}
@@ -78,7 +83,7 @@ SOLVER_MODEL_CARDS: Dict[str, ModelCard] = {c.abbr: c for c in _SOLVER_CARDS}
 ALL_CARDS: Dict[str, ModelCard] = {**MODEL_CARDS, **SOLVER_MODEL_CARDS}
 
 #: Paper Table 6 rows, importable for the characterization bench.
-PAPER_CHARACTERIZATION = {c.abbr: (c.paper_params_m, c.paper_macs_g, c.paper_layers) for c in _CARDS}
+PAPER_CHARACTERIZATION = {c.abbr: c.paper for c in _CARDS}
 
 EVALUATED_MODELS = [c.abbr for c in _CARDS]
 

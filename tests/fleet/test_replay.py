@@ -1,13 +1,14 @@
 """Tests for episode memoization and trace replay (scheduling + identity)."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.store import ArtifactStore, swap_store
 from repro.fleet.episode import Episode, EpisodeProvider
-from repro.fleet.replay import CellResult, cell_timeline, replay_trace
+from repro.fleet.replay import CellResult, cell_columns, replay_trace
 from repro.fleet.trace import ThrottleWindow, Trace, TraceInvocation, generate_trace
 from repro.gpusim.timeline import (
     MemoryTimeline,
@@ -231,7 +232,7 @@ class TestReplayIdentity:
             (o.start_ms, provider.get(o.model, "OnePlus 12", runtime, PREFILL, o.state))
             for o in ordered
         ]
-        times, totals = cell_timeline(sessions)
+        sha256, totals, held = cell_columns(sessions)
         # Oracle: the stable-sorted merge of each session's own run.
         merged_times, merged_totals = merge_session_columns(
             [
@@ -239,15 +240,49 @@ class TestReplayIdentity:
                 for start, episode in sessions
             ]
         )
-        assert times.tobytes() == merged_times.tobytes()
-        assert totals.tobytes() == merged_totals.tobytes()
+        assert held.tobytes() == np.diff(merged_times).tobytes()
+        assert totals.tobytes() == merged_totals.astype(np.float64).tobytes()
         assert cell.peak_bytes == int(merged_totals.max())
         area = float(np.dot(merged_totals[:-1], np.diff(merged_times)))
         area += float(merged_totals[-1]) * (cell.makespan_ms - float(merged_times[-1]))
         assert cell.avg_bytes == area / cell.makespan_ms
         digest = hashlib.sha256(merged_times.tobytes())
         digest.update(merged_totals.tobytes())
+        assert cell.timeline_sha256 == sha256 == digest.hexdigest()
+
+    def test_empty_trace_hashes_origin_row(self):
+        empty = Trace(name="empty", seed=0, duration_ms=1_000.0, invocations=[])
+        cell = replay_trace(empty, "OnePlus 12", "FlashMem")
+        digest = hashlib.sha256(np.zeros(1, dtype=np.float64).tobytes())
+        digest.update(np.zeros(1, dtype=np.int64).tobytes())
         assert cell.timeline_sha256 == digest.hexdigest()
+        assert (cell.peak_bytes, cell.avg_bytes) == (0, 0.0)
+
+    def test_cell_memory_is_two_columns(self):
+        # ~130 invocations of a ~900-row episode: well over 100k timeline
+        # rows.  The streamed tail holds two whole-cell float64 columns
+        # (held and totals) plus one episode's scratch, ~2.0x of 8 B x rows;
+        # a materialized (times, totals) timeline would add two more.
+        trace = generate_trace(
+            seed=5, invocations=130, mix=(("ResNet50", PREFILL, 0, 1.0),), name="mem"
+        )
+        provider = EpisodeProvider()
+        replay_trace(trace, "OnePlus 12", "MNN", provider=provider)  # fill the memo
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cell = replay_trace(trace, "OnePlus 12", "MNN", provider=provider)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cell.episodes_simulated == 0
+        rows = 1 + sum(
+            len(provider.get("ResNet50", "OnePlus 12", "MNN", PREFILL, o.state).times)
+            for o in cell.outcomes
+        )
+        assert rows >= 100_000
+        assert peak < 2.5 * 8 * rows
 
     def test_far_fewer_simulations(self, trace, memo_cell):
         assert memo_cell.episodes_simulated < len(trace.invocations)

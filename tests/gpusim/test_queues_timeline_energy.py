@@ -1,7 +1,10 @@
 """Tests for queues, timeline accounting, the energy model, and Simulation."""
 
+import math
+
 import pytest
 
+from repro.gpusim import energy
 from repro.gpusim.device import oneplus_12
 from repro.gpusim.energy import measure_energy
 from repro.gpusim.engine import Simulation
@@ -152,6 +155,22 @@ class TestEnergy:
         dq.gpu.submit("k", 10.0)
         report = measure_energy(dq, oneplus_12(), end_ms=110.0)
         assert report.idle_ms == pytest.approx(100.0)
+
+    def test_busy_totals_independent_of_builtin_sum(self, monkeypatch):
+        # Python 3.12 made float sum() compensated; a compensated sum in the
+        # module's namespace stands in for it.
+        dq = DualQueue()
+        for k, duration in enumerate((0.2, 0.9, 0.9)):
+            dq.gpu.submit("k", duration, not_before=2.0 * k)
+            dq.io.submit("l", 0.5, not_before=2.0 * k + 0.5)
+        lengths = [end - start for start, end in dq.gpu.busy_intervals()]
+        folded = 0.0
+        for length in lengths:
+            folded += length
+        assert math.fsum(lengths) != folded
+        report = measure_energy(dq, oneplus_12())
+        monkeypatch.setattr(energy, "sum", math.fsum, raising=False)
+        assert measure_energy(dq, oneplus_12()) == report
 
 
 class TestSimulation:

@@ -1,5 +1,7 @@
 """Model zoo characterization tests against the paper's Table 6."""
 
+import importlib
+
 import pytest
 
 from repro.graph.models import (
@@ -9,6 +11,8 @@ from repro.graph.models import (
     SOLVER_MODEL_CARDS,
     available_models,
     load_model,
+    transformer,
+    zoo,
 )
 
 #: Relative tolerance on params/MACs vs. Table 6 (builders are synthetic
@@ -92,3 +96,31 @@ class TestSolverVariants:
 
     def test_solver_cards_registered(self):
         assert set(SOLVER_MODEL_CARDS) == {"ViT-8B", "Llama2-13B", "Llama2-70B"}
+
+    def test_solver_cards_derive_sizes_on_first_read(self, monkeypatch):
+        built = []
+        names = ("vit_8b", "llama2_13b", "llama2_70b")
+        for name in names:
+            real = getattr(transformer, name)
+
+            def counting(*args, _real=real, **kwargs):
+                built.append(_real.__name__)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(transformer, name, counting)
+        try:
+            reloaded = importlib.reload(zoo)
+            assert built == []  # importing the zoo builds no graph
+            for abbr, card in reloaded.SOLVER_MODEL_CARDS.items():
+                sizes = (card.paper_params_m, card.paper_macs_g, card.paper_layers)
+                graph = reloaded.load_model(abbr)
+                assert sizes == (
+                    round(graph.total_params / 1e6, 1),
+                    round(graph.total_macs / 1e9, 1),
+                    graph.num_layers,
+                )
+            # One build per card for its three sizes, one per load_model.
+            assert built == [name for name in names for _ in range(2)]
+        finally:
+            monkeypatch.undo()
+            importlib.reload(zoo)
