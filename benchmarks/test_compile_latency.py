@@ -43,6 +43,7 @@ from repro.gpusim.device import get_device
 from repro.graph.models.zoo import load_model
 from repro.opg import lcopg
 from repro.opg.heuristics import Budgets
+from repro.opg.problem import OpgConfig
 
 COLD_MODELS = ["ResNet50", "ViT", "GPTN-S", "GPTN-2.7B"]
 AB_MODEL = "GPTN-2.7B"
@@ -52,14 +53,6 @@ DEVICE = "OnePlus 12"
 AB_SAMPLES = 2
 
 SEED_WINDOW_LAYERS = 48
-
-
-def _experiment_opg(**overrides):
-    """The experiment-suite solver budget (deterministic node caps bind,
-    not wall-clock) — the regime the reuse cache and fast oracle target."""
-    from repro.experiments.common import experiment_opg_config
-
-    return experiment_opg_config(**overrides)
 
 
 class SeedBudgets(Budgets):
@@ -107,9 +100,9 @@ def _measure_side(side: str) -> None:
         lcopg.Budgets = SeedBudgets
         lcopg.edf_feasible = edf_feasible_reference
         lcopg.prove_window = prove_window_reference
-        solver = SeedPartitionSolver(_experiment_opg(window_reuse=False))
+        solver = SeedPartitionSolver(OpgConfig(window_reuse=False))
     else:
-        solver = lcopg.LcOpgSolver(_experiment_opg())
+        solver = lcopg.LcOpgSolver(OpgConfig())
 
     from repro.graph.lowering import eliminate_layout_ops
 
@@ -159,14 +152,10 @@ def _incremental_ab():
     best_new = min(runs["incremental"], key=lambda r: r["cpu_s"])
     best_old = min(runs["baseline"], key=lambda r: r["cpu_s"])
 
-    opg = _experiment_opg()
     return {
         "model": AB_MODEL,
         "device": DEVICE,
-        "opg_config": {
-            "time_limit_s": opg.time_limit_s,
-            "max_nodes_per_window": opg.max_nodes_per_window,
-        },
+        "opg_config": {"max_nodes_per_window": OpgConfig().max_nodes_per_window},
         "samples_per_side": AB_SAMPLES,
         "pre_pr_s": best_old["cpu_s"],
         "incremental_s": best_new["cpu_s"],
@@ -191,7 +180,7 @@ def _cold_compiles():
     rows = []
     device = get_device(DEVICE)
     for model in COLD_MODELS:
-        fm = FlashMem(FlashMemConfig(opg=_experiment_opg()))
+        fm = FlashMem(FlashMemConfig())
         compiled = fm.compile(load_model(model), device)
         rows.append(
             {

@@ -1,6 +1,8 @@
 """Bench: CP solver throughput — bitset core vs the seed solver.
 
-Head-to-head comparisons under identical time/node budgets, written to
+Head-to-head comparisons under identical node budgets (the seed oracle
+also keeps its own 10 s default deadline; throughput is a rate, so which
+limit stops it does not skew nodes/sec), written to
 ``results/BENCH_solver.json`` so future PRs can track the trajectory:
 
 - **microbench** — a synthetic OPG-window workload
@@ -28,9 +30,6 @@ from repro.opg.cpsat.search import CpSolver
 from tests.opg.window_models import build_window_model
 from tests.oracles import NaiveCpSolver
 
-#: Per-model wall budget for the table4 A/B (short: 2 runs x 6 models).
-TABLE4_BUDGET_S = 6.0
-
 #: The benchmark workload: (n_weights, n_layers, per-layer capacity, seed).
 #: Sized like the Table 4 models' rolling windows (small, mid, large), plus
 #: two production-scale entries: the period-aware window partition makes a
@@ -52,7 +51,6 @@ SOLVERS = {"trail": CpSolver, "naive": NaiveCpSolver}
 def measure_solver(
     solver_name: str,
     *,
-    time_limit_s: float = 3.0,
     max_nodes: int = 60_000,
     workload: Optional[List[Tuple[int, int, int, int]]] = None,
 ) -> Dict[str, object]:
@@ -65,7 +63,7 @@ def measure_solver(
     optimal = 0
     for n_weights, n_layers, cap, seed in workload or WORKLOAD:
         model = build_window_model(n_weights, n_layers, cap, seed)
-        solution = factory(time_limit_s=time_limit_s, max_nodes=max_nodes).solve(model)
+        solution = factory(max_nodes=max_nodes).solve(model)
         sstats = solution.stats
         total_nodes += sstats.nodes
         total_wall += sstats.wall_time_s
@@ -90,9 +88,7 @@ def measure_solver(
     }
 
 
-def run_throughput_benchmark(
-    *, time_limit_s: float = 3.0, max_nodes: int = 60_000
-) -> Dict[str, object]:
+def run_throughput_benchmark(*, max_nodes: int = 60_000) -> Dict[str, object]:
     """Production solver vs the seed solver under identical budgets.
 
     The headline ``speedup_nodes_per_sec`` is the geometric mean of the
@@ -101,8 +97,8 @@ def run_throughput_benchmark(
     wall-time-weighted aggregate would.  ``speedup_aggregate`` (total nodes
     / total wall) is reported alongside.
     """
-    trail = measure_solver("trail", time_limit_s=time_limit_s, max_nodes=max_nodes)
-    naive = measure_solver("naive", time_limit_s=time_limit_s, max_nodes=max_nodes)
+    trail = measure_solver("trail", max_nodes=max_nodes)
+    naive = measure_solver("naive", max_nodes=max_nodes)
     per_window = []
     product = 1.0
     for t, n in zip(trail["windows"], naive["windows"]):
@@ -122,7 +118,7 @@ def run_throughput_benchmark(
         "workload": [
             {"n_weights": w, "n_layers": l, "cap": c, "seed": s} for w, l, c, s in WORKLOAD
         ],
-        "budgets": {"time_limit_s": time_limit_s, "max_nodes": max_nodes},
+        "budgets": {"max_nodes": max_nodes},
         "trail": trail,
         "naive": naive,
         "per_window_speedup": per_window,
@@ -136,7 +132,7 @@ def _table4_comparison(monkeypatch):
     for solver, factory in SOLVERS.items():
         with monkeypatch.context() as patch:
             patch.setattr(lcopg, "CpSolver", factory)
-            result = table4.run(time_limit_s=TABLE4_BUDGET_S)
+            result = table4.run()
         rows[solver] = [
             {
                 "model": r.model,
@@ -148,7 +144,7 @@ def _table4_comparison(monkeypatch):
             for r in result.rows
         ]
     return {
-        "time_limit_s": TABLE4_BUDGET_S,
+        "max_nodes_per_window": table4.MAX_NODES_PER_WINDOW,
         "trail": rows["trail"],
         "naive": rows["naive"],
     }
@@ -157,7 +153,7 @@ def _table4_comparison(monkeypatch):
 def test_solver_throughput(benchmark, monkeypatch):
     def run_all():
         return {
-            "microbench": run_throughput_benchmark(time_limit_s=3.0, max_nodes=60_000),
+            "microbench": run_throughput_benchmark(max_nodes=60_000),
             "table4_workload": _table4_comparison(monkeypatch),
         }
 

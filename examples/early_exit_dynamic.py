@@ -13,7 +13,7 @@ from repro import oneplus_12
 from repro.capacity import analytic_capacity_model
 from repro.graph.builder import GraphBuilder
 from repro.graph.dynamic import early_exit_variants, plan_dynamic, run_dynamic
-from repro.opg import LcOpgSolver, OpgConfig
+from repro.opg import LcOpgSolver
 from repro.runtime import FlashMemExecutor
 
 
@@ -34,7 +34,7 @@ def main() -> None:
         exit_builder, exits=[4, 8, 12], probabilities=[0.55, 0.30, 0.15], name="early-exit-vit"
     )
     capacity = analytic_capacity_model(device)
-    solver = LcOpgSolver(OpgConfig(time_limit_s=3.0, max_nodes_per_window=500))
+    solver = LcOpgSolver()
 
     dyn_plan = plan_dynamic(model, solver, capacity, device_name=device.name)
     print(f"Unified preload set: {len(dyn_plan.unified_preload)} weights\n")

@@ -67,7 +67,6 @@ from repro.graph.models import (
     load_decode_model,
     load_model,
 )
-from repro.opg.problem import OpgConfig
 from repro.runtime.scenario import SCENARIO_KINDS, available_scenarios, make_scenario
 
 EXPERIMENTS = [
@@ -106,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--baseline", default=None,
                        choices=["MNN", "NCNN", "TVM", "LiteRT", "ETorch", "SMem"],
                        help="also run a preloading baseline for comparison")
-    run_p.add_argument("--time-limit", type=float, default=5.0,
-                       help="LC-OPG solver budget in seconds")
     run_p.add_argument("--solver-stats", action="store_true",
                        help="print the per-window CP solver statistics table")
     run_p.add_argument("--capacity-backend", default="analytic",
@@ -125,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="device preset name or alias (e.g. 'oneplus12')")
     compile_p.add_argument("--context", type=int, default=0,
                            help="prompt length: >0 compiles the decode-phase graph")
-    compile_p.add_argument("--time-limit", type=float, default=None,
-                           help="LC-OPG solver budget in seconds (default 3.0)")
     compile_p.add_argument("--preload-ratio", type=float, default=None,
                            help="force a preload fraction (Figure 8 knob)")
     compile_p.add_argument("--via-service", default=None, metavar="SOCKET",
@@ -199,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan_p.add_argument("model", choices=sorted(ALL_CARDS))
     plan_p.add_argument("--device", default="OnePlus 12",
                        help="device preset name or alias (e.g. 'oneplus12')")
-    plan_p.add_argument("--time-limit", type=float, default=5.0)
     plan_p.add_argument("--out", default=None, help="write the plan JSON here")
     plan_p.add_argument("--solver-stats", action="store_true",
                        help="print the per-window CP solver statistics table")
@@ -213,8 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     prof_compile.add_argument("device", help="device preset name or alias")
     prof_compile.add_argument("--top", type=int, default=25,
                               help="number of hotspot rows to print (default 25)")
-    prof_compile.add_argument("--time-limit", type=float, default=5.0,
-                              help="LC-OPG solver budget in seconds")
     prof_run = prof_sub.add_parser(
         "run", help="cProfile one FlashMem.run (simulation hot path) and print hotspots"
     )
@@ -231,8 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="prompt length in tokens (decode scenario only)")
     prof_run.add_argument("--top", type=int, default=25,
                           help="number of hotspot rows to print (default 25)")
-    prof_run.add_argument("--time-limit", type=float, default=5.0,
-                          help="LC-OPG solver budget for the (unprofiled) compile")
     prof_capacity = prof_sub.add_parser(
         "capacity",
         help="time the capacity pipeline (profile/fit/bisect) and print "
@@ -338,8 +328,7 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
             tokens=args.tokens, context_len=args.context,
         )
     graph = _load_cli_graph(args.model, scenario)
-    config = FlashMemConfig(opg=OpgConfig(time_limit_s=args.time_limit))
-    fm = FlashMem(config)
+    fm = FlashMem(FlashMemConfig())
     print(f"Compiling {graph.summary()} for {device.name} (not profiled) ...")
     compiled = fm.compile(graph, device)
     before = pricing.STATS.snapshot()
@@ -366,8 +355,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     device = get_device(args.device)
     graph = load_model(args.model)
-    config = FlashMemConfig(opg=OpgConfig(time_limit_s=args.time_limit))
-    fm = FlashMem(config)
+    fm = FlashMem(FlashMemConfig())
     print(f"Profiling compile of {graph.summary()} for {device.name} ...")
     profiler = cProfile.Profile()
     profiler.enable()
@@ -474,11 +462,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     graph = _load_cli_graph(args.model, scenario)
-    config = FlashMemConfig(
-        opg=OpgConfig(time_limit_s=args.time_limit),
-        capacity_backend=args.capacity_backend,
-    )
-    fm = FlashMem(config)
+    fm = FlashMem(FlashMemConfig(capacity_backend=args.capacity_backend))
     print(f"Compiling {graph.summary()} for {device.name} ({scenario.describe()}) ...")
     compiled = fm.compile(graph, device, target_preload_ratio=args.preload_ratio)
     print(f"  plan: {compiled.plan.stats.solver_status}, "
@@ -527,7 +511,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         request = CompileRequest(
             model=args.model,
             device=args.device_pos or args.device,
-            time_limit_s=args.time_limit if args.time_limit is not None else 3.0,
             context_len=args.context,
             target_preload_ratio=args.preload_ratio,
             capacity_backend=args.capacity_backend,
@@ -598,8 +581,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     device = get_device(args.device)
     graph = load_model(args.model)
-    config = OpgConfig(time_limit_s=args.time_limit)
-    plan = LcOpgSolver(config).solve(
+    plan = LcOpgSolver().solve(
         graph, analytic_capacity_model(device), device_name=device.name
     )
     stats = plan.stats
@@ -659,7 +641,7 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
                         else DEFAULT_SLO_MULTIPLIER),
         memoize=not args.naive,
     )
-    print(report.render(), end="")
+    print(report.render())
     return 0
 
 

@@ -81,26 +81,24 @@ def run(device: str = DEFAULT_DEVICE, *, model: str = MODEL) -> AblationResult:
             )
         )
 
-    base = dict(time_limit_s=3.0, max_nodes_per_window=500)
-
     # CP vs greedy-only (hybrid fallback forced on).
     for use_cp, label in ((True, "CP-SAT"), (False, "greedy-only")):
-        plan, dt = _solve(graph, capacity, OpgConfig(**base), use_cp=use_cp)
+        plan, dt = _solve(graph, capacity, OpgConfig(), use_cp=use_cp)
         add("scheduler", label, plan, dt)
 
     # Chunk size sweep.
     for chunk_kb in (128, 512, 2048):
-        plan, dt = _solve(graph, capacity, OpgConfig(**base, chunk_bytes=chunk_kb * 1024))
+        plan, dt = _solve(graph, capacity, OpgConfig(chunk_bytes=chunk_kb * 1024))
         add("chunk_size", f"{chunk_kb} KiB", plan, dt)
 
     # Lookback horizon sweep.
     for lookback in (4, 16, 32):
-        plan, dt = _solve(graph, capacity, OpgConfig(**base, lookback=lookback))
+        plan, dt = _solve(graph, capacity, OpgConfig(lookback=lookback))
         add("lookback", str(lookback), plan, dt)
 
     # Rolling-window size sweep.
     for window in (16, 48, 128):
-        plan, dt = _solve(graph, capacity, OpgConfig(**base, window_weights=window))
+        plan, dt = _solve(graph, capacity, OpgConfig(window_weights=window))
         add("window", str(window), plan, dt)
 
     return result

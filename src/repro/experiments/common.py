@@ -1,7 +1,8 @@
 """Shared infrastructure for the experiment drivers.
 
-All drivers use one standard experiment configuration (solver budgets sized
-for repeated runs) and two cache layers so Table 7, Table 8, Table 9, and
+All drivers use one standard experiment configuration (the library
+defaults, whose per-window node budget keeps a compile to about a second)
+and two cache layers so Table 7, Table 8, Table 9, and
 Figure 10 reuse each (model, device) compilation instead of re-solving:
 
 - an in-process ``lru_cache`` layer (always on, exactly the seed behavior);
@@ -48,22 +49,15 @@ PREFILL_ONCE = Scenario.prefill(1)
 _UNSUPPORTED = "__model-not-supported__"
 
 
-def experiment_opg_config(**overrides) -> OpgConfig:
-    """Solver settings sized for experiment sweeps (seconds, not minutes)."""
-    base = dict(time_limit_s=3.0, max_nodes_per_window=500)
-    base.update(overrides)
-    return OpgConfig(**base)
-
-
 def experiment_flashmem_config(**overrides) -> FlashMemConfig:
-    """Standard experiment pipeline config; ``capacity_backend``/
-    ``capacity_seed`` land on the :class:`FlashMemConfig`, everything else
-    on its :class:`OpgConfig`."""
+    """Standard experiment pipeline config: the library defaults, with
+    ``capacity_backend``/``capacity_seed`` overrides landing on the
+    :class:`FlashMemConfig` and everything else on its :class:`OpgConfig`."""
     fm_kwargs = {}
     for key in ("capacity_backend", "capacity_seed"):
         if key in overrides:
             fm_kwargs[key] = overrides.pop(key)
-    return FlashMemConfig(opg=experiment_opg_config(**overrides), **fm_kwargs)
+    return FlashMemConfig(opg=OpgConfig(**overrides), **fm_kwargs)
 
 
 def experiment_config_fingerprint() -> str:
@@ -83,7 +77,8 @@ def compile_key(
     ``config=None`` fingerprints the standard experiment configuration, so
     experiment drivers, sweep workers, and service requests running default
     settings all address the *same* stored artifact; an explicit config
-    (service requests with a custom solver budget) addresses its own entry.
+    (service requests with a custom λ or capacity backend) addresses its
+    own entry.
     """
     fingerprint = (experiment_config_fingerprint() if config is None
                    else flashmem_config_fingerprint(config))

@@ -20,7 +20,6 @@ from repro.experiments.common import (
     DEFAULT_DEVICE,
     cached_capacity,
     cached_graph,
-    experiment_opg_config,
     framework_result,
 )
 from repro.experiments.report import render_table
@@ -35,7 +34,7 @@ PAPER_NOTE = "OPG 5.3-8.1x, +Fusion 1.5-5.1x, +Rewriting 1.0-2.55x (latency)"
 
 
 def _variant_config(variant: str) -> FlashMemConfig:
-    cfg = FlashMemConfig(opg=experiment_opg_config())
+    cfg = FlashMemConfig()
     if variant == "+OPG":
         cfg.use_adaptive_fusion = False
         cfg.use_kernel_rewriting = False

@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT_DEVICE,
     cached_capacity,
     cached_graph,
-    experiment_opg_config,
     flashmem_result,
 )
 from repro.experiments.report import render_table
@@ -64,7 +63,6 @@ class Fig9Result:
 def run(device: str = DEFAULT_DEVICE, *, models: Optional[List[str]] = None) -> Fig9Result:
     dev = get_device(device)
     capacity = cached_capacity(device)
-    cfg = experiment_opg_config()
     rows: List[Fig9Row] = []
     for model in models or MODELS:
         ours = flashmem_result(model, device)
@@ -72,12 +70,12 @@ def run(device: str = DEFAULT_DEVICE, *, models: Optional[List[str]] = None) -> 
         executor = FlashMemExecutor(dev)
         same = executor.run(
             graph,
-            SameOpTypePlanner(cfg).solve(graph, capacity, device_name=device),
+            SameOpTypePlanner().solve(graph, capacity, device_name=device),
             runtime_name="SameNext",
         )
         always = executor.run(
             graph,
-            AlwaysNextPlanner(cfg).solve(graph, capacity, device_name=device),
+            AlwaysNextPlanner().solve(graph, capacity, device_name=device),
             runtime_name="AlwaysNext",
         )
         rows.append(

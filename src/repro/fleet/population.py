@@ -92,7 +92,7 @@ class FleetReport:
                 f"{cell.peak_bytes / 1e6:>8.0f} {cell.avg_bytes / 1e6:>7.0f} "
                 f"{cell.energy_j:>9.1f}"
             )
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
 
 def _replay_cell(

@@ -44,14 +44,13 @@ The seed layer-major sweep and full-re-pack prover are the oracles in
 ``tests/oracles``; ``tests/opg/test_exact_differential`` checks on
 randomized instances that this module returns the packings, verdicts and
 objectives they do.  The two may differ only in *node accounting* when
-``node_limit``/``time_limit_s`` interrupt the search, because subtree
-pruning visits fewer nodes.
+``node_limit`` interrupts the search, because subtree pruning visits fewer
+nodes.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -224,7 +223,6 @@ def prove_window(
     budgets: Budgets,
     incumbent: Dict[str, Dict[int, int]],
     *,
-    time_limit_s: float = 1.0,
     node_limit: int = 50_000,
 ) -> Tuple[Dict[str, Dict[int, int]], bool]:
     """Prove (or improve) the incumbent's total loading distance.
@@ -248,7 +246,6 @@ def prove_window(
 
     best_assignment = dict(incumbent)
     best_obj = _objective(ordered, incumbent)
-    deadline = time.perf_counter() + time_limit_s
     nodes = 0
     exhausted = True
 
@@ -257,7 +254,7 @@ def prove_window(
         if not exhausted:
             return
         nodes += 1
-        if nodes > node_limit or time.perf_counter() > deadline:
+        if nodes > node_limit:
             exhausted = False
             return
         if dist_so_far + suffix_solo[index] >= best_obj:

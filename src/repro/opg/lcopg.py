@@ -8,11 +8,17 @@ Orchestrates the full pipeline the paper describes:
    sequence; each window's weights are scheduled by a CP model built over
    the *remaining* per-layer budgets, keeping the active constraint set
    small and the solver runtime predictable.
-3. **Tiered fallbacks (C4)** — on infeasibility or timeout: soft threshold
-   adjustment (relax C_l), incremental preloading (move the largest
-   offending weight into W), and finally the greedy heuristic backup.
-4. **Hybrid execution mode** — when CP exceeds its window budget without an
-   incumbent, the window switches to the greedy schedule outright.
+3. **Tiered fallbacks (C4)** — on infeasibility, or when a window's node
+   budget runs out without an incumbent: soft threshold adjustment (relax
+   C_l), incremental preloading (move the largest offending weight into
+   W), and finally the greedy heuristic backup.
+4. **Hybrid execution mode** — when CP exhausts its window's node budget
+   without an incumbent, the window switches to the greedy schedule
+   outright.
+
+Every search is bounded by work (``max_nodes_per_window`` per CP window,
+``node_limit`` in the prover), never by the clock, so a plan is a pure
+function of graph, device, config and code.
 
 The result is an :class:`~repro.opg.plan.OverlapPlan` with full provenance
 (per-window solver statuses, fallback counts, timings — Table 4's columns).
@@ -39,17 +45,14 @@ translation-equivalent to *each other*, so replay fires within a single
 cold solve as well as across iterations.  Replay applies the exact
 mutation sequence a fresh solve would: scoped soft-round rescales first,
 then per-layer chunk consumption, so downstream windows observe
-identical budgets either way.  The invariant (and its wall-clock caveat)
-is documented in DESIGN.md "compile-path performance";
+identical budgets either way.  The invariant is documented in DESIGN.md
+"compile-path performance";
 ``tests/fusion/test_adaptive_reuse_equivalence`` holds the reuse path to
 byte-identical plans.
 """
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
-import gc
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -67,6 +70,9 @@ from repro.opg.problem import OpgConfig, OpgProblem, WeightInfo, build_problem
 
 #: Sentinel assignment for dedicated-transform (conv) weights.
 DEDICATED = object()
+
+#: FIFO capacity of a solver's :class:`WindowCache`, in entries.
+WINDOW_CACHE_ENTRIES = 4096
 
 
 def plan_kv_residency(graph, plan: OverlapPlan, device, config: OpgConfig) -> Optional[KvResidencyPlan]:
@@ -150,7 +156,7 @@ class WindowCache:
     of one compile, which is where the hits come from.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
+    def __init__(self, max_entries: int = WINDOW_CACHE_ENTRIES) -> None:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -199,25 +205,6 @@ class WindowCache:
         return self.hits / lookups if lookups else 0.0
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Hold the cyclic garbage collector off for one solve.
-
-    The windows split a wall-clock deadline, so a full collection landing
-    inside a solve — ~0.1 s once a process holds many compiled graphs —
-    can cut a CP window off before its first node and change the plan.
-    The garbage a solve makes is collected after it returns.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 class LcOpgSolver:
     """Load-capacity-aware overlap planner.
 
@@ -236,9 +223,10 @@ class LcOpgSolver:
         self.config = config or OpgConfig()
         self.use_cp = use_cp
         self.window_cache: Optional[WindowCache] = (
-            WindowCache(self.config.window_cache_entries) if self.config.window_reuse else None
+            WindowCache() if self.config.window_reuse else None
         )
-        self._cache_config_key = self._config_key()
+        #: Everything in the solver setup that steers a window's solve.
+        self._cache_config_key = (self.config, use_cp)
         #: (period, leader signature) detected on the first partition and
         #: pinned for the solver's lifetime, so every adaptive-fusion
         #: iteration snaps windows to the same structural grid.
@@ -261,16 +249,6 @@ class LcOpgSolver:
         priority (no extra preload); λ -> 1 linearly approaches full
         preload, matching the paper's "higher preload ratio via larger λ".
         """
-        with _collector_paused():
-            return self._solve(graph, capacity_model, device_name, target_preload_ratio)
-
-    def _solve(
-        self,
-        graph: Graph,
-        capacity_model: LoadCapacityModel,
-        device_name: str,
-        target_preload_ratio: Optional[float],
-    ) -> OverlapPlan:
         stats = PlanStats()
         t0 = time.perf_counter()
         problem = build_problem(graph, capacity_model, self.config)
@@ -287,12 +265,11 @@ class LcOpgSolver:
         )
         schedules: Dict[str, WeightSchedule] = {}
         statuses: List[SolveStatus] = []
-        deadline = time.perf_counter() + self.config.time_limit_s
 
         windows = self._windows(problem)
         stats.windows = len(windows)
         deferred: List[WeightInfo] = []
-        for window_index, window_weights in enumerate(windows):
+        for window_weights in windows:
             fingerprint = base = None
             if self.window_cache is not None:
                 fingerprint, base = self._window_fingerprint(window_weights, budgets, forced_preloads)
@@ -303,15 +280,12 @@ class LcOpgSolver:
                         problem, window_weights, entry, base, budgets, schedules, statuses, stats, deferred
                     )
                     continue
-            remaining_windows = len(windows) - window_index
-            remaining_time = max(0.05, deadline - time.perf_counter())
-            window_limit = remaining_time / remaining_windows
             soft_before = budgets.soft_rounds_used
             rounds_left_before = budgets.max_soft_rounds - soft_before
             heuristic_before = stats.heuristic_windows
             deferred_before = len(deferred)
             assignments, status, soft_sensitive = self._solve_window(
-                problem, window_weights, budgets, forced_preloads, window_limit, stats, deferred
+                problem, window_weights, budgets, forced_preloads, stats, deferred
             )
             statuses.append(status)
             deferred_names = {w.name for w in deferred}
@@ -365,20 +339,6 @@ class LcOpgSolver:
         )
 
     # ------------------------------------------------------- window caching
-    def _config_key(self) -> Tuple:
-        """Everything in the solver setup that steers a window's solve —
-        except ``time_limit_s``, which only shapes wall-clock cut-offs (the
-        reuse invariant assumes node budgets bind; see DESIGN.md)."""
-        items = []
-        for f in dataclasses.fields(self.config):
-            if f.name == "time_limit_s":
-                continue
-            value = getattr(self.config, f.name)
-            if isinstance(value, frozenset):
-                value = tuple(sorted(value))
-            items.append((f.name, value))
-        return (tuple(items), self.use_cp)
-
     @staticmethod
     def _canonical_layers(
         window_weights: Sequence[WeightInfo], forced_preloads: set
@@ -624,7 +584,6 @@ class LcOpgSolver:
         weights: Sequence[WeightInfo],
         budgets: Budgets,
         forced_preloads: set,
-        time_limit_s: float,
         stats: PlanStats,
         deferred: List[WeightInfo],
     ) -> Tuple[Dict[str, Optional[Dict[int, int]]], SolveStatus, bool]:
@@ -738,7 +697,7 @@ class LcOpgSolver:
                 break
             result = None
             if self.use_cp:
-                result = self._cp_window(problem, streaming, budgets, time_limit_s, stats)
+                result = self._cp_window(problem, streaming, budgets, stats)
             if result is not None:
                 placed, status = result
                 assignments.update(placed)
@@ -747,7 +706,7 @@ class LcOpgSolver:
             cp_rounds += 1
             if cp_rounds <= 1 and len(streaming) > 1:
                 # One more CP attempt after deferring the single largest
-                # weight (CP timed out despite a packable window).
+                # weight (CP ran out of nodes despite a packable window).
                 defer(max(streaming, key=lambda w: w.nbytes))
                 continue
             break
@@ -769,7 +728,6 @@ class LcOpgSolver:
         problem: OpgProblem,
         weights: Sequence[WeightInfo],
         budgets: Budgets,
-        time_limit_s: float,
         stats: PlanStats,
     ) -> Optional[Tuple[Dict[str, Dict[int, int]], SolveStatus]]:
         """Build and solve the CP model for one window — or skip both when
@@ -877,9 +835,7 @@ class LcOpgSolver:
         stats.build_model_s += time.perf_counter() - build_start
 
         cp_start = time.perf_counter()
-        solution = CpSolver(
-            time_limit_s=time_limit_s * 0.7, max_nodes=self.config.max_nodes_per_window
-        ).solve(model)
+        solution = CpSolver(max_nodes=self.config.max_nodes_per_window).solve(model)
         stats.cp_solve_s += time.perf_counter() - cp_start
         stats.nodes_explored += solution.nodes_explored
         self._absorb_solver_stats(stats, solution)
@@ -919,12 +875,7 @@ class LcOpgSolver:
             )
             if incumbent_obj - solo_bound <= self.config.prover_max_gap:
                 prover_start = time.perf_counter()
-                improved, proven = prove_window(
-                    weights,
-                    budgets,
-                    placed,
-                    time_limit_s=min(0.5, time_limit_s * 0.3),
-                )
+                improved, proven = prove_window(weights, budgets, placed)
                 stats.exact_prover_s += time.perf_counter() - prover_start
                 if proven:
                     placed = improved

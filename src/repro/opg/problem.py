@@ -40,8 +40,6 @@ class OpgConfig:
             *layers* but conserve the weight sequence — keeps the window
             partition invariant across adaptive-fusion iterations, which
             the window-reuse cache depends on.
-        time_limit_s: total solver wall-clock budget for the model
-            (paper uses 150 s on a workstation).
         soft_threshold_factor: C4 soft-thresholding multiplier on C_l.
         max_soft_rounds: soft-threshold retries before incremental preload.
         preload_hint_weights: weights forced into W by name (paper §5.4:
@@ -57,12 +55,13 @@ class OpgConfig:
     lookback: int = 16
     long_lookback: int = 160
     window_weights: int = 64
-    time_limit_s: float = 20.0
     soft_threshold_factor: float = 1.3
     max_soft_rounds: int = 2
-    #: Branch-and-bound node budget per window (bounds worst-case runtime
-    #: alongside the wall-clock limit, as CP-SAT's deterministic limit does).
-    max_nodes_per_window: int = 20_000
+    #: Branch-and-bound node budget per window: the solver's only budget.
+    #: Like CP-SAT's deterministic limit it counts work, not seconds, so a
+    #: plan is a pure function of graph, device and config, whatever the
+    #: machine's speed or load (the paper instead gives each model 150 s).
+    max_nodes_per_window: int = 500
     #: Window sizes (in weights) the exact optimality prover attempts after
     #: a FEASIBLE CP incumbent (0 disables the prover).
     prover_max_weights: int = 48
@@ -74,12 +73,10 @@ class OpgConfig:
     #: replay the cached schedule when an equivalent window comes back —
     #: as it does for most windows across adaptive-fusion iterations, and
     #: between the repeated blocks of periodic models even within one
-    #: solve.  Reuse assumes the deterministic node budgets, not
-    #: wall-clock limits, bound the per-window searches (see DESIGN.md
-    #: "compile-path performance" for the exact invariant).
+    #: solve.  Every window search is bounded by its node budget alone,
+    #: so a replayed window is exactly the window a fresh solve returns
+    #: (see DESIGN.md "compile-path performance").
     window_reuse: bool = True
-    #: FIFO capacity of the window cache, in entries.
-    window_cache_entries: int = 4096
     #: Fraction of the device RAM budget the decode-phase KV caches may
     #: occupy as resident state.  The KV residency planner additionally
     #: caps the grant by the RAM the weight plan leaves free, so preload +

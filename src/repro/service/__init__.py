@@ -6,7 +6,7 @@ shipping FlashMem to millions of phones runs the compile pipeline
 package is that service:
 
 - :mod:`repro.service.request` — :class:`CompileRequest`, the
-  (model, device, budget/config) unit of work, normalized and
+  (model, device, config) unit of work, normalized and
   content-addressed against the shared :class:`~repro.core.store.ArtifactStore`;
 - :mod:`repro.service.store` — :class:`ReadThroughStore`, the worker-local
   two-level store (private first, shared fallback, private-only writes);

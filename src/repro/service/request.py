@@ -1,31 +1,30 @@
 """Compile requests: the unit of work the plan-compilation service accepts.
 
-A request names a model, a device, and the budget/config axes a fleet
-controller would vary (solver time budget, memory/latency priority λ, the
-Figure-8 preload override, and the decode-phase prompt length).  Requests
-normalize to canonical device names and address the same content-addressed
-``"compiled"`` artifacts the experiment pipeline stores, so a service
-running default settings reuses — and feeds — the experiment cache.
+A request names a model, a device, and the config axes a fleet controller
+would vary (memory/latency priority λ, the Figure-8 preload override, the
+decode-phase prompt length and the capacity backend).  The LC-OPG solver
+budget is not one of them: it is the standard experiment configuration's
+node budget, so a request's plan does not depend on the serving machine's
+speed.  Requests normalize to canonical device names and address the same
+content-addressed ``"compiled"`` artifacts the experiment pipeline stores,
+so a service running default settings reuses — and feeds — the experiment
+cache.  A payload with a key the protocol does not define is rejected, not
+silently dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
 from repro.core.config import FlashMemConfig
 from repro.core.store import stable_fingerprint
 from repro.gpusim.device import get_device
 
-#: Default LC-OPG budget, matching the standard experiment configuration
-#: (``repro.experiments.common.experiment_opg_config``) so default requests
-#: address the artifacts the experiment sweep already stores.
-DEFAULT_TIME_LIMIT_S = 3.0
-
 
 @dataclass(frozen=True, order=True)
 class CompileRequest:
-    """One (model, device, budget/config) compilation request.
+    """One (model, device, config) compilation request.
 
     Frozen and orderable so requests can key dedup maps and sort
     deterministically in reports.  ``normalized()`` must be applied before
@@ -35,8 +34,6 @@ class CompileRequest:
 
     model: str
     device: str = "OnePlus 12"
-    #: LC-OPG solver budget in seconds — the request's *budget* axis.
-    time_limit_s: float = DEFAULT_TIME_LIMIT_S
     #: Memory/latency priority λ override; None keeps the configured default.
     lam: Optional[float] = None
     #: Prompt length for decode-phase graphs; 0 = prefill graph.
@@ -48,8 +45,6 @@ class CompileRequest:
     capacity_backend: str = "analytic"
 
     def __post_init__(self) -> None:
-        if self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
         if self.context_len < 0:
             raise ValueError("context_len must be >= 0")
         if self.capacity_backend not in ("analytic", "gbt"):
@@ -72,13 +67,13 @@ class CompileRequest:
         """The pipeline configuration this request compiles under.
 
         Built from the standard experiment configuration with the request's
-        budget axes applied, so a default request's config fingerprint — and
+        config axes applied, so a default request's config fingerprint — and
         therefore its artifact address — is identical to the experiment
         pipeline's.
         """
         from repro.experiments.common import experiment_flashmem_config
 
-        overrides: Dict[str, Any] = {"time_limit_s": self.time_limit_s}
+        overrides: Dict[str, Any] = {}
         if self.lam is not None:
             overrides["lam"] = self.lam
         if self.capacity_backend != "analytic":
@@ -104,8 +99,6 @@ class CompileRequest:
     def to_payload(self) -> Dict[str, Any]:
         """JSON-able dict for the socket protocol and pool dispatch."""
         payload: Dict[str, Any] = {"model": self.model, "device": self.device}
-        if self.time_limit_s != DEFAULT_TIME_LIMIT_S:
-            payload["time_limit_s"] = self.time_limit_s
         if self.lam is not None:
             payload["lam"] = self.lam
         if self.context_len:
@@ -118,13 +111,15 @@ class CompileRequest:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "CompileRequest":
-        known = {f: payload[f] for f in (
-            "model", "device", "time_limit_s", "lam", "context_len",
-            "target_preload_ratio", "capacity_backend",
-        ) if f in payload}
-        if "model" not in known:
+        """Parse a wire payload; raises ValueError on a missing ``model`` or
+        on any key that is not a request field, so a misspelt or retired
+        option fails loudly instead of being ignored."""
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown compile request field(s): {', '.join(unknown)}")
+        if "model" not in payload:
             raise ValueError("compile request payload lacks 'model'")
-        return cls(**known)
+        return cls(**payload)
 
 
 def execute_compile(request: CompileRequest):

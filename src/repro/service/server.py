@@ -6,7 +6,8 @@ persistent connection.  Ops:
 - ``{"op": "ping"}`` → ``{"ok": true, "op": "ping"}``
 - ``{"op": "stats"}`` → ``{"ok": true, "stats": {...}}`` (ServiceStats)
 - ``{"op": "compile", "model": ..., "device": ..., ...}`` (op defaults to
-  compile; remaining fields are :meth:`CompileRequest.to_payload` fields) →
+  compile; remaining fields are :meth:`CompileRequest.to_payload` fields,
+  and any other key is refused) →
   ``{"ok": true, "plan": {...}, "source": ..., "coalesced": ..., ...}``
 
 Errors come back as ``{"ok": false, "error": "..."}`` on the same line; a

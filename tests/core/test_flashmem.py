@@ -20,7 +20,7 @@ def _model(blocks=2, dim=128, seq=16):
 
 
 def _fast(**kw) -> FlashMemConfig:
-    base = dict(time_limit_s=1.0, max_nodes_per_window=200, chunk_bytes=8 * 1024)
+    base = dict(max_nodes_per_window=200, chunk_bytes=8 * 1024)
     base.update(kw)
     return FlashMemConfig(opg=OpgConfig(**base))
 

@@ -36,28 +36,26 @@ class TestCli:
         assert "GPTN-S" in out and "OnePlus 12" in out and "table7" in out
 
     def test_run_with_baseline(self, capsys):
-        code = cli_main(
-            ["run", "ResNet50", "--baseline", "SMem", "--time-limit", "1"]
-        )
+        code = cli_main(["run", "ResNet50", "--baseline", "SMem"])
         assert code == 0
         out = capsys.readouterr().out
         assert "FlashMem:" in out and "SMem:" in out and "Speedup" in out
 
     def test_run_unsupported_baseline_model(self, capsys):
-        code = cli_main(["run", "ViT", "--baseline", "NCNN", "--time-limit", "1"])
+        code = cli_main(["run", "ViT", "--baseline", "NCNN"])
         assert code == 0
         assert "not supported" in capsys.readouterr().out
 
     def test_plan_export(self, tmp_path, capsys):
         out_file = tmp_path / "plan.json"
-        code = cli_main(["plan", "ResNet50", "--time-limit", "1", "--out", str(out_file)])
+        code = cli_main(["plan", "ResNet50", "--out", str(out_file)])
         assert code == 0
         payload = json.loads(out_file.read_text())
         assert payload["model"] == "ResNet50"
         assert payload["schedules"]
 
     def test_plan_solver_stats(self, capsys):
-        code = cli_main(["plan", "ResNet50", "--time-limit", "1", "--solver-stats"])
+        code = cli_main(["plan", "ResNet50", "--solver-stats"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Solver stats" in out
@@ -65,7 +63,7 @@ class TestCli:
         assert "closed by the SRPT floor" in out
 
     def test_run_solver_stats(self, capsys):
-        code = cli_main(["run", "ResNet50", "--time-limit", "1", "--solver-stats"])
+        code = cli_main(["run", "ResNet50", "--solver-stats"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Solver stats" in out
@@ -81,9 +79,7 @@ class TestCli:
             return compiled[-1]
 
         monkeypatch.setattr(FlashMem, "compile", spy)
-        code = cli_main(
-            ["profile", "compile", "DepA-S", "oneplus12", "--top", "5", "--time-limit", "0.5"]
-        )
+        code = cli_main(["profile", "compile", "DepA-S", "oneplus12", "--top", "5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Profiling compile" in out
@@ -98,7 +94,7 @@ class TestCli:
         assert f"cp {sum(it['cp_solve_s'] for it in solves):.3f}s" in split
 
     def test_device_alias_accepted_by_run(self, capsys):
-        code = cli_main(["run", "ResNet50", "--device", "PIXEL-8", "--time-limit", "1"])
+        code = cli_main(["run", "ResNet50", "--device", "PIXEL-8"])
         assert code == 0
         assert "Pixel 8" in capsys.readouterr().out
 
@@ -145,3 +141,14 @@ class TestCli:
             cli_main(argv + ["--portfolio", "2"])
         assert exc.value.code == 2  # argparse usage error, before any compile
         assert "--portfolio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "ResNet50"], ["compile", "ResNet50"], ["plan", "ResNet50"],
+        ["profile", "compile", "ResNet50", "oneplus12"], ["profile", "run", "ResNet50", "oneplus12"],
+    ], ids=["run", "compile", "plan", "profile-compile", "profile-run"])
+    def test_time_limit_flag_rejected(self, argv, capsys):
+        """The solver is bounded by work, not the clock: no deadline to set."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--time-limit", "1"])
+        assert exc.value.code == 2  # argparse usage error, before any compile
+        assert "--time-limit" in capsys.readouterr().err

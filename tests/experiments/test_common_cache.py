@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import common
+from repro.opg.problem import OpgConfig
 
 
 class TestCaches:
@@ -47,6 +48,6 @@ class TestCaches:
         assert a is not b
 
     def test_experiment_config_overrides(self):
-        cfg = common.experiment_opg_config(lookback=7)
-        assert cfg.lookback == 7
-        assert cfg.time_limit_s == 3.0  # default preserved
+        cfg = common.experiment_flashmem_config(lookback=7, capacity_backend="gbt")
+        assert cfg.opg == OpgConfig(lookback=7)  # other defaults preserved
+        assert cfg.capacity_backend == "gbt"

@@ -64,7 +64,7 @@ class TestAblations:
         sched = {r.setting: r for r in result.study("scheduler")}
         assert sched["CP-SAT"].total_distance <= sched["greedy-only"].total_distance
         graph, capacity = cached_graph("ResNet50"), cached_capacity(DEFAULT_DEVICE)
-        config = OpgConfig(time_limit_s=3.0, max_nodes_per_window=500)
+        config = OpgConfig()
         greedy = LcOpgSolver(config, use_cp=False).solve(graph, capacity).stats
         assert greedy.nodes_explored == 0 and greedy.heuristic_windows > 0
         monkeypatch.setattr(lcopg, "srpt_distance_floor", lambda *a: None)

@@ -23,7 +23,7 @@ from repro.graph.models.zoo import load_model
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
 
-FAST = OpgConfig(time_limit_s=1.5, max_nodes_per_window=300)
+FAST = OpgConfig(max_nodes_per_window=300)
 
 CASES = [
     ("ResNet50", "OnePlus 12"),
@@ -80,7 +80,7 @@ def test_plans_identical_with_and_without_reuse(model, device):
 def test_reuse_fires_on_iterating_large_model():
     """GPTN-2.7B at the experiment config iterates enough for stable
     windows to replay — the case the cache exists for."""
-    config = OpgConfig(time_limit_s=3.0, max_nodes_per_window=500)
+    config = OpgConfig()
     _, plan_on, report_on, solver_on = _plan("GPTN-2.7B", "OnePlus 12", config)
     _, plan_off, _, _ = _plan(
         "GPTN-2.7B", "OnePlus 12", dataclasses.replace(config, window_reuse=False)

@@ -160,14 +160,14 @@ class TestApplySplits:
 class TestAdaptivePlanner:
     def test_plan_pressure_in_unit_range(self, capacity):
         g = _transformer()
-        cfg = OpgConfig(time_limit_s=1.0, max_nodes_per_window=200, chunk_bytes=8 * 1024)
+        cfg = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
         plan = LcOpgSolver(cfg).solve(g, capacity)
         pressure = plan_pressure(plan, g)
         assert 0.0 <= pressure <= 1.0
 
     def test_penalties_only_for_fused(self, capacity):
         g = fuse_graph(_transformer())
-        cfg = OpgConfig(time_limit_s=1.0, max_nodes_per_window=200, chunk_bytes=8 * 1024)
+        cfg = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
         plan = LcOpgSolver(cfg).solve(g, capacity)
         for p in fusion_penalties(g, plan):
             assert is_fused(g.node(p.node).spec)
@@ -175,7 +175,7 @@ class TestAdaptivePlanner:
 
     def test_adaptive_never_worse_than_aggressive(self, capacity):
         g = _transformer(blocks=3)
-        cfg = OpgConfig(time_limit_s=1.5, max_nodes_per_window=200, chunk_bytes=8 * 1024)
+        cfg = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
         solver = LcOpgSolver(cfg)
         aggressive = fuse_graph(g)
         base_plan = solver.solve(aggressive, capacity)

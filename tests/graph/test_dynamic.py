@@ -16,7 +16,7 @@ from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
 from repro.runtime.executor import FlashMemExecutor
 
-FAST = OpgConfig(time_limit_s=0.5, max_nodes_per_window=100, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=100, chunk_bytes=8 * 1024)
 
 
 def _exit_builder(depth: int):

@@ -25,7 +25,7 @@ def compiled():
         b.transformer_block(16, 128, 4)
     graph = b.finish()
     capacity = analytic_capacity_model(oneplus_12())
-    cfg = OpgConfig(time_limit_s=1.0, max_nodes_per_window=200, chunk_bytes=8 * 1024)
+    cfg = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
     plan = LcOpgSolver(cfg).solve(graph, capacity)
     bundle = KernelRewriter().rewrite_graph(graph, plan)
     return graph, plan, bundle

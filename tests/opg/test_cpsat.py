@@ -164,21 +164,24 @@ class TestSolver:
         assert sol.feasible
         assert m.validate_assignment(sol.values) == []
 
-    def test_time_limit_returns_feasible_or_unknown(self):
-        # A large-but-satisfiable instance under a tiny time budget.
+    @staticmethod
+    def _large_model() -> CpModel:
+        # Large but satisfiable: a full search needs ~150 nodes, so a
+        # 50-node budget cuts it short.
         m = CpModel()
         xs = [m.new_int(0, 50, f"x{i}") for i in range(40)]
         m.add_sum_eq([(x, 1) for x in xs], 500)
         m.minimize([(x, 1) for x in xs[:5]])
-        sol = CpSolver(time_limit_s=0.02).solve(m)
-        assert sol.status in (SolveStatus.FEASIBLE, SolveStatus.OPTIMAL, SolveStatus.UNKNOWN)
+        return m
+
+    def test_time_limit_returns_feasible_or_unknown(self):
+        # The node budget is the solver's only limit: a search it cuts
+        # short reports no proof.
+        sol = CpSolver(max_nodes=50).solve(self._large_model())
+        assert sol.status in (SolveStatus.FEASIBLE, SolveStatus.UNKNOWN)
 
     def test_node_budget_respected(self):
-        m = CpModel()
-        xs = [m.new_int(0, 10, f"x{i}") for i in range(20)]
-        m.add_sum_eq([(x, 1) for x in xs], 100)
-        m.minimize([(x, 1) for x in xs[:3]])
-        sol = CpSolver(time_limit_s=60.0, max_nodes=50).solve(m)
+        sol = CpSolver(max_nodes=50).solve(self._large_model())
         assert sol.nodes_explored <= 50
 
     def test_root_bound_early_exit_proves_optimal(self):

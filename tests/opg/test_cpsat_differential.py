@@ -88,8 +88,8 @@ def test_trail_solver_matches_brute_force_and_naive():
     for case in range(N_MODELS):
         model = _random_model(rng)
         feasible, best = _brute_force(model)
-        sol = CpSolver(time_limit_s=10.0).solve(model)
-        naive = NaiveCpSolver(time_limit_s=10.0).solve(model)
+        sol = CpSolver().solve(model)
+        naive = NaiveCpSolver().solve(model)
         if not feasible:
             assert sol.status is SolveStatus.INFEASIBLE, f"case {case}: trail found ghost solution"
             assert naive.status is SolveStatus.INFEASIBLE, f"case {case}: naive found ghost solution"

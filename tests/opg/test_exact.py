@@ -62,7 +62,7 @@ class TestProveWindow:
         budgets = Budgets([10] * 10, [10] * 10)
         w = _w("a", 3, 8, range(2, 8))
         incumbent = {"a": {7: 3}}
-        best, proven = prove_window([w], budgets, incumbent, time_limit_s=2.0)
+        best, proven = prove_window([w], budgets, incumbent)
         assert proven
         assert min(best["a"]) == 7
 
@@ -70,7 +70,7 @@ class TestProveWindow:
         budgets = Budgets([10] * 10, [10] * 10)
         w = _w("a", 2, 8, range(2, 8))
         bad = {"a": {2: 2}}  # distance 6, optimum is 1
-        best, proven = prove_window([w], budgets, bad, time_limit_s=2.0)
+        best, proven = prove_window([w], budgets, bad)
         assert proven
         assert min(best["a"]) == 7
 
@@ -80,7 +80,7 @@ class TestProveWindow:
         a = _w("a", 1, 8, range(5, 8))
         b = _w("b", 1, 8, range(5, 8))
         incumbent = {"a": {7: 1}, "b": {6: 1}}
-        best, proven = prove_window([a, b], budgets, incumbent, time_limit_s=2.0)
+        best, proven = prove_window([a, b], budgets, incumbent)
         assert proven
         total = sum(8 - min(best[n]) for n in ("a", "b"))
         assert total == 3
@@ -91,7 +91,7 @@ class TestProveWindow:
         releases = {w.name: 5 for w in ws}
         incumbent = edf_feasible(ws, releases, budgets)
         assert incumbent is not None
-        _, proven = prove_window(ws, budgets, incumbent, time_limit_s=10.0, node_limit=5)
+        _, proven = prove_window(ws, budgets, incumbent, node_limit=5)
         assert not proven
 
     def test_result_respects_budgets(self):
@@ -99,7 +99,7 @@ class TestProveWindow:
         ws = [_w(f"w{i}", 3, 10, range(4, 10)) for i in range(3)]
         releases = {w.name: 4 for w in ws}
         incumbent = edf_feasible(ws, releases, budgets)
-        best, _ = prove_window(ws, budgets, incumbent, time_limit_s=2.0)
+        best, _ = prove_window(ws, budgets, incumbent)
         used = {}
         for assignment in best.values():
             for l, c in assignment.items():

@@ -103,7 +103,7 @@ class TestProverDifferential:
             if incumbent is None or any(not a for a in incumbent.values()):
                 continue
             fast, fast_proven = prove_window(
-                weights, budgets, incumbent, time_limit_s=10.0, node_limit=500_000
+                weights, budgets, incumbent, node_limit=500_000
             )
             ref, ref_proven = prove_window_reference(
                 weights, budgets, incumbent, time_limit_s=10.0, node_limit=500_000

@@ -84,7 +84,7 @@ def test_compiled_plans_respect_device_budget():
     from repro.graph.models import load_decode_model
     from repro.opg.problem import OpgConfig
 
-    config = FlashMemConfig(opg=OpgConfig(time_limit_s=1.0, max_nodes_per_window=300))
+    config = FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300))
     fm = FlashMem(config)
     for device_name in ("OnePlus 12", "Pixel 8"):
         device = get_device(device_name)

@@ -1,13 +1,10 @@
 """Tests for the LC-OPG solver, plan structure, and validation."""
 
-import gc
-
 import pytest
 
 from repro.capacity.model import analytic_capacity_model
 from repro.graph.builder import GraphBuilder
 from repro.gpusim.device import oneplus_12
-from repro.opg import lcopg
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.plan import OverlapPlan, WeightSchedule
 from repro.opg.problem import OpgConfig, build_problem
@@ -27,7 +24,7 @@ def _transformer(blocks=2, dim=128, seq=16):
     return b.finish()
 
 
-FAST = OpgConfig(time_limit_s=1.5, max_nodes_per_window=300, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024)
 
 
 class TestLcOpg:
@@ -80,7 +77,7 @@ class TestLcOpg:
 
     def test_lambda_drives_preload(self, capacity):
         g = _transformer()
-        lam_hi = OpgConfig(time_limit_s=1.5, max_nodes_per_window=300, chunk_bytes=8 * 1024, lam=1.0)
+        lam_hi = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024, lam=1.0)
         plan_hi = LcOpgSolver(lam_hi).solve(g, capacity)
         plan_lo = LcOpgSolver(FAST).solve(g, capacity)  # lam=0.9
         assert plan_hi.preload_ratio > plan_lo.preload_ratio
@@ -89,7 +86,6 @@ class TestLcOpg:
         g = _transformer()
         target = [w.name for w, _ in g.weights()][-1]
         cfg = OpgConfig(
-            time_limit_s=1.5,
             max_nodes_per_window=300,
             chunk_bytes=8 * 1024,
             preload_hint_weights=frozenset({target}),
@@ -100,7 +96,7 @@ class TestLcOpg:
     def test_tight_m_peak_still_valid(self, capacity):
         g = _transformer()
         cfg = OpgConfig(
-            time_limit_s=1.5, max_nodes_per_window=300, chunk_bytes=8 * 1024, m_peak_bytes=256 * 1024
+            max_nodes_per_window=300, chunk_bytes=8 * 1024, m_peak_bytes=256 * 1024
         )
         plan = LcOpgSolver(cfg).solve(g, capacity)
         problem = build_problem(g, capacity, cfg)
@@ -108,40 +104,12 @@ class TestLcOpg:
 
     def test_solver_deterministic(self, capacity):
         g = _transformer()
-        cfg = OpgConfig(time_limit_s=60.0, max_nodes_per_window=50, chunk_bytes=8 * 1024)
+        cfg = OpgConfig(max_nodes_per_window=50, chunk_bytes=8 * 1024)
         a = LcOpgSolver(cfg).solve(g, capacity)
         b = LcOpgSolver(cfg).solve(g, capacity)
         assert {n: s.transforms for n, s in a.schedules.items()} == {
             n: s.transforms for n, s in b.schedules.items()
         }
-
-
-class TestCollectorPaused:
-    """A solve's wall-clock window budgets must not absorb GC pauses."""
-
-    def test_no_collection_inside_solve(self, capacity, monkeypatch):
-        seen = []
-
-        class Probe(lcopg.CpSolver):
-            def solve(self, model):
-                seen.append(gc.isenabled())
-                return super().solve(model)
-
-        monkeypatch.setattr(lcopg, "CpSolver", Probe)
-        # The SRPT floor closes every window of this model before the CP
-        # search; switch it off so the windows reach the spy.
-        monkeypatch.setattr(lcopg, "srpt_distance_floor", lambda *a: None)
-        LcOpgSolver(FAST).solve(_transformer(), capacity, device_name="OnePlus 12")
-        assert seen and not any(seen)
-        assert gc.isenabled()
-
-    def test_disabled_collector_stays_disabled(self, capacity):
-        gc.disable()
-        try:
-            LcOpgSolver(FAST).solve(_transformer(), capacity, device_name="OnePlus 12")
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
 
 class TestPlanStructure:

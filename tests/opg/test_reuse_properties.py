@@ -36,7 +36,7 @@ from repro.opg.heuristics import Budgets
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig, WeightInfo
 
-FAST = OpgConfig(time_limit_s=1.5, max_nodes_per_window=300, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024)
 
 #: Layer-space size for synthetic windows; budgets arrays are padded past
 #: this so phase-shifted lookups stay in range.

@@ -1,9 +1,9 @@
 """Tier-1 perf guardrail for the trail-based CP solver.
 
 Asserts fixed, seeded OPG windows solve to OPTIMAL within a *node* budget
-(~8× the current need), with a long wall-clock limit so only the node
-budget can bind — catching search/propagation regressions (more nodes to
-optimality) deterministically, without wall-clock flakiness.
+(~8× the current need), the solver's only limit — catching
+search/propagation regressions (more nodes to optimality)
+deterministically, without wall-clock flakiness.
 
 If this fails after a solver change, the change made the search weaker:
 compare ``results/BENCH_solver.json`` before/after via
@@ -25,7 +25,7 @@ GUARDRAIL_WINDOWS = [
 def test_fixed_windows_reach_optimal_within_node_budget():
     for n_weights, n_layers, cap, seed, node_budget, optimal in GUARDRAIL_WINDOWS:
         model = build_window_model(n_weights, n_layers, cap, seed)
-        sol = CpSolver(time_limit_s=120.0, max_nodes=node_budget).solve(model)
+        sol = CpSolver(max_nodes=node_budget).solve(model)
         label = f"window({n_weights}w,{n_layers}l,seed={seed})"
         assert sol.status is SolveStatus.OPTIMAL, (
             f"{label}: {sol.status.value} after {sol.nodes_explored} nodes "
@@ -43,7 +43,7 @@ def test_propagation_work_stays_incremental():
     # them (several passes) per node, the incremental one only a fraction.
     model = build_window_model(8, 14, 6, 23)
     n_constraints = model.num_constraints
-    sol = CpSolver(time_limit_s=120.0, max_nodes=50_000).solve(model)
+    sol = CpSolver(max_nodes=50_000).solve(model)
     evals_per_node = (sol.stats.linear_props + sol.stats.implication_props) / sol.stats.nodes
     assert evals_per_node < n_constraints, (
         f"{evals_per_node:.1f} constraint evaluations/node vs {n_constraints} constraints: "

@@ -135,7 +135,7 @@ def test_none_for_a_chunkless_or_unfinishable_weight():
 def _cp_window(weights, budgets, *, max_nodes):
     solver = LcOpgSolver(OpgConfig(max_nodes_per_window=max_nodes))
     stats = PlanStats()
-    result = solver._cp_window(None, weights, budgets, 60.0, stats)
+    result = solver._cp_window(None, weights, budgets, stats)
     return result, stats
 
 

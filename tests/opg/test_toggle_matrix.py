@@ -16,7 +16,7 @@ from repro.gpusim.device import oneplus_12
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
 
-FAST = OpgConfig(time_limit_s=1.5, max_nodes_per_window=300, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024)
 
 
 def _graph():

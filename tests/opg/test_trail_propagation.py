@@ -279,5 +279,5 @@ class TestTrailSolverBehaviour:
         xs = [m.new_int(0, 10, f"x{i}") for i in range(20)]
         m.add_sum_eq([(x, 1) for x in xs], 100)
         m.minimize([(x, 1) for x in xs[:3]])
-        sol = CpSolver(time_limit_s=60.0, max_nodes=50).solve(m)
+        sol = CpSolver(max_nodes=50).solve(m)
         assert sol.nodes_explored <= 50

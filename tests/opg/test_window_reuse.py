@@ -16,7 +16,7 @@ from repro.opg.heuristics import Budgets
 from repro.opg.lcopg import LcOpgSolver, WindowCache, _WindowEntry
 from repro.opg.problem import OpgConfig, WeightInfo, build_problem
 
-FAST = OpgConfig(time_limit_s=1.5, max_nodes_per_window=300, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024)
 
 
 def _model(name="reuse-test", blocks=3):
@@ -114,16 +114,6 @@ class TestFingerprint:
         greedy_only = LcOpgSolver(FAST, use_cp=False)
         assert other_cfg._window_fingerprint(window, budgets, set())[0] != base
         assert greedy_only._window_fingerprint(window, budgets, set())[0] != base
-
-    def test_time_limit_excluded_from_key(self):
-        """Wall-clock budget must not invalidate entries (node budgets bind)."""
-        budgets = Budgets([3] * 40, [10] * 40)
-        window = [_w("a", 2, 10, range(6, 10))]
-        a = LcOpgSolver(FAST)._window_fingerprint(window, budgets, set())[0]
-        b = LcOpgSolver(dataclasses.replace(FAST, time_limit_s=99.0))._window_fingerprint(
-            window, budgets, set()
-        )[0]
-        assert a == b
 
 
 class TestReplayEquivalence:

@@ -36,7 +36,7 @@ TOKENS = 40  # several breakpoints deep at tile_tokens=256
 
 @pytest.fixture(scope="module")
 def fm():
-    return FlashMem(FlashMemConfig(opg=OpgConfig(time_limit_s=1.5, max_nodes_per_window=300)))
+    return FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300)))
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ def _conv_model():
     return b.finish()
 
 
-FAST = OpgConfig(time_limit_s=1.0, max_nodes_per_window=200, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
 
 
 @pytest.fixture(scope="module")

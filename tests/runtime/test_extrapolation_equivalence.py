@@ -35,7 +35,7 @@ ITERATION_COUNTS = (1, 2, 7)
 
 @pytest.fixture(scope="module")
 def fm():
-    return FlashMem(FlashMemConfig(opg=OpgConfig(time_limit_s=1.5, max_nodes_per_window=300)))
+    return FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300)))
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from repro.runtime.executor import FlashMemExecutor
 from repro.runtime.frameworks import SMARTMEM
 from repro.runtime.preload import PreloadExecutor
 
-FAST = OpgConfig(time_limit_s=0.5, max_nodes_per_window=100, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=100, chunk_bytes=8 * 1024)
 
 
 def _model(name="inj", blocks=2, dim=128):

@@ -14,7 +14,7 @@ from repro.runtime.multimodel import FifoPipeline, fifo_schedule
 from repro.runtime.naive_overlap import AlwaysNextPlanner, SameOpTypePlanner
 from repro.runtime.preload import PreloadExecutor
 
-FAST = OpgConfig(time_limit_s=1.0, max_nodes_per_window=200, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
 
 
 def _model(name, blocks=2, dim=128):

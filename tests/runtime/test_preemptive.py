@@ -12,7 +12,7 @@ from repro.runtime.frameworks import SMARTMEM
 from repro.runtime.preemptive import flashmem_resume_factory, run_preemption_episode
 from repro.runtime.preload import PreloadExecutor
 
-FAST = OpgConfig(time_limit_s=0.5, max_nodes_per_window=100, chunk_bytes=8 * 1024)
+FAST = OpgConfig(max_nodes_per_window=100, chunk_bytes=8 * 1024)
 
 
 def _model(name, blocks=3, dim=256):

@@ -17,7 +17,7 @@ DEVICE = "OnePlus 12"
 
 @pytest.fixture(scope="module")
 def fm():
-    return FlashMem(FlashMemConfig(opg=OpgConfig(time_limit_s=1.0, max_nodes_per_window=300)))
+    return FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300)))
 
 
 @pytest.fixture(scope="module")

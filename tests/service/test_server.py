@@ -30,7 +30,7 @@ def _isolate_caches():
     swap_store(None)
 
 
-REQUEST = CompileRequest(model="ViT", time_limit_s=0.5)
+REQUEST = CompileRequest(model="ViT")
 
 
 @pytest.fixture()
@@ -71,12 +71,9 @@ class TestProtocol:
             assert stats["requests"] == 1 and stats["compiles"] == 1
 
     def test_served_plan_matches_direct_compile(self, served_socket):
-        # The default budget: at 0.5 s the solver's wall-clock deadlines
-        # bind, so two compiles of one request can differ on a loaded host.
-        request = CompileRequest(model="ViT")
-        direct = execute_compile(request)
+        direct = execute_compile(REQUEST)
         with ServiceClient(served_socket) as client:
-            response = client.compile(request)
+            response = client.compile(REQUEST)
         served = response["plan"]
         served.pop("stats", None)
         expected = json.loads(direct.plan.to_json())
@@ -97,6 +94,14 @@ class TestProtocol:
             assert not bad["ok"] and "NoSuchModel" in bad["error"]
             # Same connection still serves real work afterwards.
             assert client.compile(REQUEST)["ok"]
+
+    def test_unknown_field_rejected_and_connection_survives(self, served_socket):
+        with ServiceClient(served_socket) as client:
+            bad = client.request({"op": "compile", "model": "ViT", "time_limit_s": 0.5})
+            assert not bad["ok"]
+            assert bad["error"] == "ValueError: unknown compile request field(s): time_limit_s"
+            assert client.compile(REQUEST)["ok"]
+            assert client.stats()["stats"]["requests"] == 1
 
     def test_concurrent_connections_coalesce(self, served_socket):
         results = []
@@ -142,8 +147,7 @@ class TestCliSubprocess:
             out_path = tmp_path / "plan.json"
             client = subprocess.run(
                 [sys.executable, "-m", "repro", "compile", "ViT",
-                 "--time-limit", "0.5", "--via-service", socket_path,
-                 "--out", str(out_path)],
+                 "--via-service", socket_path, "--out", str(out_path)],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert client.returncode == 0, client.stdout + client.stderr

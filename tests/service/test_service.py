@@ -24,7 +24,6 @@ from repro.service import (
     compile_many,
     execute_compile,
 )
-from repro.service.request import DEFAULT_TIME_LIMIT_S
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +39,7 @@ MODEL = "ViT"
 
 
 def _request(**overrides) -> CompileRequest:
-    fields = {"model": MODEL, "device": "OnePlus 12", "time_limit_s": 0.5}
+    fields = {"model": MODEL, "device": "OnePlus 12"}
     fields.update(overrides)
     return CompileRequest(**fields)
 
@@ -58,13 +57,10 @@ class TestCompileRequest:
 
     def test_invalid_budgets_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            CompileRequest(model=MODEL, time_limit_s=0.0)
-        with pytest.raises(ValueError):
             CompileRequest(model=MODEL, context_len=-1)
 
     def test_budget_axes_address_distinct_artifacts(self):
         base = _request().store_key()
-        assert _request(time_limit_s=1.0).store_key() != base
         assert _request(lam=0.5).store_key() != base
         assert _request(context_len=128).store_key() != base
         assert _request(target_preload_ratio=0.4).store_key() != base
@@ -84,6 +80,13 @@ class TestCompileRequest:
         }
         with pytest.raises(ValueError):
             CompileRequest.from_payload({"device": "OnePlus 12"})
+
+    def test_unknown_payload_fields_rejected(self):
+        """Keys that are not request fields fail the parse, named, instead
+        of being dropped."""
+        payload = {"model": MODEL, "time_limit_s": 0.5, "priority": 1}
+        with pytest.raises(ValueError, match="priority, time_limit_s"):
+            CompileRequest.from_payload(payload)
 
     def test_dedup_token_is_store_key_fingerprint(self):
         request = _request()
@@ -163,9 +166,7 @@ class TestCoalescing:
         assert [r.source for r in replies] == ["compiled"] * len(requests)
 
     def test_served_plan_byte_identical_to_direct_compile(self, tmp_path):
-        # The default budget: at 0.5 s the solver's wall-clock deadlines
-        # bind, so two compiles of one request can differ on a loaded host.
-        request = _request(time_limit_s=DEFAULT_TIME_LIMIT_S)
+        request = _request()
         direct = execute_compile(request)
         (reply,) = compile_many([request], workers=0, cache_dir=tmp_path)
         assert reply.plan.canonical_json() == direct.plan.canonical_json()
@@ -233,8 +234,7 @@ class TestFailureInjection:
         """An unknown model fails its own waiters; the service keeps serving."""
         async def go():
             async with PlanCompilationService(workers=0, cache_dir=tmp_path) as svc:
-                bad = svc.submit(CompileRequest(model="NoSuchModel",
-                                                time_limit_s=0.5))
+                bad = svc.submit(CompileRequest(model="NoSuchModel"))
                 good = svc.submit(_request())
                 results = await asyncio.gather(bad, good, return_exceptions=True)
                 follow_up = await svc.submit(_request(lam=0.9))
@@ -251,8 +251,7 @@ class TestFailureInjection:
     def test_poisoned_duplicates_all_observe_the_failure(self, tmp_path):
         async def go():
             async with PlanCompilationService(workers=0, cache_dir=tmp_path) as svc:
-                bads = [svc.submit(CompileRequest(model="NoSuchModel",
-                                                  time_limit_s=0.5))
+                bads = [svc.submit(CompileRequest(model="NoSuchModel"))
                         for _ in range(3)]
                 results = await asyncio.gather(*bads, return_exceptions=True)
                 return results, svc.stats.snapshot()

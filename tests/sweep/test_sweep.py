@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.core.store import ArtifactStore, active_store, swap_store
-from repro.experiments import common
+from repro.experiments import common, fleet
 from repro.sweep.cells import Cell, driver_cells, primitive_cells
 from repro.sweep.runner import SweepRunner
 from repro.sweep.suite import run_suite
@@ -140,6 +140,17 @@ class TestSuite:
         assert all(o.cache_hit for o in warm.drivers.outcomes)
         for name in names:
             assert (out_cold / f"{name}.txt").read_bytes() == (out_warm / f"{name}.txt").read_bytes()
+
+    def test_fleet_render_ends_in_one_newline(self, tmp_path, monkeypatch):
+        # One short MNN cell keeps the driver cheap; the render's layout
+        # does not depend on the grid or the trace length.
+        monkeypatch.setattr(fleet, "DURATION_S", 20.0)
+        monkeypatch.setattr(fleet, "DEVICES", ("OnePlus 12",))
+        monkeypatch.setattr(fleet, "RUNTIMES", ("MNN",))
+        report = run_suite(["fleet"], jobs=1, cache_dir=None, results_dir=tmp_path)
+        assert report.ok
+        text = (tmp_path / "fleet.txt").read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
 
     def test_suite_survives_failing_driver(self, tmp_path):
         # An unknown driver name fails at import time inside the cell.

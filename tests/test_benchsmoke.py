@@ -52,7 +52,7 @@ def test_solver_microbench_quick():
     """Bitset-vs-naive comparison structure under a tiny node cap."""
     bench = _load_bench_module(BENCH_DIR / "test_solver_throughput.py")
 
-    result = bench.run_throughput_benchmark(time_limit_s=0.5, max_nodes=500)
+    result = bench.run_throughput_benchmark(max_nodes=500)
     for side in ("trail", "naive"):
         assert len(result[side]["windows"]) == len(bench.WORKLOAD)
     assert result["speedup_nodes_per_sec"] > 0
@@ -162,7 +162,7 @@ def test_service_dedup_quick(tmp_path):
 
     common.clear_caches()
     try:
-        requests = [CompileRequest(model="ViT", time_limit_s=0.5)] * 4
+        requests = [CompileRequest(model="ViT")] * 4
         replies = compile_many(requests, workers=0, cache_dir=tmp_path)
         assert sum(r.coalesced for r in replies) == 3
         assert len({r.plan.canonical_json() for r in replies}) == 1
@@ -180,7 +180,7 @@ def test_service_pool_prewarm_quick(tmp_path):
 
     with CompilePool(workers=1, cache_dir=tmp_path) as pool:
         pool.prewarm(barrier_s=0.01)
-        payload = CompileRequest(model="ViT", time_limit_s=0.5).to_payload()
+        payload = CompileRequest(model="ViT").to_payload()
         reply = pool.submit(payload).result(timeout=300)
         assert reply["source"] == "compiled"
         assert reply["path"] is not None and reply["pid"] is not None

@@ -24,7 +24,7 @@ from repro.runtime.executor import FlashMemExecutor
 
 _DEVICE = oneplus_12()
 _CAPACITY = analytic_capacity_model(_DEVICE)
-_CFG = OpgConfig(time_limit_s=0.5, max_nodes_per_window=100, chunk_bytes=8 * 1024)
+_CFG = OpgConfig(max_nodes_per_window=100, chunk_bytes=8 * 1024)
 
 
 @st.composite
