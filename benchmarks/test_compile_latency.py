@@ -33,6 +33,7 @@ with >= 60% window reuse: round 1 (solve reuse + fast oracle) measured
 windows + bitset CP engine) must at least double that.
 """
 
+import functools
 import gc
 import json
 import time
@@ -99,7 +100,8 @@ def _measure_side(side: str) -> None:
 
         lcopg.Budgets = SeedBudgets
         lcopg.edf_feasible = edf_feasible_reference
-        lcopg.prove_window = prove_window_reference
+        # The seed's prover also stopped at a 1 s wall clock.
+        lcopg.prove_window = functools.partial(prove_window_reference, time_limit_s=1.0)
         solver = SeedPartitionSolver(OpgConfig(window_reuse=False))
     else:
         solver = lcopg.LcOpgSolver(OpgConfig())

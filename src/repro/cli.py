@@ -77,6 +77,25 @@ EXPERIMENTS = [
 ]
 
 
+def _add_cache_options(parser: argparse.ArgumentParser) -> None:
+    """``--cache-dir`` and ``--no-cache``; :func:`_cache_dir` reads them."""
+    parser.add_argument("--cache-dir", default=None,
+                        help="persistent artifact store directory "
+                             "(default: $REPRO_CACHE_DIR or .artifact-cache)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="run without a persistent artifact store "
+                             "(every artifact is recomputed)")
+
+
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """The artifact store directory the options name, or None (--no-cache)."""
+    from repro.sweep.suite import DEFAULT_CACHE_DIR
+
+    if args.no_cache:
+        return None
+    return args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -144,12 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="compile pool size (0 = in-process inline mode)")
     serve_p.add_argument("--max-batch", type=int, default=64,
                          help="max requests drained per dedup/lookup batch")
-    serve_p.add_argument("--cache-dir", default=None,
-                         help="shared artifact store directory "
-                              "(default: $REPRO_CACHE_DIR or .artifact-cache)")
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="serve without a persistent store "
-                              "(every unique request compiles)")
+    _add_cache_options(serve_p)
 
     make_trace_p = sub.add_parser(
         "make-trace", help="generate a seeded fleet traffic trace (JSON)"
@@ -184,11 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_trace_p.add_argument("--naive", action="store_true",
                                help="disable episode memoization (simulate "
                                     "every invocation; the benchmark baseline)")
-    serve_trace_p.add_argument("--cache-dir", default=None,
-                               help="persistent artifact cache directory "
-                                    "(default: $REPRO_CACHE_DIR or .artifact-cache)")
-    serve_trace_p.add_argument("--no-cache", action="store_true",
-                               help="replay without a persistent store")
+    _add_cache_options(serve_trace_p)
 
     plan_p = sub.add_parser("plan", help="solve and inspect an overlap plan")
     plan_p.add_argument("model", choices=sorted(ALL_CARDS))
@@ -241,11 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help='driver name, or "all" for the full suite')
     exp_p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (default 1 = serial)")
-    exp_p.add_argument("--cache-dir", default=None,
-                       help="persistent artifact cache directory "
-                            "(default: $REPRO_CACHE_DIR or .artifact-cache)")
-    exp_p.add_argument("--no-cache", action="store_true",
-                       help="bypass the persistent cache (cold-run measurement)")
+    _add_cache_options(exp_p)
     exp_p.add_argument("--results-dir", default=None,
                        help='write rendered outputs here (default: results/ for "all")')
     return parser
@@ -552,12 +558,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service.server import DEFAULT_SOCKET, run_server
-    from repro.sweep.suite import DEFAULT_CACHE_DIR
 
     socket_path = args.socket or DEFAULT_SOCKET
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-    )
+    cache_dir = _cache_dir(args)
 
     def ready() -> None:
         print(f"plan-compilation service listening on {socket_path} "
@@ -621,22 +624,18 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
     from repro.fleet.population import DEFAULT_DEVICES, DEFAULT_RUNTIMES, run_fleet
     from repro.fleet.replay import DEFAULT_SLO_MULTIPLIER
     from repro.fleet.trace import Trace
-    from repro.sweep.suite import DEFAULT_CACHE_DIR
 
     try:
         trace = Trace.load(args.trace)
     except (OSError, ValueError, KeyError) as exc:
         raise SystemExit(f"error: cannot load trace {args.trace}: {exc}")
     devices = tuple(get_device(d).name for d in (args.devices or DEFAULT_DEVICES))
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-    )
     report = run_fleet(
         trace,
         devices,
         tuple(args.runtimes or DEFAULT_RUNTIMES),
         jobs=args.jobs,
-        cache_dir=cache_dir,
+        cache_dir=_cache_dir(args),
         slo_multiplier=(args.slo_multiplier if args.slo_multiplier is not None
                         else DEFAULT_SLO_MULTIPLIER),
         memoize=not args.naive,
@@ -646,12 +645,10 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.sweep.suite import DEFAULT_CACHE_DIR, run_suite
+    from repro.sweep.suite import run_suite
 
     names = EXPERIMENTS if args.name == "all" else [args.name]
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-    )
+    cache_dir = _cache_dir(args)
     results_dir = args.results_dir or ("results" if args.name == "all" else None)
     report = run_suite(
         names,

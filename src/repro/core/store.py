@@ -14,8 +14,12 @@ silently re-missed forever.
 
 A process has one active store (:func:`swap_store` installs it,
 :func:`active_store` reads it), and every persisted artifact goes through
-:func:`read_through`.  This module imports nothing else from ``repro``, so
-every layer can use the slot without importing the layers that set it.
+:func:`read_through`.  Pool workers install a store over the same root as
+the process that started them (:func:`repro.sweep.runner.start_pool`), so
+there is one store, which every process reads and writes; the atomic
+writes make concurrent writers safe.  This module imports nothing else
+from ``repro``, so every layer can use the slot without importing the
+layers that set it.
 """
 
 from __future__ import annotations
@@ -224,23 +228,6 @@ class ArtifactStore:
         self.stats.stores += 1
         return path
 
-    def publish_bytes(self, key: Mapping[str, Any], blob: bytes) -> pathlib.Path:
-        """Atomically install an already-pickled envelope under ``key``.
-
-        ``blob`` must be the exact envelope bytes another :class:`ArtifactStore`
-        instance with the same schema produced for the same key (envelopes
-        embed only schema + key + value, never the store root, so they are
-        portable between roots).  This is the zero-re-pickle publish path the
-        plan-compilation service uses: workers save into worker-local stores,
-        and the single daemon process copies the raw bytes into the shared
-        store — one writer, no pickling on the publish side, no contention.
-        """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_bytes(path, blob)
-        self.stats.stores += 1
-        return path
-
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.pkl"))
 
@@ -255,12 +242,7 @@ def active_store() -> Optional[ArtifactStore]:
 
 
 def swap_store(store: Optional[ArtifactStore]) -> Optional[ArtifactStore]:
-    """Install ``store`` (None disables persistence); returns the previous one.
-
-    Any object with the store's ``load``/``save``/``contains``/``stats``
-    interface works, e.g. a pool worker's
-    :class:`~repro.service.store.ReadThroughStore`.
-    """
+    """Install ``store`` (None disables persistence); returns the previous one."""
     global _ACTIVE
     previous, _ACTIVE = _ACTIVE, store
     return previous

@@ -1,13 +1,10 @@
 """Population fan-out: a device × runtime grid replayed over a process pool.
 
-One fleet run shards the grid's cells over a pre-warmed
-:class:`~concurrent.futures.ProcessPoolExecutor`
-(:func:`repro.sweep.runner.prewarm_executor` — spawn + import + store init
-paid before the timed work).  Workers run the compile service's
-:func:`~repro.service.pool.worker_init`: each writes a private
-``worker-local/<pid>`` store and reads through to the shared directory, so
-one worker's simulated episode is every later cell's cache hit without
-write races.
+One fleet run shards the grid's cells over a pool from
+:func:`repro.sweep.runner.start_pool` (spawn, imports and the store paid
+before the timed work).  Every worker reads and writes the one shared
+store, so an episode simulated in any cell or run is a cache hit for every
+later one.
 
 The headline metric is **simulated device-hours per wall-clock second**:
 how much device-population time one machine can evaluate per second.
@@ -16,7 +13,6 @@ how much device-population time one machine can evaluate per second.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -122,8 +118,9 @@ def run_fleet(
 ) -> FleetReport:
     """Replay ``trace`` over the device × runtime grid.
 
-    ``jobs > 1`` shards cells over a pre-warmed spawn pool whose workers
-    read through to ``cache_dir``; pool spawn + import + store init happen
+    Episodes persist to the store at ``cache_dir``, or, when it is None,
+    to the process's active store.  ``jobs > 1`` shards cells over a
+    pre-warmed pool whose workers share that store; pool start happens
     before the timed window, so ``wall_s`` measures replay work.  Cell
     order in the report is deterministic (device-major) regardless of
     completion order.  ``memoize=False`` runs the naive per-invocation
@@ -138,10 +135,9 @@ def run_fleet(
         jobs=jobs,
         cache_dir=str(cache_dir) if cache_dir is not None else None,
     )
+    store = ArtifactStore(cache_dir) if cache_dir is not None else active_store()
     if jobs == 1 or len(grid) <= 1:
-        previous = swap_store(
-            ArtifactStore(cache_dir) if cache_dir is not None else active_store()
-        )
+        previous = swap_store(store)
         try:
             provider = EpisodeProvider(memoize=memoize)
             start = time.perf_counter()
@@ -161,18 +157,12 @@ def run_fleet(
         report.jobs = 1
         return report
 
-    from repro.service.pool import worker_init
-    from repro.sweep.runner import prewarm_executor
+    from repro.sweep.runner import start_pool
 
     workers = min(jobs, len(grid))
     trace_json = trace.to_json()
-    pool = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=worker_init,
-        initargs=(str(cache_dir) if cache_dir is not None else None,),
-    )
+    pool = start_pool(workers, store.root if store is not None else None)
     try:
-        prewarm_executor(pool, workers, 0.05)
         start = time.perf_counter()
         futures = [
             pool.submit(

@@ -74,6 +74,14 @@ DEDICATED = object()
 #: FIFO capacity of a solver's :class:`WindowCache`, in entries.
 WINDOW_CACHE_ENTRIES = 4096
 
+#: Largest window (in weights) the exact optimality prover attempts after
+#: a FEASIBLE CP incumbent.
+PROVER_MAX_WEIGHTS = 48
+
+#: The prover only engages when the incumbent is within this distance of
+#: the solo lower bound (wider gaps are combinatorial).
+PROVER_MAX_GAP = 8
+
 
 def plan_kv_residency(graph, plan: OverlapPlan, device, config: OpgConfig) -> Optional[KvResidencyPlan]:
     """Grant the decode-phase KV caches a residency budget alongside weights.
@@ -854,7 +862,7 @@ class LcOpgSolver:
                     assignment[l] = chunks
             placed[w.name] = assignment
         status = solution.status
-        if status is SolveStatus.FEASIBLE and len(weights) <= self.config.prover_max_weights:
+        if status is SolveStatus.FEASIBLE and len(weights) <= PROVER_MAX_WEIGHTS:
             # The chunk plateau keeps generic B&B from finishing; the exact
             # release-vector prover can close (or improve) the incumbent
             # when the incumbent is already near the solo lower bound
@@ -873,7 +881,7 @@ class LcOpgSolver:
             incumbent_obj = sum(
                 w.consumer_layer - min(placed[w.name]) for w in weights if placed[w.name]
             )
-            if incumbent_obj - solo_bound <= self.config.prover_max_gap:
+            if incumbent_obj - solo_bound <= PROVER_MAX_GAP:
                 prover_start = time.perf_counter()
                 improved, proven = prove_window(weights, budgets, placed)
                 stats.exact_prover_s += time.perf_counter() - prover_start

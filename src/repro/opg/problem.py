@@ -62,12 +62,6 @@ class OpgConfig:
     #: plan is a pure function of graph, device and config, whatever the
     #: machine's speed or load (the paper instead gives each model 150 s).
     max_nodes_per_window: int = 500
-    #: Window sizes (in weights) the exact optimality prover attempts after
-    #: a FEASIBLE CP incumbent (0 disables the prover).
-    prover_max_weights: int = 48
-    #: Prover only engages when the incumbent is within this distance of
-    #: the solo lower bound (wider gaps are combinatorial).
-    prover_max_gap: int = 8
     #: Cross-solve window reuse: fingerprint each rolling window in
     #: canonical (positional, shift- and rename-invariant) coordinates and
     #: replay the cached schedule when an equivalent window comes back —

@@ -8,12 +8,11 @@ package is that service:
 - :mod:`repro.service.request` — :class:`CompileRequest`, the
   (model, device, config) unit of work, normalized and
   content-addressed against the shared :class:`~repro.core.store.ArtifactStore`;
-- :mod:`repro.service.store` — :class:`ReadThroughStore`, the worker-local
-  two-level store (private first, shared fallback, private-only writes);
 - :mod:`repro.service.pool` — :class:`CompilePool`, the persistent
-  pre-warmed process pool compilation fans out over;
+  pre-warmed process pool compilation fans out over; its workers save
+  compiled models into the shared store;
 - :mod:`repro.service.daemon` — :class:`PlanCompilationService`, the async
-  queue → dedup → batched store lookup → pool → publish dataflow;
+  queue → dedup → batched store lookup → pool → load dataflow;
 - :mod:`repro.service.server` — the unix-socket JSON-lines front end behind
   ``repro serve`` and the matching :class:`ServiceClient`.
 """
@@ -28,13 +27,11 @@ from repro.service.daemon import (
 )
 from repro.service.pool import CompilePool
 from repro.service.request import CompileRequest, execute_compile
-from repro.service.store import ReadThroughStore
 
 __all__ = [
     "CompilePool",
     "CompileRequest",
     "PlanCompilationService",
-    "ReadThroughStore",
     "ServiceClosed",
     "ServiceError",
     "ServiceReply",

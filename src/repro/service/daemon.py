@@ -1,4 +1,4 @@
-"""The plan-compilation daemon: queue → dedup → batched lookup → pool → publish.
+"""The plan-compilation daemon: queue → dedup → batched lookup → pool → load.
 
 Dataflow of one batch (see DESIGN.md "Plan-compilation service"):
 
@@ -14,12 +14,11 @@ Dataflow of one batch (see DESIGN.md "Plan-compilation service"):
    shared :class:`ArtifactStore` in one :meth:`~ArtifactStore.load_many`
    pass (off the event loop); hits are served immediately.
 4. **pool** — misses fan out over the pre-warmed
-   :class:`~repro.service.pool.CompilePool`; workers consult their private
-   read-through stores and write results there (never to the shared store).
-5. **publish** — the daemon, the single shared-store writer, copies each
-   worker's already-pickled envelope bytes into the shared store
-   (:meth:`ArtifactStore.publish_bytes`) and resolves every waiter with the
-   same :class:`ServiceReply` payload.
+   :class:`~repro.service.pool.CompilePool`, whose workers read and write
+   the same shared store.
+5. **load** — the daemon loads each worker's saved model from that store
+   (with no store, the model comes back through the pool) and resolves
+   every waiter with the same :class:`ServiceReply` payload.
 
 Plans served by any route are canonically byte-identical to a direct
 ``FlashMem.compile`` of the same request (``OverlapPlan.canonical_json``).
@@ -28,16 +27,14 @@ Plans served by any route are canonically byte-identical to a direct
 from __future__ import annotations
 
 import asyncio
-import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flashmem import CompiledModel
 from repro.core.store import ArtifactStore
-from repro.service.pool import CompilePool, raise_recursion_limit
+from repro.service.pool import CompilePool
 from repro.service.request import CompileRequest
-from repro.service.store import unpickle_envelope
 from repro.sweep.runner import PathLike
 
 
@@ -81,7 +78,7 @@ class ServiceReply:
     request: CompileRequest
     compiled: CompiledModel
     #: "store" (batched lookup hit), "compiled" (pool compile), or
-    #: "worker-store" (worker's read-through store already had it).
+    #: "worker-store" (the store had it by the time the worker ran).
     source: str
     #: True when this waiter attached to another request's compile/lookup.
     coalesced: bool
@@ -138,7 +135,6 @@ class PlanCompilationService:
         """Prewarm the pool and start the drain task; idempotent."""
         if self._drainer is not None:
             return
-        raise_recursion_limit()
         loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
         await loop.run_in_executor(None, self.pool.prewarm)
@@ -250,13 +246,13 @@ class PlanCompilationService:
             self._finishers.add(task)
             task.add_done_callback(self._finishers.discard)
 
-    # ------------------------------------------------------- publish/resolve
+    # ---------------------------------------------------------- load/resolve
     async def _finish(self, token: str, entry: _Inflight,
                       pool_future: "asyncio.Future[Dict[str, Any]]") -> None:
         loop = asyncio.get_running_loop()
         try:
             raw = await pool_future
-            compiled = await loop.run_in_executor(None, self._publish, entry.request, raw)
+            compiled = await loop.run_in_executor(None, self._load_compiled, entry.request, raw)
         except (Exception, asyncio.CancelledError) as exc:
             self._inflight.pop(token, None)
             self.stats.failures += 1
@@ -269,30 +265,23 @@ class PlanCompilationService:
             if isinstance(exc, asyncio.CancelledError):
                 raise
             return
-        # Waiters may still be attaching while _publish runs in the thread;
-        # popping before resolving closes the window (later duplicates will
-        # hit the freshly published store entry instead).
+        # Waiters may still be attaching while the model loads in the
+        # thread; popping before resolving closes the window (later
+        # duplicates will hit the worker's freshly saved store entry instead).
         self._inflight.pop(token, None)
         self._resolve_waiters(entry.waiters, entry.request, compiled,
                               raw["source"], raw["wall_s"], raw["pid"])
 
-    def _publish(self, request: CompileRequest, raw: Dict[str, Any]) -> CompiledModel:
-        """Materialize a worker reply; publish its bytes to the shared store.
-
-        Runs in the default thread executor.  The daemon is the only shared-
-        store writer: workers hand back either the private-store path of
-        their pickled envelope (copied here byte-for-byte) or, store-less,
-        the compiled model itself.
-        """
-        if raw["path"] is None:
+    def _load_compiled(self, request: CompileRequest, raw: Dict[str, Any]) -> CompiledModel:
+        """The model a worker compiled: loaded from the store it saved it
+        to, or, store-less, the one its reply carried.  Runs in the default
+        thread executor (unpickling compiled models is not cheap)."""
+        if self.store is None:
             return raw["value"]
-        key = request.store_key()
-        blob = pathlib.Path(raw["path"]).read_bytes()
-        if self.store is not None:
-            shared_path = self.store.path_for(key)
-            if pathlib.Path(raw["path"]) != shared_path:
-                self.store.publish_bytes(key, blob)
-        return unpickle_envelope(blob, key, self.store.schema if self.store else None)
+        compiled = self.store.load(request.store_key())
+        if compiled is None:
+            raise ServiceError(f"{raw['path']} is missing or unreadable")
+        return compiled
 
     def _resolve_waiters(self, waiters: List[asyncio.Future], request: CompileRequest,
                          compiled: CompiledModel, source: str, wall_s: float,

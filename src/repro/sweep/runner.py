@@ -1,17 +1,25 @@
-"""Process-pool sweep runner with deterministic merging.
+"""Process-pool sweep runner with deterministic merging, and the one pool start.
 
 Cells are executed across ``jobs`` worker processes (inline when
-``jobs=1``), every worker sharing one persistent artifact store configured
-by a pool initializer.  The runner records per-cell wall time and
-store-counter deltas, captures failures without aborting the sweep, and
-merges outcomes in sorted cell order so the report is independent of
-completion order.
+``jobs=1``).  The runner records per-cell wall time and store-counter
+deltas, captures failures without aborting the sweep, and merges outcomes
+in sorted cell order so the report is independent of completion order.
+
+:func:`start_pool` is how every process fan-out in the package starts its
+workers — the sweep, the compile service's
+:class:`~repro.service.pool.CompilePool` and the fleet's
+:func:`~repro.fleet.population.run_fleet`.  Each worker runs
+:func:`worker_init` once (recursion headroom, heavy imports, and the one
+shared :class:`~repro.core.store.ArtifactStore` it reads and writes), and a
+barrier forces every worker up before the pool is handed out, so spawn and
+import cost never lands on timed or served work.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -22,6 +30,11 @@ from repro.core.store import ArtifactStore, active_store, read_through, swap_sto
 from repro.sweep.cells import Cell
 
 PathLike = Union[str, Path]
+
+#: Compiled-model graphs are node chains thousands of frames deep; a pool
+#: pickles them outside any ``_deep_recursion`` scope (result marshalling
+#: happens in executor machinery), so both sides raise the limit up front.
+RECURSION_LIMIT = 20_000
 
 
 @dataclass
@@ -102,9 +115,16 @@ def _execute_cell(cell: Cell) -> CellOutcome:
                        store_delta=delta, sim_delta=sim_delta, error=error, text=text)
 
 
-def _worker_init(cache_dir: Optional[str]) -> None:
-    """Install the worker's store and pay the heavy imports up front, so
-    the first real cell a worker receives does cell work only."""
+def raise_recursion_limit(limit: int = RECURSION_LIMIT) -> None:
+    """Idempotently grow the interpreter recursion limit to ``limit``."""
+    if sys.getrecursionlimit() < limit:
+        sys.setrecursionlimit(limit)
+
+
+def worker_init(cache_dir: Optional[str]) -> None:
+    """Pool-worker set-up: recursion headroom, the heavy imports up front
+    (so a worker's first task does task work only), and the shared store."""
+    raise_recursion_limit()
     from repro.experiments import common  # noqa: F401 — import cost is the point
     from repro.gpusim import pricing  # noqa: F401
 
@@ -118,17 +138,27 @@ def _worker_warmup(delay_s: float) -> int:
     return os.getpid()
 
 
-def prewarm_executor(pool: ProcessPoolExecutor, workers: int, barrier_s: float) -> List[int]:
-    """Force ``pool`` to spawn and initialize all ``workers`` now.
+def start_pool(workers: int, cache_dir: Optional[PathLike], *,
+               barrier_s: float = 0.05) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes, all spawned and initialized.
 
-    One barrier task per worker, each holding its worker busy long enough
-    that the pool cannot serve two tasks from the same process; returns the
-    worker pids.  Shared by :class:`SweepRunner` and the plan-compilation
-    service's :class:`~repro.service.pool.CompilePool` so process spawn +
-    module imports + store init are paid before the timed/served work.
+    Every worker reads and writes the one :class:`ArtifactStore` at
+    ``cache_dir`` (None: no store).  One barrier task per worker holds its
+    process for ``barrier_s``, so the pool cannot serve two of them from
+    the same process and must start them all before this returns.
     """
-    futures = [pool.submit(_worker_warmup, barrier_s) for _ in range(workers)]
-    return [future.result() for future in futures]
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=worker_init,
+        initargs=(str(cache_dir) if cache_dir is not None else None,),
+    )
+    try:
+        for future in [pool.submit(_worker_warmup, barrier_s) for _ in range(workers)]:
+            future.result()
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    return pool
 
 
 def format_cache_line(cache_dir: Optional[str], store: Mapping[str, int],
@@ -251,12 +281,7 @@ class SweepRunner:
         """Start every worker now; blocks until all are spawned and inited."""
         if self.jobs <= 1 or self._pool is not None:
             return
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_worker_init,
-            initargs=(self.cache_dir,),
-        )
-        prewarm_executor(self._pool, self.jobs, barrier_s)
+        self._pool = start_pool(self.jobs, self.cache_dir, barrier_s=barrier_s)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -290,14 +315,7 @@ class SweepRunner:
             finally:
                 swap_store(previous)
         else:
-            pool = self._pool
-            owned = pool is None
-            if owned:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.jobs, max(1, len(cells))),
-                    initializer=_worker_init,
-                    initargs=(self.cache_dir,),
-                )
+            pool = self._pool or start_pool(min(self.jobs, len(cells)), self.cache_dir)
             try:
                 pending = {pool.submit(_execute_cell, cell): cell for cell in cells}
                 while pending:
@@ -317,7 +335,7 @@ class SweepRunner:
                         if progress:
                             progress(outcome, done, len(cells))
             finally:
-                if owned:
+                if pool is not self._pool:
                     pool.shutdown()
         outcomes.sort(key=lambda o: o.cell)
         return SweepReport(

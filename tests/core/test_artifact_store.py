@@ -72,15 +72,6 @@ class TestRoundTrip:
         assert store.stats.hits == 2 and store.stats.misses == 1
         assert store.load_many([]) == []
 
-    def test_publish_bytes_round_trips_envelope(self, tmp_path):
-        """publish_bytes of one store's envelope is loadable from another."""
-        src = ArtifactStore(tmp_path / "src")
-        dst = ArtifactStore(tmp_path / "dst")
-        path = src.save(KEY, {"v": [1, 2, 3]})
-        dst.publish_bytes(KEY, path.read_bytes())
-        assert dst.load(KEY) == {"v": [1, 2, 3]}
-        assert dst.stats.stores == 1 and dst.stats.corrupt == 0
-
 
 class TestQuarantine:
     def test_corrupt_entry_quarantined_with_warning(self, tmp_path):

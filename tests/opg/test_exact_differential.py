@@ -106,7 +106,7 @@ class TestProverDifferential:
                 weights, budgets, incumbent, node_limit=500_000
             )
             ref, ref_proven = prove_window_reference(
-                weights, budgets, incumbent, time_limit_s=10.0, node_limit=500_000
+                weights, budgets, incumbent, node_limit=500_000
             )
             # Generous limits: both searches run to exhaustion, so the
             # verdicts and the proven-optimal objective must coincide.

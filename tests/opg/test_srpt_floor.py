@@ -61,7 +61,7 @@ def _optimum(weights, budgets):
     if incumbent is None:
         return None
     best, proven = prove_window_reference(
-        weights, budgets, incumbent, time_limit_s=60.0, node_limit=10_000_000
+        weights, budgets, incumbent, node_limit=10_000_000
     )
     assert proven
     return _objective(weights, best)

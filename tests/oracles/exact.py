@@ -61,11 +61,14 @@ def prove_window_reference(
     budgets: Budgets,
     incumbent: Dict[str, Dict[int, int]],
     *,
-    time_limit_s: float = 1.0,
+    time_limit_s: Optional[float] = None,
     node_limit: int = 50_000,
 ) -> Tuple[Dict[str, Dict[int, int]], bool]:
     """Seed release-vector search (full EDF re-pack at every leaf), kept as
-    the oracle for differential tests and the compile-latency A/B baseline."""
+    the oracle for differential tests and the compile-latency A/B baseline.
+
+    Bounded by ``node_limit``, like ``prove_window``; ``time_limit_s``
+    adds the seed's wall-clock cut (the compile-latency bench passes 1 s)."""
     if not weights:
         return dict(incumbent), True
     ordered = sorted(weights, key=lambda w: (w.consumer_layer, w.name))
@@ -76,7 +79,7 @@ def prove_window_reference(
 
     best_assignment = dict(incumbent)
     best_obj = _objective(ordered, incumbent)
-    deadline = time.perf_counter() + time_limit_s
+    deadline = time.perf_counter() + time_limit_s if time_limit_s is not None else None
     nodes = 0
     exhausted = True
 
@@ -87,7 +90,7 @@ def prove_window_reference(
         if not exhausted:
             return
         nodes += 1
-        if nodes > node_limit or time.perf_counter() > deadline:
+        if nodes > node_limit or (deadline is not None and time.perf_counter() > deadline):
             exhausted = False
             return
         if dist_so_far + suffix_solo[index] >= best_obj:

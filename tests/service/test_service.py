@@ -7,7 +7,6 @@ requests cost exactly one compile.
 """
 
 import asyncio
-import pickle
 import threading
 
 import pytest
@@ -18,7 +17,6 @@ from repro.service import (
     CompilePool,
     CompileRequest,
     PlanCompilationService,
-    ReadThroughStore,
     ServiceClosed,
     ServiceError,
     compile_many,
@@ -100,42 +98,6 @@ class TestCompileRequest:
         assert "capacity_backend" not in _request().to_payload()
         with pytest.raises(ValueError):
             CompileRequest(model=MODEL, capacity_backend="xgboost")
-
-
-class TestReadThroughStore:
-    KEY = {"kind": "compiled", "model": MODEL, "device": "OnePlus 12", "config": "x"}
-
-    def test_private_hit_without_touching_shared(self, tmp_path):
-        store = ReadThroughStore(tmp_path / "private", tmp_path / "shared")
-        store.save(self.KEY, {"v": 1})
-        assert store.load(self.KEY) == {"v": 1}
-        assert store.shared.stats.hits == 0
-        assert not store.shared.contains(self.KEY)
-
-    def test_shared_fallback_fills_private(self, tmp_path):
-        store = ReadThroughStore(tmp_path / "private", tmp_path / "shared")
-        store.shared.save(self.KEY, {"v": 2})
-        assert store.load(self.KEY) == {"v": 2}
-        # The fill is a byte copy: the next read is private-local.
-        assert store.private.contains(self.KEY)
-        assert (store.private.path_for(self.KEY).read_bytes()
-                == store.shared.path_for(self.KEY).read_bytes())
-        shared_hits = store.shared.stats.hits
-        assert store.load(self.KEY) == {"v": 2}
-        assert store.shared.stats.hits == shared_hits
-
-    def test_writes_stay_private(self, tmp_path):
-        store = ReadThroughStore(tmp_path / "private", tmp_path / "shared")
-        store.save(self.KEY, {"v": 3})
-        assert store.contains(self.KEY)
-        assert not store.shared.contains(self.KEY)
-        assert store.stats.stores == 1
-
-    def test_miss_counts_once_at_facade(self, tmp_path):
-        store = ReadThroughStore(tmp_path / "private", tmp_path / "shared")
-        assert store.load(self.KEY) is None
-        assert store.stats.misses == 1
-        assert store.load_many([self.KEY, self.KEY]) == [None, None]
 
 
 def _count_compiles(monkeypatch):
@@ -308,22 +270,31 @@ class TestProcessPoolService:
     """One end-to-end pass through the real process pool (slower: spawns)."""
 
     def test_worker_compiles_daemon_publishes(self, tmp_path):
+        """The worker saves its compiled model into the one shared store
+        the daemon reads; no second, worker-local copy is written."""
         replies = compile_many(
             [_request(), _request()], workers=1, cache_dir=tmp_path
         )
         assert {r.source for r in replies} == {"compiled"}
         assert sum(r.coalesced for r in replies) == 1
         assert all(r.worker_pid is not None for r in replies)
-        # The daemon published the worker's envelope into the shared store…
         shared = ArtifactStore(tmp_path)
         key = _request().normalized().store_key()
         assert shared.contains(key)
-        # …byte-identical to the worker's private copy.
-        worker_dir = tmp_path / "worker-local"
-        private_copies = list(worker_dir.rglob(shared.path_for(key).name))
-        assert len(private_copies) == 1
-        assert private_copies[0].read_bytes() == shared.path_for(key).read_bytes()
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*.pkl")] == [
+            shared.path_for(key).relative_to(tmp_path)
+        ]
+        assert not (tmp_path / "worker-local").exists()
         # A fresh service round trips it from the store without compiling.
         (warm,) = compile_many([_request()], workers=1, cache_dir=tmp_path)
         assert warm.source == "store"
         assert warm.plan.canonical_json() == replies[0].plan.canonical_json()
+
+    def test_pooled_gbt_compile_shares_capacity_model(self, tmp_path):
+        """A pool worker's trained capacity model lands in the shared store,
+        where the next process to compile finds it."""
+        (reply,) = compile_many([_request(capacity_backend="gbt")], workers=1,
+                                cache_dir=tmp_path)
+        assert reply.source == "compiled"
+        assert len(list((tmp_path / "capacity-model").glob("*.pkl"))) == 1
+        assert not (tmp_path / "worker-local").exists()
