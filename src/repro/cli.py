@@ -106,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list models, devices, and experiments")
 
     run_p = sub.add_parser("run", help="compile + run a model under FlashMem")
+    run_p.set_defaults(parser=run_p)
     run_p.add_argument("model", choices=sorted(set(ALL_CARDS) | set(DECODE_MODELS)))
     run_p.add_argument("device_pos", nargs="?", default=None, metavar="DEVICE",
                        help="device preset name or alias (overrides --device)")
@@ -220,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof_run = prof_sub.add_parser(
         "run", help="cProfile one FlashMem.run (simulation hot path) and print hotspots"
     )
+    prof_run.set_defaults(parser=prof_run)
     prof_run.add_argument("model", choices=sorted(set(ALL_CARDS) | set(DECODE_MODELS)))
     prof_run.add_argument("device", help="device preset name or alias")
     prof_run.add_argument("--scenario", default="prefill", choices=list(SCENARIO_KINDS),
@@ -321,18 +323,7 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
     from repro.gpusim import pricing
 
     device = get_device(args.device)
-    if args.scenario == "decode":
-        scenario = make_scenario(
-            "decode", iterations=args.iterations,
-            tokens=args.tokens if args.tokens is not None else 256,
-            context_len=args.context,
-        )
-    else:
-        scenario = make_scenario(
-            "prefill",
-            iterations=args.iterations if args.iterations is not None else 10,
-            tokens=args.tokens, context_len=args.context,
-        )
+    scenario = _resolve_cli_scenario(args, tokens=256, iterations=10)
     graph = _load_cli_graph(args.model, scenario)
     fm = FlashMem(FlashMemConfig())
     print(f"Compiling {graph.summary()} for {device.name} (not profiled) ...")
@@ -434,18 +425,25 @@ def _cmd_profile_capacity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_cli_scenario(args: argparse.Namespace):
-    """Build the Scenario a ``run``/``profile run`` invocation asked for."""
-    if args.scenario == "decode":
+def _resolve_cli_scenario(args: argparse.Namespace, *, tokens: int,
+                          iterations: Optional[int] = None):
+    """Build the Scenario a ``run``/``profile run`` invocation asked for
+    (``tokens``/``iterations`` are the defaults for omitted options).  A bad
+    combination of options is a usage error: exit code 2."""
+    try:
+        if args.scenario == "decode":
+            return make_scenario(
+                "decode", iterations=args.iterations,
+                tokens=args.tokens if args.tokens is not None else tokens,
+                context_len=args.context,
+            )
         return make_scenario(
-            "decode", iterations=args.iterations,
-            tokens=args.tokens if args.tokens is not None else 64,
-            context_len=args.context,
+            "prefill",
+            iterations=args.iterations if args.iterations is not None else iterations,
+            tokens=args.tokens, context_len=args.context,
         )
-    return make_scenario(
-        "prefill", iterations=args.iterations,
-        tokens=args.tokens, context_len=args.context,
-    )
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _load_cli_graph(model: str, scenario):
@@ -463,10 +461,7 @@ def _load_cli_graph(model: str, scenario):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     device = get_device(args.device_pos or args.device)
-    try:
-        scenario = _resolve_cli_scenario(args)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    scenario = _resolve_cli_scenario(args, tokens=64)
     graph = _load_cli_graph(args.model, scenario)
     fm = FlashMem(FlashMemConfig(capacity_backend=args.capacity_backend))
     print(f"Compiling {graph.summary()} for {device.name} ({scenario.describe()}) ...")

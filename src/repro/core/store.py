@@ -43,8 +43,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 #: v5: ``PlanStats`` and ``OpgConfig`` each drop a field that served the
 #: deleted alternative CP solvers.  v6: ``PlanStats`` gains
 #: ``floor_closed_windows``, and windows the SRPT floor closes no longer
-#: count CP nodes or windows.
-ARTIFACT_SCHEMA_VERSION = 6
+#: count CP nodes or windows.  v7: ``KernelProgram`` holds no ``source``
+#: field; its text renders on first read.
+ARTIFACT_SCHEMA_VERSION = 7
 
 
 def _canonical_default(value):

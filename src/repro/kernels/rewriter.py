@@ -5,6 +5,7 @@ layer: layers the plan assigns embedded loads get the branch-free pipelined
 template with the staged byte count baked in; everything else gets the plain
 resident-weights template.  No model-specific kernel code is written by hand
 — exactly the engineering claim the paper makes for its Jinja pipeline.
+A program renders its text only when :attr:`KernelProgram.source` is read.
 """
 
 from __future__ import annotations
@@ -13,19 +14,12 @@ import math
 from typing import Optional
 
 from repro.graph.dag import Graph, Node
-from repro.graph.ops import OpKind
 from repro.kernels import templates
 from repro.kernels.codegen import ExecStyle, KernelBundle, KernelProgram
 from repro.kernels.templating import Template
 from repro.opg.plan import OverlapPlan
 
-_NAIVE = Template(templates.NAIVE_MATMUL)
-_BRANCHY = Template(templates.BRANCHY_INTERLEAVED)
-_PIPELINED = Template(templates.PIPELINED_MATMUL)
-_ELEMENTAL = Template(templates.ELEMENTAL_STREAM)
 _TRANSFORM = Template(templates.TRANSFORM_KERNEL)
-
-_UNROLL = 4
 
 
 def _sanitize(name: str) -> str:
@@ -64,49 +58,12 @@ class KernelRewriter:
         return bundle
 
     def rewrite_node(self, node: Node, embedded_bytes: int, segments=()) -> KernelProgram:
-        name = _sanitize(node.name)
-        style = self.style if embedded_bytes > 0 else ExecStyle.RESIDENT
-        source = self._render(node, name, style, embedded_bytes)
         return KernelProgram(
-            name=name,
+            name=_sanitize(node.name),
             op=node.spec,
-            source=source,
-            style=style,
+            style=self.style if embedded_bytes > 0 else ExecStyle.RESIDENT,
             embedded_load_bytes=embedded_bytes,
             segments=list(segments),
-        )
-
-    def _render(self, node: Node, name: str, style: ExecStyle, embedded_bytes: int) -> str:
-        spec = node.spec
-        k_tiles = max(1, int(spec.attrs.get("k", spec.input_specs[0].shape[-1])) // 4)
-        if spec.kind in (OpKind.MATMUL, OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.ATTENTION_SCORE):
-            if style is ExecStyle.PIPELINED and embedded_bytes > 0:
-                pipeline_tiles = max(1, k_tiles // _UNROLL)
-                return _PIPELINED.render(
-                    name=name,
-                    k_tiles=k_tiles,
-                    pipeline_tiles=pipeline_tiles,
-                    unroll=list(range(_UNROLL)),
-                    unroll_len=_UNROLL,
-                    tile_stride=max(1, embedded_bytes // (8 * pipeline_tiles)),
-                    stream_bytes=embedded_bytes,
-                )
-            if style is ExecStyle.BRANCHY and embedded_bytes > 0:
-                return _BRANCHY.render(name=name, k_tiles=k_tiles, load_stride=8)
-            return _NAIVE.render(name=name, k_tiles=k_tiles)
-        # Elemental / hierarchical / everything else uses the linear-pass
-        # template (hierarchical layers never get embedded loads by plan).
-        op_fn = {
-            OpKind.GELU: "gelu_approx",
-            OpKind.ACTIVATION: "relu",
-            OpKind.SOFTMAX: "softmax_stage",
-            OpKind.LAYERNORM: "layernorm_stage",
-        }.get(spec.kind, "copy")
-        return _ELEMENTAL.render(
-            name=name,
-            op=op_fn,
-            binary=len(spec.input_specs) > 1,
-            stream_bytes=embedded_bytes,
         )
 
 

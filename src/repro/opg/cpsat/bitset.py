@@ -9,8 +9,9 @@ the per-evaluation cost is kept low by two representations:
   ``csum_hi[c] = Σ coef·hi`` live alongside the domains and are updated by
   the same trail operations that move a bound (and reversed by undo), so a
   linear re-evaluation is two subtractions plus a width check per term —
-  no O(terms) re-sum, ever.  The root-node values are initialised in one
-  vectorised ``numpy.add.reduceat`` over the CSR term arrays.
+  no O(terms) re-sum, ever.  The root-node values are summed in the one
+  pass over the model's constraint columns that also builds the watcher
+  masks and per-variable membership.
 - **Packed uint64 bitsets for watcher state.**  Each variable carries a
   precomputed constraint mask (bit ``c`` = linear ``c``, bit
   ``n_linears + j`` = implication ``j``); a tightening marks all watchers
@@ -26,10 +27,9 @@ the per-evaluation cost is kept low by two representations:
   an unassigned variable can have, so the first hit wins every tie exactly
   like the full ascending scan does.
 
-Domains are packed int64 buffers (``array('q')``): scalar reads stay as
-cheap as lists for the propagation cascade while exposing zero-copy
-``numpy.frombuffer`` views for the vectorised freeze-time initialisation.
-A full-sweep numpy evaluation per node was prototyped and rejected: at
+Domains are packed int64 buffers (``array('q')``), as cheap as lists for
+scalar reads in the propagation cascade.  A full-sweep numpy evaluation
+per node was prototyped and rejected: at
 OPG window sizes (tens of constraints, cascades touching a handful) the
 fixed per-ufunc cost exceeds the entire scalar cascade — the measured
 tradeoff is recorded in DESIGN.md.
@@ -43,9 +43,7 @@ that the search loop in :mod:`repro.opg.cpsat.search` drives.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from repro.opg.cpsat.model import CpModel
 from repro.opg.cpsat.stats import PropagationStats
@@ -84,106 +82,97 @@ class BitsetState:
 
     def __init__(self, model: CpModel) -> None:
         index = model.freeze()
-        n_vars = len(model.variables)
-        nl = len(model.linears)
+        n_vars = len(model.var_lo)
+        lin_terms = model.lin_terms
+        nl = len(lin_terms)
         ni = len(model.implications)
         self.n_linears = nl
-
-        self.lo = array("q", (v.lo for v in model.variables))
-        self.hi = array("q", (v.hi for v in model.variables))
+        self.lo = lo = array("q", model.var_lo)
+        self.hi = hi = array("q", model.var_hi)
 
         obj_coef = [0] * n_vars
-        for idx, coef in index.obj_coef.items():
-            obj_coef[idx] = coef
-        self.obj_coef = obj_coef
         bound = model.objective_offset
         for idx, coef in index.obj_coef.items():
-            bound += coef * (self.lo[idx] if coef > 0 else self.hi[idx])
+            obj_coef[idx] = coef
+            bound += coef * (lo[idx] if coef > 0 else hi[idx])
+        self.obj_coef = obj_coef
         self.lower_bound = bound
+        obj_mask = 0
+        for idx in index.obj_vars:
+            obj_mask |= 1 << idx
+        self.obj_mask = obj_mask
         self.entries: List[Tuple[int, int, int]] = []
 
-        # Linears flattened: bounds, term tuples, per-var membership, and the
-        # resident sums (vectorised init over the CSR term arrays).
-        self.con_lo = array("q", (c.lo for c in model.linears))
-        self.con_hi = array("q", (c.hi for c in model.linears))
-        self.con_terms: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple(c.terms) for c in model.linears
-        )
-        # All-unit-coefficient constraints (every OPG sum) take a divide-free
-        # fast path over a flat index tuple; mixed coefficients fall back.
-        self.con_unit: Tuple[Optional[Tuple[int, ...]], ...] = tuple(
-            tuple(idx for idx, _ in c.terms)
-            if all(coef == 1 for _, coef in c.terms)
-            else None
-            for c in model.linears
-        )
-        var_lin: List[List[Tuple[int, int]]] = [[] for _ in range(n_vars)]
-        for cid, con in enumerate(model.linears):
-            for idx, coef in con.terms:
-                var_lin[idx].append((cid, coef))
-        self.var_lin = tuple(tuple(t) for t in var_lin)
-        # Unit-coefficient membership (every OPG variable): the resident-sum
-        # maintenance in set_lo/set_hi/undo_to walks a flat cid tuple and
-        # adds the raw delta — no unpack, no multiply.  None where some
-        # membership has coef != 1 (falls back to the general pairs).
-        self.var_lin_unit: Tuple[Optional[Tuple[int, ...]], ...] = tuple(
-            tuple(cid for cid, _ in pairs)
-            if all(c == 1 for _, c in pairs)
-            else None
-            for pairs in self.var_lin
-        )
-        if nl:
-            term_var = np.fromiter(
-                (idx for c in model.linears for idx, _ in c.terms), dtype=np.int64
-            )
-            term_coef = np.fromiter(
-                (coef for c in model.linears for _, coef in c.terms), dtype=np.int64
-            )
-            ptr = np.zeros(nl, dtype=np.int64)
-            np.cumsum([len(c.terms) for c in model.linears[:-1]], out=ptr[1:])
-            lo_np = np.frombuffer(self.lo, dtype=np.int64)
-            hi_np = np.frombuffer(self.hi, dtype=np.int64)
-            self.csum_lo = array(
-                "q", np.add.reduceat(term_coef * lo_np[term_var], ptr).tolist()
-            )
-            self.csum_hi = array(
-                "q", np.add.reduceat(term_coef * hi_np[term_var], ptr).tolist()
-            )
-        else:
-            self.csum_lo = array("q")
-            self.csum_hi = array("q")
-
-        self.imps: Tuple[Tuple[int, int, int, int], ...] = tuple(
-            (i.cond, i.cond_ge, i.then, i.then_ub) for i in model.implications
-        )
-
-        # Packed watcher bitsets: bit c = linear c, bit nl + j = implication
-        # j.  Bounds only ever tighten, so an implication can newly fire
-        # ONLY on a lower-bound change (rule 1 when lo[cond] crosses
-        # cond_ge, rule 2 when lo[then] crosses then_ub — the hi sides of
-        # both guards can only turn false).  Upper-bound changes therefore
-        # dirty just the linears: the watch masks are per side, and set_hi
-        # ORs a strictly smaller mask than set_lo.
-        lo_masks = [0] * n_vars
+        # Linears in one pass over their terms: per-variable membership,
+        # the resident sums, and the packed watcher bitsets (bit c = linear
+        # c, bit nl + j = implication j).  All-unit-coefficient constraints
+        # (every OPG sum) take a divide-free fast path over a flat index
+        # tuple in ``con_unit``; mixed coefficients fall back to
+        # ``con_terms``.
+        self.con_lo = array("q", model.lin_lo)
+        self.con_hi = array("q", model.lin_hi)
+        self.con_terms: Sequence[Tuple[Tuple[int, int], ...]] = lin_terms
+        var_cids: List[list] = [[] for _ in range(n_vars)]
+        mixed = set()
         hi_masks = [0] * n_vars
-        for cid, con in enumerate(model.linears):
+        csum_lo = array("q", bytes(8 * nl))
+        csum_hi = array("q", bytes(8 * nl))
+        con_unit: List[Optional[Tuple[int, ...]]] = []
+        for cid, terms in enumerate(lin_terms):
             bit = 1 << cid
-            for idx, _ in con.terms:
-                lo_masks[idx] |= bit
+            s_lo = s_hi = 0
+            unit = True
+            for idx, coef in terms:
+                var_cids[idx].append(cid)
                 hi_masks[idx] |= bit
-        for j, imp in enumerate(model.implications):
-            bit = 1 << (nl + j)
-            lo_masks[imp.cond] |= bit
-            lo_masks[imp.then] |= bit
+                if coef == 1:
+                    s_lo += lo[idx]
+                    s_hi += hi[idx]
+                else:
+                    unit = False
+                    mixed.add(idx)
+                    s_lo += coef * lo[idx]
+                    s_hi += coef * hi[idx]
+            csum_lo[cid] = s_lo
+            csum_hi[cid] = s_hi
+            con_unit.append(tuple([idx for idx, _ in terms]) if unit else None)
+        self.csum_lo = csum_lo
+        self.csum_hi = csum_hi
+        self.con_unit = con_unit
+        # Unit-coefficient membership (every OPG variable): the resident-sum
+        # maintenance in set_lo/set_hi/undo_to walks a flat cid list and
+        # adds the raw delta — no unpack, no multiply.  A variable with some
+        # coef != 1 has None there and its (cid, coef) pairs in ``var_lin``.
+        self.var_lin = {
+            idx: [(cid, coef) for cid in dict.fromkeys(var_cids[idx])
+                  for v, coef in lin_terms[cid] if v == idx]
+            for idx in mixed
+        }
+        for idx in mixed:
+            var_cids[idx] = None
+        self.var_lin_unit: List[Optional[list]] = var_cids
+
+        # Bounds only ever tighten, so an implication can newly fire ONLY on
+        # a lower-bound change (rule 1 when lo[cond] crosses cond_ge, rule 2
+        # when lo[then] crosses then_ub — the hi sides of both guards can
+        # only turn false).  Upper-bound changes therefore dirty just the
+        # linears: the watch masks are per side, and set_hi ORs a strictly
+        # smaller mask than set_lo.
+        self.imps = imps = model.implications
+        lo_masks = list(hi_masks)
+        bit = 1 << nl
+        for cond, _cond_ge, then, _then_ub in imps:
+            lo_masks[cond] |= bit
+            lo_masks[then] |= bit
+            bit <<= 1
         self.watch_lo_mask = lo_masks
         self.watch_hi_mask = hi_masks
         self.var_bit = [1 << i for i in range(n_vars)]
         self.dirty = 0
         self._all_dirty = (1 << (nl + ni)) - 1
-
         un = 0
         for i in range(n_vars):
-            if self.lo[i] < self.hi[i]:
+            if lo[i] < hi[i]:
                 un |= 1 << i
         self.unassigned = un
         # Entry dedup epochs: the search bumps ``epoch`` once per node (in
@@ -194,10 +183,6 @@ class BitsetState:
         self.epoch = 0
         self.lo_stamp = [-1] * n_vars
         self.hi_stamp = [-1] * n_vars
-        obj_mask = 0
-        for idx in index.obj_vars:
-            obj_mask |= 1 << idx
-        self.obj_mask = obj_mask
 
     # ------------------------------------------------------------ trail API
     def mark(self) -> int:

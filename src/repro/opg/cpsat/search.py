@@ -165,7 +165,7 @@ class CpSolver:
         stack).
         """
         lo, hi = domains.lo[idx], domains.hi[idx]
-        hint = model.variables[idx].hint
+        hint = model.var_hint[idx]
         branches: List[Tuple[int, int]] = []
         if hint is not None and lo <= hint <= hi:
             branches.append((hint, hint))

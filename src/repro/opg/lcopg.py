@@ -795,49 +795,48 @@ class LcOpgSolver:
                 z_best[w.name] = min(solo)
 
         model = CpModel()
-        x_vars: Dict[Tuple[str, int], object] = {}
-        z_vars: Dict[str, object] = {}
-        by_layer: Dict[int, List[Tuple[object, int]]] = {}
+        available = budgets.available
+        # Per weight, its (layer, chunk variable) pairs in candidate order.
+        x_vars: List[List[Tuple[int, int]]] = []
+        z_vars: List[int] = []
+        by_layer: Dict[int, List[Tuple[int, int]]] = {}
         for w in weights:
-            candidates = [l for l in w.candidates if budgets.available(l) > 0]
+            candidates = [l for l in w.candidates if available(l) > 0]
             if not candidates:
                 stats.build_model_s += time.perf_counter() - build_start
                 return None  # cannot stream this weight against current budgets
-            if sum(budgets.available(l) for l in candidates) < w.total_chunks:
+            if sum(available(l) for l in candidates) < w.total_chunks:
                 stats.build_model_s += time.perf_counter() - build_start
                 return None  # aggregate capacity shortfall (paper: total chunk capacity)
             hint = hints.get(w.name) or {}
+            pairs = []
             terms = []
             for l in candidates:
-                x = model.new_int(
-                    0,
-                    min(w.total_chunks, budgets.available(l)),
-                    f"x[{w.name},{l}]",
-                    hint=hint.get(l, 0),
-                )
-                x_vars[(w.name, l)] = x
+                x = model.new_int(0, min(w.total_chunks, available(l)), hint=hint.get(l, 0))
+                pairs.append((l, x))
                 terms.append((x, 1))
                 by_layer.setdefault(l, []).append((x, 1))
+            x_vars.append(pairs)
             z_hi = z_best.get(w.name, w.consumer_layer)
             z = model.new_int(
                 min(candidates),
                 z_hi,
-                f"z[{w.name}]",
                 hint=min(min(hint), z_hi) if hint else min(candidates),
             )
-            z_vars[w.name] = z
+            z_vars.append(z)
             # C0 — completeness of allocation.
-            model.add_sum_eq(terms, w.total_chunks, name=f"C0[{w.name}]")
+            model.add_sum_eq(terms, w.total_chunks)
             # C1 — loading distance implication.
-            for l in candidates:
-                model.add_implication(x_vars[(w.name, l)], 1, z, l, name=f"C1[{w.name},{l}]")
-        # C2 / C3 — per-layer transform volume and load capacity.
+            for l, x in pairs:
+                model.add_implication(x, 1, z, l)
+        # C2 / C3 — per-layer transform volume and load capacity.  Both bound
+        # the same sum, so one constraint at the tighter bound (what
+        # ``available`` returns) reaches the same propagation fixpoint.
         for l, terms in by_layer.items():
-            model.add_sum_le(terms, budgets.m_peak[l], name=f"C2[{l}]")
-            model.add_sum_le(terms, budgets.capacity[l], name=f"C3[{l}]")
+            model.add_sum_le(terms, available(l))
         # Objective: minimise total loading distance sum(i_w - z_w).
         model.minimize(
-            [(z, -1) for z in z_vars.values()],
+            [(z, -1) for z in z_vars],
             offset=sum(w.consumer_layer for w in weights),
         )
         stats.build_model_s += time.perf_counter() - build_start
@@ -850,17 +849,11 @@ class LcOpgSolver:
         stats.cp_windows += 1
         if not solution.feasible:
             return None
-        placed: Dict[str, Dict[int, int]] = {}
-        for w in weights:
-            assignment = {}
-            for l in w.candidates:
-                var = x_vars.get((w.name, l))
-                if var is None:
-                    continue
-                chunks = solution.value_of(var)
-                if chunks > 0:
-                    assignment[l] = chunks
-            placed[w.name] = assignment
+        values = solution.values
+        placed: Dict[str, Dict[int, int]] = {
+            w.name: {l: values[x] for l, x in pairs if values[x] > 0}
+            for w, pairs in zip(weights, x_vars)
+        }
         status = solution.status
         if status is SolveStatus.FEASIBLE and len(weights) <= PROVER_MAX_WEIGHTS:
             # The chunk plateau keeps generic B&B from finishing; the exact

@@ -122,5 +122,7 @@ def make_scenario(
             raise ValueError("--iterations only applies to --scenario prefill")
         if tokens is None:
             raise ValueError("--scenario decode requires --tokens")
-        return Scenario.decode(tokens=tokens, context_len=context_len or 0)
+        if context_len is None or context_len <= 0:
+            raise ValueError("--scenario decode requires --context, a positive prompt length")
+        return Scenario.decode(tokens=tokens, context_len=context_len)
     raise ValueError(f"unknown scenario {kind!r} (expected one of {SCENARIO_KINDS})")

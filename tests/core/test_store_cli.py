@@ -152,3 +152,16 @@ class TestCli:
             cli_main(argv + ["--time-limit", "1"])
         assert exc.value.code == 2  # argparse usage error, before any compile
         assert "--time-limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "GPTN-S"], ["profile", "run", "GPTN-S", "oneplus12"],
+    ], ids=["run", "profile-run"])
+    @pytest.mark.parametrize("context", [None, "0"], ids=["no-context", "zero-context"])
+    def test_decode_without_context_is_usage_error(self, argv, context, capsys):
+        """A decode run needs a prompt length: a typed usage error, not a
+        traceback from graph building."""
+        argv = argv + ["--scenario", "decode", "--tokens", "64"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + (["--context", context] if context else []))
+        assert exc.value.code == 2
+        assert "--context" in capsys.readouterr().err

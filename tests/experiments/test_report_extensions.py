@@ -51,8 +51,32 @@ class TestBackgroundTexture:
 
 class TestAblations:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablations.run(model="ResNet50")
+    def solved(self):
+        """The study's result and the (config, use_cp) of every solve it ran."""
+        solves = []
+        solve = LcOpgSolver.solve
+
+        def spy(solver, *args, **kwargs):
+            solves.append((solver.config, solver.use_cp))
+            return solve(solver, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LcOpgSolver, "solve", spy)
+            return ablations.run(model="ResNet50"), solves
+
+    @pytest.fixture(scope="class")
+    def result(self, solved):
+        return solved[0]
+
+    def test_each_distinct_config_solved_once(self, solved):
+        # CP-SAT, 512 KiB chunks and lookback 16 all name the default
+        # config: one solve serves the three rows.
+        result, solves = solved
+        assert len(solves) == len(set(solves)) == len(result.rows) - 2
+        rows = {(r.study, r.setting): r for r in result.rows}
+        defaults = [rows[key] for key in
+                    [("scheduler", "CP-SAT"), ("chunk_size", "512 KiB"), ("lookback", "16")]]
+        assert len({(r.preload_pct, r.total_distance, r.solve_s, r.status) for r in defaults}) == 1
 
     def test_all_studies_present(self, result):
         studies = {r.study for r in result.rows}

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.graph.dag import Graph, GraphError
+from repro.graph.lowering import eliminate_layout_ops
+from repro.graph.models.zoo import EVALUATED_MODELS, load_decode_model, load_model
 from repro.graph.ops import OpKind, elementwise_spec, matmul_spec
 
 
@@ -151,3 +153,42 @@ class TestActivationAccounting:
     def test_empty_graph_peak(self):
         g = Graph("empty").freeze()
         assert g.peak_activation_bytes() == 0
+
+    def test_peak_counts_a_repeated_input_once(self):
+        # c reads a twice; a stays live past c (d reads it), and c's three
+        # inputs make it the peak layer.
+        g = Graph("dup")
+        a = g.add(elementwise_spec("a", OpKind.ADD, (2, 2), n_inputs=1))
+        b = g.add(elementwise_spec("b", OpKind.ADD, (2, 2), n_inputs=1), inputs=[a])
+        c = g.add(elementwise_spec("c", OpKind.ADD, (2, 2), n_inputs=3), inputs=[a, a, b])
+        g.add(elementwise_spec("d", OpKind.ADD, (2, 2), n_inputs=2), inputs=[c, a])
+        g.freeze()
+        per_layer = [g.activation_bytes_at(i) for i in range(4)]
+        assert max(per_layer) == per_layer[2] > max(per_layer[:2] + per_layer[3:])
+        assert g.peak_activation_bytes() == per_layer[2]
+
+
+def _sampled_reference_peak(graph: Graph) -> int:
+    """The per-layer definition: the largest ``activation_bytes_at`` over
+    every layer of a graph of up to 64 layers, else every ``n // 64``-th."""
+    n = graph.num_layers
+    step = 1 if n <= 64 else n // 64
+    return max(graph.activation_bytes_at(i) for i in range(0, n, step))
+
+
+_PEAK_GRAPHS = [(m, None) for m in EVALUATED_MODELS] + [
+    (m, context) for m in ("GPTN-S", "GPTN-1.3B", "GPTN-2.7B") for context in (128, 1024, 4096)
+]
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["raw", "lowered"])
+@pytest.mark.parametrize("model,context", _PEAK_GRAPHS,
+                         ids=[m if c is None else f"{m}@{c}" for m, c in _PEAK_GRAPHS])
+def test_peak_sweep_matches_per_layer_reference(model, context, lowered):
+    """The one-sweep peak equals the per-layer query over the same samples
+    on every evaluated graph and the decode graphs, before and after
+    layout elimination."""
+    graph = load_model(model) if context is None else load_decode_model(model, context_len=context)
+    if lowered:
+        graph = eliminate_layout_ops(graph)
+    assert graph.peak_activation_bytes() == _sampled_reference_peak(graph)

@@ -1,12 +1,16 @@
 """Tests for kernel rewriting: templates, programs, and bundle generation."""
 
+import pickle
+
 import pytest
 
 from repro.capacity.model import analytic_capacity_model
+from repro.core.flashmem import FlashMem
 from repro.graph.builder import GraphBuilder
 from repro.gpusim.device import oneplus_12
 from repro.kernels.codegen import BRANCH_DIVERGENCE_PENALTY, ExecStyle, KernelProgram
 from repro.kernels.rewriter import KernelRewriter, transform_kernel_source
+from repro.kernels.templating import Template
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
 
@@ -16,14 +20,18 @@ def device():
     return oneplus_12()
 
 
-@pytest.fixture(scope="module")
-def compiled():
-    """A small transformer plus its plan and bundle."""
+def _small_transformer():
     b = GraphBuilder("t")
     b.embedding(16, 500, 128)
     for _ in range(2):
         b.transformer_block(16, 128, 4)
-    graph = b.finish()
+    return b.finish()
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    """A small transformer plus its plan and bundle."""
+    graph = _small_transformer()
     capacity = analytic_capacity_model(oneplus_12())
     cfg = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
     plan = LcOpgSolver(cfg).solve(graph, capacity)
@@ -95,6 +103,37 @@ class TestGeneratedSource:
         src = transform_kernel_source("weird/name.w", 1 << 20)
         assert "__kernel" in src
         assert "1048576" in src
+
+
+class TestSourceOnDemand:
+    def test_rewrite_renders_no_template_until_read(self, compiled, monkeypatch):
+        graph, plan, _ = compiled
+        rendered = []
+        render = Template.render
+        monkeypatch.setattr(
+            Template, "render", lambda self, **ctx: rendered.append(1) or render(self, **ctx)
+        )
+        bundle = KernelRewriter().rewrite_graph(graph, plan)
+        assert rendered == []
+        program = next(p for p in bundle.programs.values() if p.style is ExecStyle.PIPELINED)
+        text = program.source
+        assert "staged_weights" in text and len(rendered) == 1
+        assert program.source is text  # kept, not rendered again
+        assert len(rendered) == 1
+
+    def test_pickled_before_read_renders_the_fresh_text(self, device):
+        graph = _small_transformer()
+        capacity = analytic_capacity_model(device)
+        compiled = FlashMem().compile(graph, device, capacity=capacity)
+        programs = list(compiled.bundle.programs.values())
+        assert not any("source" in vars(p) for p in programs)
+        restored = pickle.loads(pickle.dumps(compiled))
+        fresh = KernelRewriter().rewrite_graph(compiled.graph, compiled.plan)
+        assert [p.source for p in restored.bundle.programs.values()] == [
+            p.source for p in fresh.programs.values()
+        ]
+        assert restored.bundle.programs == compiled.bundle.programs
+        assert any(p.style is ExecStyle.PIPELINED for p in programs)
 
 
 class TestProgramCosting:

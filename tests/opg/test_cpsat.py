@@ -16,7 +16,7 @@ class TestModelBuilding:
     def test_variable_domains(self):
         m = CpModel()
         v = m.new_int(2, 7, "v")
-        assert (v.lo, v.hi) == (2, 7)
+        assert (m.var_lo[v], m.var_hi[v]) == (2, 7)
         with pytest.raises(ValueError):
             m.new_int(5, 3, "bad")
 
@@ -46,7 +46,7 @@ class TestModelBuilding:
         a = m.new_int(0, 5, "a")
         b = m.new_int(0, 5, "b")
         m.add_sum_eq([(a, 1), (b, 1)], 6, name="sum")
-        m.add_implication(a, 3, b, 2, name="imp")
+        m.add_implication(a, 3, b, 2)
         assert m.validate_assignment([2, 4]) == []
         assert m.validate_assignment([3, 3])  # sum ok but implication violated
         assert m.validate_assignment([9, 9])  # domain + sum violations
@@ -61,7 +61,7 @@ class TestPropagation:
         d = Domains.from_model(m)
         ok, _ = propagate(m, d)
         assert ok
-        assert d.hi[a.index] == 3  # a <= 7 - lb(b)
+        assert d.hi[a] == 3  # a <= 7 - lb(b)
 
     def test_linear_tightens_lower(self):
         m = CpModel()
@@ -71,7 +71,7 @@ class TestPropagation:
         d = Domains.from_model(m)
         ok, _ = propagate(m, d)
         assert ok
-        assert d.lo[a.index] == 6  # a >= 8 - ub(b)
+        assert d.lo[a] == 6  # a >= 8 - ub(b)
 
     def test_coefficient_division_rounding(self):
         m = CpModel()
@@ -79,7 +79,7 @@ class TestPropagation:
         m.add_sum_le([(a, 3)], 7)
         d = Domains.from_model(m)
         propagate(m, d)
-        assert d.hi[a.index] == 2  # floor(7/3)
+        assert d.hi[a] == 2  # floor(7/3)
 
     def test_infeasible_detected(self):
         m = CpModel()
@@ -95,7 +95,7 @@ class TestPropagation:
         m.add_implication(x, 1, z, 4)
         d = Domains.from_model(m)
         propagate(m, d)
-        assert d.hi[z.index] == 4
+        assert d.hi[z] == 4
 
     def test_implication_contrapositive(self):
         m = CpModel()
@@ -104,7 +104,7 @@ class TestPropagation:
         m.add_implication(x, 2, z, 4)
         d = Domains.from_model(m)
         propagate(m, d)
-        assert d.hi[x.index] == 1  # condition forbidden
+        assert d.hi[x] == 1  # condition forbidden
 
 
 class TestSolver:

@@ -38,8 +38,8 @@ def _random_model(rng: random.Random) -> CpModel:
         coeffs = [rng.randint(1, 3) for _ in idxs]
         # Bounds chosen around a random point of the reachable sum range, so
         # instances are sometimes tight, sometimes loose, sometimes infeasible.
-        sum_lo = sum(c_ * variables[i].lo for c_, i in zip(coeffs, idxs))
-        sum_hi = sum(c_ * variables[i].hi for c_, i in zip(coeffs, idxs))
+        sum_lo = sum(c_ * model.var_lo[i] for c_, i in zip(coeffs, idxs))
+        sum_hi = sum(c_ * model.var_hi[i] for c_, i in zip(coeffs, idxs))
         pivot = rng.randint(sum_lo - 2, sum_hi + 2)
         lo = max(0, pivot - rng.randint(0, 4))
         hi = pivot + rng.randint(0, 4)
@@ -66,7 +66,7 @@ def _random_model(rng: random.Random) -> CpModel:
 
 def _brute_force(model: CpModel):
     """(feasible, best objective) by exhaustive enumeration."""
-    ranges = [range(v.lo, v.hi + 1) for v in model.variables]
+    ranges = [range(lo, hi + 1) for lo, hi in zip(model.var_lo, model.var_hi)]
     best = None
     feasible = False
     for assignment in itertools.product(*ranges):

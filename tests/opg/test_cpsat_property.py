@@ -77,7 +77,7 @@ def test_optimal_matches_brute_force(instance):
     sol = CpSolver().solve(m)
     if sol.status is not SolveStatus.OPTIMAL:
         return  # node budget hit: nothing to compare
-    ranges = [range(v.lo, v.hi + 1) for v in m.variables]
+    ranges = [range(lo, hi + 1) for lo, hi in zip(m.var_lo, m.var_hi)]
     best = None
     for assignment in itertools.product(*ranges):
         if m.validate_assignment(list(assignment)):

@@ -3,8 +3,8 @@
 :func:`build_window_model` reproduces the exact shape
 ``LcOpgSolver._cp_window`` emits — per-(weight, layer) chunk variables over
 interval candidate sets, per-weight release variables, C0 completeness
-sums, C1 loading-distance implications, C3 per-layer capacity sums, and
-the total-loading-distance objective — so solver behaviour measured on it
+sums, C1 loading-distance implications, one per-layer capacity sum (the
+tighter of C2 and C3), and the total-loading-distance objective — so solver behaviour measured on it
 tracks the production workload.
 """
 
@@ -73,7 +73,7 @@ def build_window_model(
         z_vars.append(z)
         model.add_sum_eq(terms, total, name=f"C0[{w}]")
         for (x, _), l in zip(terms, candidates):
-            model.add_implication(x, 1, z, l, name=f"C1[{w},{l}]")
+            model.add_implication(x, 1, z, l)
         offset += consumer
     for l, terms in by_layer.items():
         model.add_sum_le(terms, cap, name=f"C3[{l}]")

@@ -42,7 +42,7 @@ class Domains:
 
     @classmethod
     def from_model(cls, model: CpModel) -> "Domains":
-        return cls([v.lo for v in model.variables], [v.hi for v in model.variables])
+        return cls(list(model.var_lo), list(model.var_hi))
 
     def copy(self) -> "Domains":
         return Domains(list(self.lo), list(self.hi))
@@ -74,26 +74,26 @@ def propagate(
     for _ in range(max_passes):
         changed = False
 
-        for con in model.linears:
+        for terms, con_lo, con_hi in zip(model.lin_terms, model.lin_lo, model.lin_hi):
             stats.linear_props += 1
             # Current bounds of the sum.
             sum_lo = 0
             sum_hi = 0
-            for idx, coef in con.terms:
+            for idx, coef in terms:
                 sum_lo += coef * lo[idx]
                 sum_hi += coef * hi[idx]
-            if sum_lo > con.hi or sum_hi < con.lo:
+            if sum_lo > con_hi or sum_hi < con_lo:
                 stats.fixpoint_reached = True
                 return False, stats
-            for idx, coef in con.terms:
+            for idx, coef in terms:
                 term_lo = coef * lo[idx]
                 term_hi = coef * hi[idx]
                 rest_lo = sum_lo - term_lo
                 rest_hi = sum_hi - term_hi
-                # coef * v <= con.hi - rest_lo  ->  v <= floor((con.hi - rest_lo)/coef)
-                new_hi = (con.hi - rest_lo) // coef
-                # coef * v >= con.lo - rest_hi  ->  v >= ceil((con.lo - rest_hi)/coef)
-                need = con.lo - rest_hi
+                # coef * v <= con_hi - rest_lo  ->  v <= floor((con_hi - rest_lo)/coef)
+                new_hi = (con_hi - rest_lo) // coef
+                # coef * v >= con_lo - rest_hi  ->  v >= ceil((con_lo - rest_hi)/coef)
+                need = con_lo - rest_hi
                 new_lo = -((-need) // coef) if need > 0 else lo[idx]
                 if new_hi < hi[idx]:
                     hi[idx] = new_hi
@@ -107,24 +107,24 @@ def propagate(
                     stats.fixpoint_reached = True
                     return False, stats
 
-        for imp in model.implications:
+        for cond, cond_ge, then, then_ub in model.implications:
             stats.implication_props += 1
             # cond >= cond_ge guaranteed -> then <= then_ub
-            if lo[imp.cond] >= imp.cond_ge:
-                if imp.then_ub < hi[imp.then]:
-                    hi[imp.then] = imp.then_ub
+            if lo[cond] >= cond_ge:
+                if then_ub < hi[then]:
+                    hi[then] = then_ub
                     changed = True
                     stats.tightenings += 1
-                    if lo[imp.then] > hi[imp.then]:
+                    if lo[then] > hi[then]:
                         stats.fixpoint_reached = True
                         return False, stats
             # then must exceed then_ub -> cond must stay below cond_ge
-            if lo[imp.then] > imp.then_ub:
-                if hi[imp.cond] >= imp.cond_ge:
-                    hi[imp.cond] = imp.cond_ge - 1
+            if lo[then] > then_ub:
+                if hi[cond] >= cond_ge:
+                    hi[cond] = cond_ge - 1
                     changed = True
                     stats.tightenings += 1
-                    if lo[imp.cond] > hi[imp.cond]:
+                    if lo[cond] > hi[cond]:
                         stats.fixpoint_reached = True
                         return False, stats
 

@@ -160,3 +160,5 @@ class TestCliSubprocess:
                 server.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 server.kill()
+                server.wait()
+            server.stdout.close()
