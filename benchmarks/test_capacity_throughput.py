@@ -44,6 +44,7 @@ from repro.capacity.gbt import GBTConfig
 from repro.capacity.model import LoadCapacityModel
 from repro.gpusim.device import get_device
 from repro.graph.models import load_model
+from tests.oracles import capacity_bytes_oracle
 
 DEVICE = "OnePlus 12"
 QUERY_MODEL = "GPTN-2.7B"
@@ -183,25 +184,22 @@ class SeedGBT:
             pred = pred + self.config.learning_rate * tree.predict(X)
         return pred
 
-    # The capacity model's oracle path calls predict_nodewalk; the seed's
-    # only predict *was* the node walk.
-    predict_nodewalk = predict
-
 
 class SeedCapacityModel(LoadCapacityModel):
-    """Pre-PR capacity queries: per-op sequential bisection, no memo."""
+    """Pre-PR capacity queries: per-op sequential bisection, no memo.  The
+    seed's only predict *was* the node walk, so the bisection calls it."""
 
     def capacity_bytes(self, op):
-        return self.capacity_bytes_oracle(op)
+        return capacity_bytes_oracle(self, op, predict=SeedGBT.predict)
 
     def capacity_bytes_batch(self, ops):
-        return [self.capacity_bytes_oracle(op) for op in ops]
+        return [self.capacity_bytes(op) for op in ops]
 
     def capacity_chunks(self, op, chunk_bytes):
-        return self.capacity_bytes_oracle(op) // chunk_bytes
+        return self.capacity_bytes(op) // chunk_bytes
 
     def capacity_chunks_batch(self, ops, chunk_bytes):
-        return [self.capacity_bytes_oracle(op) // chunk_bytes for op in ops]
+        return [self.capacity_bytes(op) // chunk_bytes for op in ops]
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +253,7 @@ def _measure_query(side: str) -> None:
     gc.disable()
     wall0, cpu0 = time.perf_counter(), time.process_time()
     if side == "sequential":
-        caps = [model.capacity_bytes_oracle(op) for op in ops]
+        caps = [capacity_bytes_oracle(model, op) for op in ops]
     else:
         caps = model.capacity_bytes_batch(ops)
     wall = time.perf_counter() - wall0

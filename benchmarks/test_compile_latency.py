@@ -16,7 +16,7 @@ The pre-PR baseline reverts all four compile-path deltas at once:
 ``SeedPartitionSolver._windows`` restores the seed's layer-grid window
 partition (48-layer grid), the seed EDF/prover oracles from
 ``tests/oracles`` replace ``lcopg.edf_feasible``/``lcopg.prove_window``,
-and ``window_reuse=False`` disables the cache.  Everything
+and its ``ColdWindowCache`` replaces ``lcopg.WindowCache``.  Everything
 else (CP core, fusion loop, models) is shared, so the ratio isolates this
 PR's compile-path work.
 
@@ -96,13 +96,18 @@ def _measure_side(side: str) -> None:
     from repro.fusion.adaptive import AdaptiveFusionPlanner
 
     if side == "baseline":
-        from tests.oracles import edf_feasible_reference, prove_window_reference
+        from tests.oracles import (
+            ColdWindowCache,
+            edf_feasible_reference,
+            prove_window_reference,
+        )
 
         lcopg.Budgets = SeedBudgets
         lcopg.edf_feasible = edf_feasible_reference
         # The seed's prover also stopped at a 1 s wall clock.
         lcopg.prove_window = functools.partial(prove_window_reference, time_limit_s=1.0)
-        solver = SeedPartitionSolver(OpgConfig(window_reuse=False))
+        lcopg.WindowCache = ColdWindowCache
+        solver = SeedPartitionSolver(OpgConfig())
     else:
         solver = lcopg.LcOpgSolver(OpgConfig())
 

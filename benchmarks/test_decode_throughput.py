@@ -5,8 +5,9 @@ measured in a fresh subprocess (interleaved, minimum-of-N CPU-time samples;
 see ``conftest.ab_subprocess``): a 1000-token GPTN-2.7B decode on the
 OnePlus 12 after a 1024-token prompt.  The fast side simulates three
 tokens per context-length segment and bulk-replays the recorded trace for
-the rest; the slow side (``segment.EXTRAPOLATE_DEFAULT = False`` in its
-child) prices and simulates every token.  Both sides run the same
+the rest; the slow side (``SegmentCore.run_segment`` swapped for the
+every-pass reference from ``tests/oracles`` in its child) prices and
+simulates every token.  Both sides run the same
 compiled plan from the shared artifact store, so the ratio isolates the
 replay machinery.
 
@@ -42,10 +43,12 @@ def _measure_side(side: str) -> None:
     from repro.core.flashmem import FlashMem
     from repro.core.store import ArtifactStore, swap_store
     from repro.experiments import common
-    from repro.runtime import segment
     from repro.runtime.scenario import Scenario
+    from repro.runtime.segment import SegmentCore
+    from tests.oracles import run_segment_every_pass
 
-    segment.EXTRAPOLATE_DEFAULT = side == "fast"
+    if side != "fast":
+        SegmentCore.run_segment = run_segment_every_pass
     swap_store(ArtifactStore(CACHE_DIR))
     compiled = common.cached_decode_compile(MODEL, DEVICE, CONTEXT)
     fm = FlashMem(common.experiment_flashmem_config())

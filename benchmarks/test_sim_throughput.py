@@ -16,15 +16,16 @@ byte-identical plans and the ratio isolates the simulation work:
   event accounting.  Acceptance bar: >= 1.5x.
 
 The seed side reverts the hot-path deltas inside its own process: the
-module defaults flip back to scalar per-node pricing
-(``pricing.COST_TABLES_DEFAULT``) and no extrapolation
-(``segment.EXTRAPOLATE_DEFAULT``), and ``CommandQueue`` / ``Simulation``
-methods are monkeypatched to the pre-PR accounting — a ``QueueEvent``
-object built per submit, busy/idle time recomputed by walking the event
-log, interval merges through the sorting reference implementation, the
-timeline integrated in pure python one ``record()`` at a time, and graph
-aggregates (peak activations, total weight bytes, pricing rows)
-recomputed per run instead of memoized on the frozen graph.
+scalar references from ``tests/oracles`` replace the pricing tables
+(``pricing.kernel_time_table`` / ``flash_attention_time_table``) and
+segment replay (``SegmentCore.run_segment`` simulates every pass), and
+``CommandQueue`` / ``Simulation`` methods are monkeypatched to the pre-PR
+accounting — a ``QueueEvent`` object built per submit, busy/idle time
+recomputed by walking the event log, interval merges through the sorting
+reference implementation, the timeline integrated in pure python one
+``record()`` at a time, and graph aggregates (peak activations, total
+weight bytes, pricing rows) recomputed per run instead of memoized on the
+frozen graph.
 
 Both sides must report bitwise-identical simulated latencies (the fast
 path's exactness contract); each scenario asserts that before the bar.
@@ -66,15 +67,23 @@ SEED_PEAK_MEMORY_BYTES = 312_296_192
 def _install_seed_emulation() -> None:
     """Monkeypatch the pre-PR simulation path into this process."""
     from repro.graph.dag import Graph
-    from repro.gpusim import energy, pricing
+    from repro.gpusim import pricing
     from repro.gpusim.engine import Simulation
     from repro.gpusim.queues import CommandQueue, QueueEvent
     from repro.gpusim.timeline import MemoryTimeline
-    from repro.runtime import segment
     from repro.runtime.executor import FlashMemExecutor
+    from repro.runtime.segment import SegmentCore
+    from tests.oracles import (
+        busy_intervals_reference,
+        kernel_program_time_ms,
+        run_segment_every_pass,
+        scalar_flash_attention_time_table,
+        scalar_kernel_time_table,
+    )
 
-    pricing.COST_TABLES_DEFAULT = False
-    segment.EXTRAPOLATE_DEFAULT = False
+    pricing.kernel_time_table = scalar_kernel_time_table
+    pricing.flash_attention_time_table = scalar_flash_attention_time_table
+    SegmentCore.run_segment = run_segment_every_pass
 
     # Pre-PR graphs recomputed every aggregate per simulated run.
     Graph._frozen_aggregate = lambda self, key, compute: compute()
@@ -87,7 +96,7 @@ def _install_seed_emulation() -> None:
             self.programs, self.device = programs, device
 
         def __getitem__(self, pos):
-            return self.programs[pos].time_ms(self.device)
+            return kernel_program_time_ms(self.programs[pos], self.device)
 
     def seed_durations(self, bundle, nodes):
         return PerPassPrices([bundle.programs[node.index] for node in nodes], self.device)
@@ -122,7 +131,7 @@ def _install_seed_emulation() -> None:
         return self._free_at - seed_busy_time_ms(self)
 
     def seed_busy_intervals(self):
-        return energy._busy_intervals(self.events)
+        return busy_intervals_reference(self.events)
 
     def seed_build_timeline(self):
         if self._timeline is not None and self._timeline[0] == len(self._deltas):

@@ -10,7 +10,7 @@ from repro.capacity.classify import (
     threshold_for_kind,
 )
 from repro.capacity.cache import capacity_model_key, trained_capacity_model
-from repro.capacity.gbt import FlatTree, GBTConfig, GradientBoostedTrees, RegressionTree
+from repro.capacity.gbt import FlatTree, GBTConfig, GradientBoostedTrees
 from repro.capacity.model import (
     CapacityModelReport,
     LoadCapacityModel,
@@ -33,7 +33,6 @@ __all__ = [
     "FlatTree",
     "GBTConfig",
     "GradientBoostedTrees",
-    "RegressionTree",
     "capacity_model_key",
     "trained_capacity_model",
     "CapacityModelReport",

@@ -4,52 +4,32 @@ The paper trains an XGBoost regressor to predict kernel latency under
 varying additional loads (§4.2, Figure 4).  XGBoost is not available
 offline, so this module implements the same model family from scratch:
 squared-error gradient boosting with shrinkage, subsampling, and depth
-control.  Two tree builders share one compiled representation:
+control, over LightGBM-style histogram splits.  Features are pre-binned
+**once per fit** into small integer codes; each tree level accumulates
+per-node (count, Σy) histograms with a single flattened ``bincount`` over
+all nodes × features, derives the larger sibling of every split by the
+parent−child subtraction trick, and picks the best split per node from
+cumulative sums — no Python loop over split points.  Bin boundaries are
+midpoints between distinct feature values (all of them when a feature has
+≤ ``max_bins`` distinct values, so small features split exactly;
+quantile-spaced otherwise).
 
-- ``tree_method="hist"`` (default) — LightGBM-style histogram splits.
-  Features are pre-binned **once per fit** into small integer codes; each
-  tree level accumulates per-node (count, Σy, Σy²) histograms with a single
-  flattened ``bincount`` over all nodes × features, derives the larger
-  sibling of every split by the parent−child subtraction trick, and picks
-  the best split per node from cumulative sums — no Python loop over split
-  points.  Bin boundaries are midpoints between distinct feature values
-  (all of them when a feature has ≤ ``max_bins`` distinct values, so small
-  features split exactly; quantile-spaced otherwise).
-- ``tree_method="exact"`` — the seed's exact greedy CART splits
-  (:class:`RegressionTree`), kept as the differential oracle.
-
-Either way a fitted tree is compiled into a :class:`FlatTree` — parallel
-(feature, threshold, left, right, value) arrays — and whole matrices are
-predicted by iterative vectorized descent, bitwise-identical to the
-per-row node walk (``predict_nodewalk``) because the per-element
-comparisons and leaf values are the same IEEE operations in the same
-order.  Boosting's per-stage full-X re-predict runs in code space
-(``predict_binned``), which lands every row in the same leaf as the
+A fitted tree is a :class:`FlatTree` — parallel (feature, threshold, left,
+right, value) arrays — and whole matrices are predicted by iterative
+vectorized descent.  Boosting's per-stage full-X re-predict runs in code
+space (``predict_binned``), which lands every row in the same leaf as the
 real-threshold descent: with codes from ``searchsorted(B, x, "left")``,
-``code ≤ t  ⇔  x ≤ B[t]``.
+``code ≤ t  ⇔  x ≤ B[t]``.  ``tests/capacity`` holds the descent bitwise to
+a per-row node walk, and the fit quality to exact greedy CART splits
+(both references live in ``tests/oracles/capacity.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
-
-
-@dataclass
-class _TreeNode:
-    """One node of a regression tree (leaf when ``feature`` is None)."""
-
-    value: float = 0.0
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["_TreeNode"] = None
-    right: Optional["_TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 class FlatTree:
@@ -58,20 +38,17 @@ class FlatTree:
     ``feature[i] < 0`` marks node ``i`` as a leaf; internal nodes route a
     row to ``left[i]`` when ``row[feature[i]] <= threshold[i]``, else to
     ``right[i]``.  ``bin_threshold`` carries the same splits as integer bin
-    codes for trees grown on a :class:`_BinnedMatrix` (None for exact-split
-    trees), enabling the code-space descent used by boosting's per-stage
-    training-set re-predict.
+    codes of the :class:`_BinnedMatrix` the tree was grown on, enabling the
+    code-space descent used by boosting's per-stage training-set re-predict.
     """
 
-    def __init__(self, feature, threshold, left, right, value, *, bin_threshold=None) -> None:
+    def __init__(self, feature, threshold, left, right, value, bin_threshold) -> None:
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
-        self.bin_threshold = (
-            None if bin_threshold is None else np.asarray(bin_threshold, dtype=np.int64)
-        )
+        self.bin_threshold = np.asarray(bin_threshold, dtype=np.int64)
 
     @property
     def n_nodes(self) -> int:
@@ -97,133 +74,12 @@ class FlatTree:
         return self._descend(np.asarray(X, dtype=float), self.threshold)
 
     def predict_binned(self, codes: np.ndarray) -> np.ndarray:
-        """Descent in bin-code space (hist-grown trees only).
+        """Descent in bin-code space.
 
         Identical leaf assignment to :meth:`predict` on the matrix the codes
         were binned from: ``code ≤ t ⇔ x ≤ boundary[t]``.
         """
-        if self.bin_threshold is None:
-            raise RuntimeError("tree was not grown on binned data")
         return self._descend(codes, self.bin_threshold)
-
-    def predict_nodewalk(self, X: np.ndarray) -> np.ndarray:
-        """Per-row node walk — the seed implementation's predict path,
-        kept as the bitwise oracle for :meth:`predict`."""
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            j = 0
-            while self.feature[j] >= 0:
-                j = self.left[j] if row[self.feature[j]] <= self.threshold[j] else self.right[j]
-            out[i] = self.value[j]
-        return out
-
-
-class RegressionTree:
-    """CART regression tree with exact greedy splits on squared error.
-
-    The seed builder, kept as the differential oracle for the histogram
-    path; ``flatten()`` compiles it to a :class:`FlatTree` for batched
-    inference.
-    """
-
-    def __init__(self, *, max_depth: int = 4, min_samples_leaf: int = 4, min_gain: float = 1e-12) -> None:
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.min_gain = min_gain
-        self._root: Optional[_TreeNode] = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
-            raise ValueError("X must be (n, d) and y (n,) with matching n")
-        if len(X) == 0:
-            raise ValueError("cannot fit on empty data")
-        self._root = self._build(X, y, depth=0)
-        return self
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
-        node = _TreeNode(value=float(y.mean()))
-        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
-            return node
-        split = self._best_split(X, y)
-        if split is None:
-            return node
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> Optional[Tuple[int, float]]:
-        n, d = X.shape
-        base_sse = float(((y - y.mean()) ** 2).sum())
-        best_gain = self.min_gain
-        best: Optional[Tuple[int, float]] = None
-        for f in range(d):
-            order = np.argsort(X[:, f], kind="stable")
-            xs, ys = X[order, f], y[order]
-            # Prefix sums let us evaluate every split in O(n).
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys**2)
-            total_sum, total_sq = csum[-1], csq[-1]
-            for i in range(self.min_samples_leaf - 1, n - self.min_samples_leaf):
-                if xs[i] == xs[i + 1]:
-                    continue  # cannot split between equal feature values
-                nl = i + 1
-                nr = n - nl
-                sl, sql = csum[i], csq[i]
-                sr, sqr = total_sum - sl, total_sq - sql
-                sse = (sql - sl * sl / nl) + (sqr - sr * sr / nr)
-                gain = base_sse - sse
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (f, float((xs[i] + xs[i + 1]) / 2.0))
-        return best
-
-    def flatten(self) -> FlatTree:
-        """Compile the fitted node chain into parallel arrays."""
-        if self._root is None:
-            raise RuntimeError("tree not fitted")
-        feat: List[int] = []
-        thr: List[float] = []
-        left: List[int] = []
-        right: List[int] = []
-        value: List[float] = []
-
-        def add(node: _TreeNode) -> int:
-            i = len(feat)
-            feat.append(-1)
-            thr.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(node.value)
-            if not node.is_leaf:
-                feat[i] = int(node.feature)
-                thr[i] = node.threshold
-                left[i] = add(node.left)
-                right[i] = add(node.right)
-            return i
-
-        add(self._root)
-        return FlatTree(feat, thr, left, right, value)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            raise RuntimeError("tree not fitted")
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
 
 
 # --------------------------------------------------------------- histograms
@@ -231,8 +87,8 @@ def _bin_boundaries(col: np.ndarray, max_bins: int) -> np.ndarray:
     """Split-candidate boundaries for one feature column.
 
     With ≤ ``max_bins`` distinct values the boundaries are *all* midpoints
-    between consecutive distinct values — the exact builder's candidate set,
-    so small features lose nothing to binning.  Otherwise boundaries sit at
+    between consecutive distinct values — exact CART's candidate set, so
+    small features lose nothing to binning.  Otherwise boundaries sit at
     sample quantiles (density-aware), snapped to midpoints between the two
     distinct values they fall between so every boundary separates data.
     """
@@ -332,7 +188,7 @@ def _grow_hist_tree(
 
     new_node(y.mean() if n else 0.0)
     if n < 2 * min_samples_leaf:
-        return FlatTree(feat, thr, left, right, value, bin_threshold=bint)
+        return FlatTree(feat, thr, left, right, value, bint)
 
     active_rows = np.arange(n)
     row_slot = np.zeros(n, dtype=np.int64)
@@ -421,7 +277,7 @@ def _grow_hist_tree(
         level_ids = np.empty(n_next, dtype=np.int64)
         level_ids[2 * arange_k] = lids
         level_ids[2 * arange_k + 1] = rids
-    return FlatTree(feat, thr, left, right, value, bin_threshold=bint)
+    return FlatTree(feat, thr, left, right, value, bint)
 
 
 # ----------------------------------------------------------------- boosting
@@ -435,15 +291,10 @@ class GBTConfig:
     min_samples_leaf: int = 4
     subsample: float = 0.9
     seed: int = 0
-    #: "hist" — histogram-binned splits (the fast default); "exact" — the
-    #: seed's exact greedy splits, kept as the differential oracle.
-    tree_method: str = "hist"
-    #: Maximum histogram bins per feature ("hist" only).
+    #: Maximum histogram bins per feature.
     max_bins: int = 256
 
     def __post_init__(self) -> None:
-        if self.tree_method not in ("hist", "exact"):
-            raise ValueError(f"unknown tree_method {self.tree_method!r}")
         if self.max_bins < 2:
             raise ValueError("max_bins must be >= 2")
 
@@ -454,10 +305,10 @@ class GradientBoostedTrees:
     With squared error the negative gradient is the residual, so each stage
     fits a regression tree to the current residuals — functionally the same
     core as XGBoost's default regressor (without second-order terms).
-    Stages are :class:`FlatTree` objects whatever the ``tree_method``, so
-    ``predict``/``score_rmse`` run columnar over whole matrices; the
-    per-stage training-set re-predict runs in pre-binned code space for
-    "hist" (identical leaf assignment, see :class:`_BinnedMatrix`).
+    Stages are :class:`FlatTree` objects, so ``predict``/``score_rmse`` run
+    columnar over whole matrices; the per-stage training-set re-predict
+    runs in pre-binned code space (identical leaf assignment, see
+    :class:`_BinnedMatrix`).
     """
 
     def __init__(self, config: Optional[GBTConfig] = None) -> None:
@@ -478,30 +329,21 @@ class GradientBoostedTrees:
         self._trees = []
         n = len(y)
         sample = max(cfg.min_samples_leaf * 2, int(n * cfg.subsample))
-        hist = cfg.tree_method == "hist"
-        binned = _BinnedMatrix(X, cfg.max_bins) if hist else None
+        binned = _BinnedMatrix(X, cfg.max_bins)
         for _ in range(cfg.n_estimators):
             residual = y - pred
             if sample < n:
                 idx = rng.choice(n, size=sample, replace=False)
             else:
                 idx = np.arange(n)
-            if hist:
-                tree = _grow_hist_tree(
-                    binned.codes_off[idx],
-                    residual[idx],
-                    binned,
-                    max_depth=cfg.max_depth,
-                    min_samples_leaf=cfg.min_samples_leaf,
-                )
-                update = tree.predict_binned(binned.codes)
-            else:
-                tree = RegressionTree(
-                    max_depth=cfg.max_depth,
-                    min_samples_leaf=cfg.min_samples_leaf,
-                ).fit(X[idx], residual[idx]).flatten()
-                update = tree.predict(X)
-            pred = pred + cfg.learning_rate * update
+            tree = _grow_hist_tree(
+                binned.codes_off[idx],
+                residual[idx],
+                binned,
+                max_depth=cfg.max_depth,
+                min_samples_leaf=cfg.min_samples_leaf,
+            )
+            pred = pred + cfg.learning_rate * tree.predict_binned(binned.codes)
             self._trees.append(tree)
         self.train_rmse_ = float(np.sqrt(((y - pred) ** 2).mean()))
         return self
@@ -514,16 +356,6 @@ class GradientBoostedTrees:
         pred = np.full(len(X), self._base)
         for tree in self._trees:
             pred = pred + self.config.learning_rate * tree.predict(X)
-        return pred
-
-    def predict_nodewalk(self, X: np.ndarray) -> np.ndarray:
-        """Per-row node-walk oracle — the seed predict path, bit for bit."""
-        if not self._trees:
-            raise RuntimeError("model not fitted")
-        X = np.asarray(X, dtype=float)
-        pred = np.full(len(X), self._base)
-        for tree in self._trees:
-            pred = pred + self.config.learning_rate * tree.predict_nodewalk(X)
         return pred
 
     def score_rmse(self, X: np.ndarray, y: np.ndarray) -> float:

@@ -12,9 +12,9 @@ which the solver consumes as C_l (converted to chunks).  Hot callers
 (the fusion loop, the runtime planners, the OPG builder) go through
 ``capacity_bytes_batch(ops)``, which advances every operator's bisection in
 lockstep — one batched regressor call per step instead of one single-row
-predict per (op, step) — and memoizes results per op fingerprint.  The
-original sequential path is kept verbatim as ``capacity_bytes_oracle`` for
-differential testing.
+predict per (op, step) — and memoizes results per op fingerprint.
+``tests/capacity/test_capacity_pipeline.py`` holds it to a sequential
+per-op bisection (``tests/oracles/capacity.py``) for both backends.
 """
 
 from __future__ import annotations
@@ -118,25 +118,6 @@ class LoadCapacityModel:
         )
         return model
 
-    # ----------------------------------------------------------- prediction
-    def predict_latency_ms(self, op: OpSpec, extra_bytes: int = 0) -> float:
-        """Predicted kernel latency with an embedded load of ``extra_bytes``."""
-        if self.backend == "analytic":
-            return self.cost.time_with_load_ms(op, extra_bytes)
-        assert self.regressor is not None
-        log_latency = self.regressor.predict(featurize(op, extra_bytes).reshape(1, -1))[0]
-        return float(10**log_latency)
-
-    def predict_latency_ms_oracle(self, op: OpSpec, extra_bytes: int = 0) -> float:
-        """Like :meth:`predict_latency_ms` via the per-row node-walk oracle."""
-        if self.backend == "analytic":
-            return self.cost.time_with_load_ms(op, extra_bytes)
-        assert self.regressor is not None
-        log_latency = self.regressor.predict_nodewalk(
-            featurize(op, extra_bytes).reshape(1, -1)
-        )[0]
-        return float(10**log_latency)
-
     # ------------------------------------------------------------ capacities
     @staticmethod
     def _op_key(op: OpSpec) -> tuple:
@@ -180,8 +161,8 @@ class LoadCapacityModel:
         leaf capacity in a single batch (the ``gbt`` backend advances all
         bisections simultaneously — one batched regressor call per step),
         and memoizes per op fingerprint so repeated fusion-loop queries are
-        dictionary lookups.  Returns plain Python ints, identical to
-        :meth:`capacity_bytes_oracle` per op.
+        dictionary lookups.  Returns plain Python ints, identical to one
+        sequential 40-step bisection per op.
         """
         memo = self._capacity_memo
         self.stats["queries"] += len(ops)
@@ -251,7 +232,7 @@ class LoadCapacityModel:
         hi0 = [max(specs[i].input_bytes * 16, 1 << 20) for i in active]
 
         # Ops already within the latency limit at the top of the search
-        # range saturate there (same early-out as the sequential path).
+        # range saturate there.
         self._set_load_columns(X, hi0, input_bytes)
         self.stats["batch_predicts"] += 1
         saturated = (10.0 ** self.regressor.predict(X)) <= limit
@@ -282,35 +263,6 @@ class LoadCapacityModel:
         for pos, p in enumerate(remaining):
             results[active[p]] = int(lo[pos])
         return results
-
-    def capacity_bytes_oracle(self, op: OpSpec) -> int:
-        """Sequential reference path (pre-batching), for differential tests.
-
-        One scalar 40-step bisection per op with a fresh single-row
-        node-walk predict per step — no memo, no batching.
-        """
-        from repro.fusion.fuser import fused_members, is_fused
-
-        if is_fused(op):
-            return min(self.capacity_bytes_oracle(m) for m in fused_members(op))
-        threshold = threshold_for(op)
-        if threshold <= 0.0:
-            return 0
-        if self.backend == "analytic":
-            return self.cost.load_capacity_bytes(op, threshold)
-        # GBT backend: bisect over the regressor's predictions.
-        base = self.predict_latency_ms_oracle(op, 0)
-        limit = base * (1.0 + threshold)
-        lo, hi = 0, max(op.input_bytes * 16, 1 << 20)
-        if self.predict_latency_ms_oracle(op, hi) <= limit:
-            return hi
-        for _ in range(40):
-            mid = (lo + hi) // 2
-            if self.predict_latency_ms_oracle(op, mid) <= limit:
-                lo = mid
-            else:
-                hi = mid
-        return lo
 
     def capacity_chunks(self, op: OpSpec, chunk_bytes: int) -> int:
         """C_l expressed in whole chunks (the solver's unit)."""

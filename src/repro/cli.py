@@ -404,7 +404,7 @@ def _cmd_profile_capacity(args: argparse.Namespace) -> int:
     cfg = model.regressor.config
     print(f"capacity pipeline for {graph.summary()} on {device.name} (gbt backend):")
     print(f"  phases: profile {profile_s:.3f}s ({len(dataset)} samples), "
-          f"fit {fit_s:.3f}s ({cfg.n_estimators} '{cfg.tree_method}' trees), "
+          f"fit {fit_s:.3f}s ({cfg.n_estimators} histogram trees), "
           f"capacities {bisect_s:.3f}s ({len(ops)} ops -> "
           f"{model.stats['bisections']} lockstep bisections, "
           f"{model.stats['batch_predicts']} batched predicts)")

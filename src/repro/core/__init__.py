@@ -3,14 +3,14 @@
 from repro.core.config import FlashMemConfig
 from repro.core.flashmem import CompiledModel, FlashMem
 from repro.core.store import (
-    ARTIFACT_SCHEMA_VERSION,
     ArtifactStore,
+    code_fingerprint,
     flashmem_config_fingerprint,
     stable_fingerprint,
 )
 
 __all__ = [
     "FlashMemConfig", "CompiledModel", "FlashMem",
-    "ArtifactStore", "ARTIFACT_SCHEMA_VERSION",
+    "ArtifactStore", "code_fingerprint",
     "flashmem_config_fingerprint", "stable_fingerprint",
 ]

@@ -6,11 +6,11 @@ runtime overhead").  :class:`ArtifactStore` is the content-addressed store
 behind the experiment pipeline.  It persists arbitrary pickled artifacts
 (compiled models, run results, trained capacity models, rendered driver
 outputs) keyed by a structured key dict; the path is derived from a digest
-of the key plus the artifact schema version, so a schema bump or any key
-change addresses a fresh entry.  Writes are atomic (unique tmp file +
-``os.replace``) so racing writers can never tear an entry, and unreadable
-entries are quarantined to a ``.corrupt`` sibling instead of being
-silently re-missed forever.
+of the key plus the :func:`code_fingerprint` of the ``repro`` source, so an
+edit to any module or any key change addresses a fresh entry.  Writes are
+atomic (unique tmp file + ``os.replace``) so racing writers can never tear
+an entry, and unreadable entries are quarantined to a ``.corrupt`` sibling
+instead of being silently re-missed forever.
 
 A process has one active store (:func:`swap_store` installs it,
 :func:`active_store` reads it), and every persisted artifact goes through
@@ -25,6 +25,7 @@ layers that set it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -35,17 +36,32 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-#: Version of the on-disk artifact format.  Bump whenever the pickled
-#: payload types change shape; old entries then simply address different
-#: paths and age out instead of being mis-loaded.  v3: plans carry a
-#: ``kv_plan`` (decode KV residency), run keys fold in the Scenario.  v4:
-#: fleet episodes store absolute ``(times, totals)`` columns, not deltas.
-#: v5: ``PlanStats`` and ``OpgConfig`` each drop a field that served the
-#: deleted alternative CP solvers.  v6: ``PlanStats`` gains
-#: ``floor_closed_windows``, and windows the SRPT floor closes no longer
-#: count CP nodes or windows.  v7: ``KernelProgram`` holds no ``source``
-#: field; its text renders on first read.
-ARTIFACT_SCHEMA_VERSION = 7
+#: The package whose source addresses every artifact.
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def source_fingerprint(root) -> str:
+    """sha256 over the sorted relative paths and bytes of ``root/**/*.py``."""
+    root = pathlib.Path(root)
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """:func:`source_fingerprint` of this ``repro`` package, once per process.
+
+    Every store address and envelope carries it, so a cached artifact never
+    outlives the code that produced it: any source edit, including one that
+    changes a pickled type's shape, addresses fresh entries.  Computed on
+    first store use rather than at import (hashing the package takes a few
+    milliseconds).
+    """
+    return source_fingerprint(_PACKAGE_ROOT)
 
 
 def _canonical_default(value):
@@ -146,8 +162,9 @@ class ArtifactStore:
 
     Keys are flat dicts that must include ``"kind"`` (the artifact family —
     e.g. ``"flashmem-run"``); remaining fields identify the cell, typically
-    (model, device, config fingerprint).  The schema version participates in
-    the digest, so a format bump invalidates every old entry at once.
+    (model, device, config fingerprint).  ``schema`` (default: the
+    :func:`code_fingerprint`) participates in the digest, so a source edit
+    invalidates every old entry at once.
 
     ``load`` verifies that the stored envelope echoes the requested key and
     schema; any unreadable or mismatched entry is quarantined to a
@@ -156,9 +173,9 @@ class ArtifactStore:
     miss — encode absent results with a sentinel value instead.
     """
 
-    def __init__(self, root, *, schema: int = ARTIFACT_SCHEMA_VERSION) -> None:
+    def __init__(self, root, *, schema: Optional[str] = None) -> None:
         self.root = pathlib.Path(root)
-        self.schema = schema
+        self.schema = code_fingerprint() if schema is None else schema
         self.stats = StoreStats()
         self.root.mkdir(parents=True, exist_ok=True)
 

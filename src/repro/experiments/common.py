@@ -12,8 +12,9 @@ Figure 10 reuse each (model, device) compilation instead of re-solving:
   invocations load each other's compiled models and run results instead of
   re-solving.
 
-Keys carry (model, device, config fingerprint) and the artifact schema
-version, so a config or format change addresses fresh entries.
+Keys carry (model, device, config fingerprint), and the store folds in the
+fingerprint of the ``repro`` source, so a config or code change addresses
+fresh entries.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from repro.fusion.adaptive import (
     AdaptiveFusionPlanner,
     AdaptiveFusionReport,
     apply_splits,
-    split_feasible,
 )
 from repro.fusion.fuser import (
     FUSED_MEMBERS,
@@ -21,7 +20,6 @@ __all__ = [
     "AdaptiveFusionPlanner",
     "AdaptiveFusionReport",
     "apply_splits",
-    "split_feasible",
     "FUSED_MEMBERS",
     "fuse_graph",
     "fused_members",

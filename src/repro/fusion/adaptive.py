@@ -14,7 +14,7 @@ The loop the paper describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.capacity.model import LoadCapacityModel
 from repro.fusion.fuser import fuse_graph, is_fused, unfuse_node
@@ -70,27 +70,6 @@ def _solver_iteration_record(iteration: int, plan: OverlapPlan) -> Dict[str, obj
         "edf_calls": s.edf_calls,
         "nodes_explored": s.nodes_explored,
     }
-
-
-def split_feasible(
-    spec, capacity_model: LoadCapacityModel, *, alpha: float = 0.25
-) -> Optional[Tuple[object, object]]:
-    """Check §4.3's capacity-gain condition for splitting a fused node.
-
-    Returns the (head, tail) sub-specs when
-    ``C_head + C_tail >= (1 + alpha) * C_fused``, else None.
-    """
-    if not is_fused(spec):
-        return None
-    parts = unfuse_node(spec)
-    if len(parts) < 2:
-        return None
-    head, tail = parts[0], parts[1]
-    c_fused = capacity_model.capacity_bytes(spec)
-    c_split = capacity_model.capacity_bytes(head) + capacity_model.capacity_bytes(tail)
-    if c_split >= (1.0 + alpha) * max(1, c_fused):
-        return head, tail
-    return None
 
 
 def apply_splits(graph: Graph, splits: Dict[str, Tuple[object, object]]) -> Graph:

@@ -28,29 +28,6 @@ class EnergyReport:
     idle_ms: float
 
 
-def _busy_intervals(events, kinds=None) -> List[Tuple[float, float]]:
-    """Merge an arbitrary event list into disjoint busy intervals.
-
-    Reference implementation over :class:`QueueEvent` rows; the measurement
-    path below uses :meth:`CommandQueue.busy_intervals`, which produces the
-    identical merged list in one pass off the columnar log (queue events are
-    start-sorted and disjoint by construction, so the sort here is the
-    identity permutation for them).
-    """
-    spans = sorted(
-        (e.start_ms, e.end_ms)
-        for e in events
-        if e.duration_ms > 0 and (kinds is None or e.kind in kinds)
-    )
-    merged: List[Tuple[float, float]] = []
-    for start, end in spans:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def _total_length(intervals: List[Tuple[float, float]]) -> float:
     """Summed interval length as a plain left fold.
 

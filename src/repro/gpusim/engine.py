@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.gpusim.device import DeviceProfile
 from repro.gpusim.energy import measure_energy
-from repro.gpusim.kernels import KernelCostModel
 from repro.gpusim.memory import MemoryPool
 from repro.gpusim.queues import DualQueue
 from repro.gpusim.timeline import MemoryTimeline, Phases, RunResult
@@ -56,7 +55,6 @@ class Simulation:
         self.model = model
         self.runtime = runtime
         self.queues = DualQueue()
-        self.cost = KernelCostModel(device)
         # Pools validate alloc/free pairing and track sizes; the timeline is
         # integrated from the delta log at finish.
         self.um = MemoryPool("unified")

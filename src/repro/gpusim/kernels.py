@@ -34,6 +34,11 @@ CONTENTION_GAMMA = 0.5
 #: uncoalesced strided reads, so the effective bandwidth drops.
 UM_KV_BW_FACTOR = 0.55
 
+#: Relative latency penalty of a BRANCHY kernel with embedded loads, on its
+#: whole body (§4.4: conditional checks "cause warp-level branch divergence
+#: and reduce SIMT efficiency").  The pricing tables apply it.
+BRANCH_DIVERGENCE_PENALTY = 0.35
+
 
 @dataclass(frozen=True)
 class InterferenceCoeffs:
@@ -75,7 +80,9 @@ class FlashAttentionKernel:
 
     Tiles come in two fetch classes, set by the residency plan: the most
     recent ``resident_tiles`` live in GPU memory (texture or unified), older
-    tiles spill to disk and stream through the IO pipeline.
+    tiles spill to disk and stream through the IO pipeline.  The executors
+    price calls in bulk with
+    :func:`repro.gpusim.pricing.flash_attention_time_table`.
     """
 
     heads: int
@@ -93,63 +100,6 @@ class FlashAttentionKernel:
             tile_tokens=spec.attrs["tile_tokens"],
             dtype_bytes=spec.output_spec.dtype_bytes,
         )
-
-    @property
-    def tile_bytes(self) -> int:
-        """K + V bytes of one full tile."""
-        return 2 * self.heads * self.head_dim * self.tile_tokens * self.dtype_bytes
-
-    @property
-    def tile_flops(self) -> int:
-        """QK^T + PV arithmetic over one full tile."""
-        return 4 * self.heads * self.head_dim * self.tile_tokens
-
-    def tiles(self, kv_tokens: int) -> int:
-        """Number of (full-priced) tiles covering ``kv_tokens`` cached rows."""
-        if kv_tokens <= 0:
-            raise ValueError("kv_tokens must be positive")
-        return -(-kv_tokens // self.tile_tokens)
-
-    def time_ms(
-        self,
-        device: DeviceProfile,
-        kv_tokens: int,
-        *,
-        resident_tiles: int = None,
-        texture: bool = True,
-        efficiency: float = 1.0,
-    ) -> float:
-        """Latency of one decode-attention call over ``kv_tokens`` rows.
-
-        ``resident_tiles=None`` keeps the whole cache resident (the
-        preloading baselines); otherwise the oldest ``n - resident_tiles``
-        tiles stream from disk.  ``texture`` selects the resident read path
-        (texture cache vs :data:`UM_KV_BW_FACTOR`-degraded unified memory).
-
-        This scalar form is the oracle the vectorized
-        :func:`repro.gpusim.pricing.flash_attention_time_table` must match
-        bitwise — keep the operation order in sync with it.
-        """
-        if efficiency <= 0:
-            raise ValueError("efficiency must be positive")
-        n = self.tiles(kv_tokens)
-        if resident_tiles is None:
-            r = n
-        elif resident_tiles < 0:
-            raise ValueError("resident_tiles must be non-negative")
-        else:
-            r = min(n, resident_tiles)
-        s = n - r
-        t_compute = device.compute_time_ms(self.tile_flops) / efficiency
-        t_resident = device.memory_time_ms(self.tile_bytes) / efficiency
-        if not texture:
-            t_resident = t_resident / UM_KV_BW_FACTOR
-        t_stream = device.disk_latency_ms + self.tile_bytes / device.disk_bw
-        # Streamed (oldest) tiles run first; the pipeline fill exposes the
-        # first tile's fetch, every later fetch hides behind compute.
-        fill = t_stream if s > 0 else t_resident
-        steady = s * max(t_compute, t_stream) + r * max(t_compute, t_resident)
-        return device.kernel_launch_ms + fill + steady
 
 
 class KernelCostModel:

@@ -6,12 +6,15 @@ dominated the cold experiment-suite wall clock.  This module batches the
 same arithmetic over every kernel of a run at once with numpy float64
 elementwise operations.
 
-**Bitwise contract.**  The vectorized formulas replicate the scalar methods
-operation-for-operation (same IEEE-754 double ops, same association order),
-so each table entry equals the corresponding scalar result *exactly* — not
-approximately.  ``tests/gpusim/test_pricing_differential.py`` pins ``==``
-equality across every device preset, op class, efficiency, and
-``extra_bytes`` grid; the scalar model remains the differential oracle.
+**Bitwise contract.**  The vectorized formulas replicate the scalar
+:class:`~repro.gpusim.kernels.KernelCostModel` methods operation-for-operation
+(same IEEE-754 double ops, same association order), so each table entry
+equals the corresponding scalar result *exactly* — not approximately.
+``tests/gpusim/test_pricing_differential.py`` pins ``==`` equality across
+every device preset, op class, efficiency, and ``extra_bytes`` grid against
+the scalar references in ``tests/oracles/sim.py``, and the runtime identity
+suites swap those references in for :func:`kernel_time_table` and
+:func:`flash_attention_time_table` to pin whole runs.
 
 Tables are memoized in an in-process LRU keyed on the full pricing input
 (device profile plus one row per kernel), shared by repeated runs of the
@@ -33,7 +36,12 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gpusim.device import DeviceProfile
-from repro.gpusim.kernels import CONTENTION_GAMMA, INTERFERENCE, UM_KV_BW_FACTOR
+from repro.gpusim.kernels import (
+    BRANCH_DIVERGENCE_PENALTY,
+    CONTENTION_GAMMA,
+    INTERFERENCE,
+    UM_KV_BW_FACTOR,
+)
 from repro.graph.ops import OpClass, OpSpec
 
 #: One kernel's pricing inputs: everything the scalar model reads.
@@ -46,12 +54,6 @@ KernelRow = Tuple[OpClass, int, int, int, int, float, bool]
 #: shape; 256 comfortably covers the full experiment grid).
 _TABLE_CACHE_MAX = 256
 
-#: Whether executors price kernels with these tables (True) or the scalar
-#: oracle.  Read at every run: tests flip it to compare the two paths, and
-#: benchmarks flip it (with ``runtime.segment.EXTRAPOLATE_DEFAULT``) to
-#: emulate the pre-vectorization scalar path in A/B children.
-COST_TABLES_DEFAULT = True
-
 #: Class-indexed interference coefficient lookup in a fixed order.
 _CLASS_ORDER = (OpClass.REUSABLE, OpClass.ELEMENTAL, OpClass.HIERARCHICAL, OpClass.LAYOUT)
 _CLASS_INDEX = {cls: i for i, cls in enumerate(_CLASS_ORDER)}
@@ -61,19 +63,8 @@ _SHARE_COEFF = np.array([INTERFERENCE[c].share_coeff for c in _CLASS_ORDER])
 #: same way, so the product stays bitwise identical.
 _SYNC_FACTOR = np.array([1.0 + INTERFERENCE[c].sync_penalty for c in _CLASS_ORDER])
 
-#: Mirror of ``codegen.KernelProgram.time_ms``'s BRANCHY factor.  Resolved
-#: lazily: ``repro.kernels`` imports gpusim modules, so a module-level
-#: import here would tangle package initialization order.
-_DIVERGENCE_FACTOR: Optional[float] = None
-
-
-def _divergence_factor() -> float:
-    global _DIVERGENCE_FACTOR
-    if _DIVERGENCE_FACTOR is None:
-        from repro.kernels.codegen import BRANCH_DIVERGENCE_PENALTY
-
-        _DIVERGENCE_FACTOR = 1.0 + BRANCH_DIVERGENCE_PENALTY
-    return _DIVERGENCE_FACTOR
+#: Whole-body factor a BRANCHY kernel with embedded loads pays.
+_DIVERGENCE_FACTOR = 1.0 + BRANCH_DIVERGENCE_PENALTY
 
 
 @dataclass
@@ -101,11 +92,11 @@ STATS = SimStats()
 
 # ------------------------------------------------------------ table build
 def _compute_table(device: DeviceProfile, rows: Tuple[KernelRow, ...]) -> np.ndarray:
-    """Vectorized ``KernelProgram.time_ms`` over ``rows`` (float64, exact).
+    """Priced kernel latencies over ``rows`` (float64, exact).
 
     Mirrors, in order: ``KernelCostModel.base_time_ms`` (layout branch via
     ``output_bytes``), ``compute_slack_ms``, ``time_with_load_ms``, and the
-    BRANCHY divergence factor from ``codegen.KernelProgram.time_ms``.
+    BRANCHY divergence factor (:data:`BRANCH_DIVERGENCE_PENALTY`).
     """
     cls_idx = np.array([_CLASS_INDEX[r[0]] for r in rows], dtype=np.intp)
     flops = np.array([r[1] for r in rows], dtype=np.int64)
@@ -135,7 +126,7 @@ def _compute_table(device: DeviceProfile, rows: Tuple[KernelRow, ...]) -> np.nda
         exposed = _SHARE_COEFF[cls_idx] * excess * (1.0 + CONTENTION_GAMMA * excess / base)
         with_load = base * _SYNC_FACTOR[cls_idx] + exposed
         if divergent.any():
-            with_load = np.where(divergent, with_load * _divergence_factor(), with_load)
+            with_load = np.where(divergent, with_load * _DIVERGENCE_FACTOR, with_load)
         times = np.where(loaded, with_load, base)
     return times
 
@@ -192,7 +183,7 @@ def kernel_time_table(device: DeviceProfile, rows: Sequence[KernelRow]) -> np.nd
 # --------------------------------------------------- flash-attention tables
 #: One tiled decode-attention call's pricing inputs: the kernel geometry
 #: plus the per-call residency split.  ``resident_tiles=-1`` means "whole
-#: cache resident" (the scalar oracle's ``resident_tiles=None``).
+#: cache resident".
 FlashRow = Tuple[int, int, int, int, int, int, bool, float]
 
 
@@ -204,7 +195,13 @@ def flash_row(
     texture: bool = True,
     efficiency: float = 1.0,
 ) -> FlashRow:
-    """Pricing-row form of one ``FlashAttentionKernel.time_ms`` call."""
+    """Pricing row of one decode-attention call of ``kernel``.
+
+    ``resident_tiles=None`` keeps the whole cache resident (the preloading
+    baselines); otherwise the oldest tiles beyond it stream from disk.
+    ``texture`` selects the resident read path (texture cache vs
+    :data:`~repro.gpusim.kernels.UM_KV_BW_FACTOR`-degraded unified memory).
+    """
     return (
         kernel.heads,
         kernel.head_dim,
@@ -218,12 +215,13 @@ def flash_row(
 
 
 def _compute_flash_table(device: DeviceProfile, rows: Tuple[FlashRow, ...]) -> np.ndarray:
-    """Vectorized ``FlashAttentionKernel.time_ms`` over ``rows`` (exact).
+    """Priced tiled decode-attention latencies over ``rows`` (exact).
 
-    Operation-for-operation mirror of the scalar oracle — same division
-    order, same association — so every entry is bitwise equal to the
-    corresponding scalar call (pinned by
-    ``tests/gpusim/test_flash_pricing.py``).
+    Tiles are priced full, so a call's cost depends only on its tile count
+    ``n``: an exposed first-tile fill, then ``max(compute, fetch)`` per tile
+    for the ``s`` disk-streamed (oldest) tiles and the ``r`` resident ones.
+    ``tests/gpusim/test_flash_pricing.py`` pins every entry bitwise against
+    the scalar per-call reference in ``tests/oracles/sim.py``.
     """
     heads = np.array([r[0] for r in rows], dtype=np.int64)
     head_dim = np.array([r[1] for r in rows], dtype=np.int64)

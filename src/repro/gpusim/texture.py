@@ -4,12 +4,10 @@ Mobile GPUs expose texture memory as 2D images with a small fixed depth —
 each texel packs four scalar channels (RGBA).  The "2.5D" layout of Romou /
 SmartMem reorganises an N-D tensor into a grid of (width x height) texels
 with depth 4.  This module computes that geometry, the padded storage
-footprint, and the cost of moving weights into it:
+footprint, and the scratch a convolution weight's transformation needs:
 
 - :func:`texture_layout` — texel grid for a tensor.
 - :func:`texture_bytes` — storage footprint including row alignment padding.
-- :func:`transform_time_ms` — dedicated layout-transformation kernel cost
-  (the expensive path preloading frameworks pay at init).
 - :func:`winograd_expansion` — temporary memory expansion factor for conv
   weight transformation (why conv models save less memory, paper §5.2).
 """
@@ -19,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.gpusim.device import DeviceProfile
 from repro.graph.ops import OpKind, TensorSpec
 
 #: Channels per texel in 2.5D texture memory.
@@ -88,32 +85,3 @@ def winograd_expansion(kind: OpKind, kernel: int = 3) -> float:
     if kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D) and kernel >= 3:
         return 16.0 / 9.0
     return 1.0
-
-
-def transform_time_ms(
-    nbytes: int,
-    device: DeviceProfile,
-    *,
-    effective_bw: float,
-    per_tensor_overhead_ms: float = 0.0,
-) -> float:
-    """Time for a *dedicated* layout-transformation pass over ``nbytes``.
-
-    ``effective_bw`` is the framework-specific transformation throughput in
-    bytes/ms; legacy frameworks pay multiple strided passes and per-tensor
-    kernel dispatches, so their effective bandwidth is a small fraction of
-    the raw texture-upload path (paper Table 1: "Trans." dominates init).
-    """
-    if effective_bw <= 0:
-        raise ValueError("effective_bw must be positive")
-    return per_tensor_overhead_ms + device.kernel_launch_ms + nbytes / effective_bw
-
-
-def embedded_load_time_ms(nbytes: int, device: DeviceProfile) -> float:
-    """Time to stream ``nbytes`` through FlashMem's in-kernel vectorised path.
-
-    This is the raw texture-upload bandwidth — the rewritten kernels read
-    weights with continuous vectorised fetches while computing, so there is
-    no separate transformation pass to pay for (paper §4.4).
-    """
-    return nbytes / device.tm_upload_bw

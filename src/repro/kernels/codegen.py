@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List
 
-from repro.gpusim.device import DeviceProfile
-from repro.gpusim.kernels import KernelCostModel
 from repro.graph.ops import OpKind, OpSpec
 from repro.kernels import templates
 from repro.kernels.templating import Template
@@ -31,10 +29,6 @@ class ExecStyle(enum.Enum):
     BRANCHY = "branchy"
     PIPELINED = "pipelined"
 
-
-#: Relative latency penalty of the divergent interleave (§4.4: conditional
-#: checks "cause warp-level branch divergence and reduce SIMT efficiency").
-BRANCH_DIVERGENCE_PENALTY = 0.35
 
 _NAIVE = Template(templates.NAIVE_MATMUL)
 _BRANCHY = Template(templates.BRANCHY_INTERLEAVED)
@@ -101,19 +95,6 @@ class KernelProgram:
     @property
     def pipelined(self) -> bool:
         return self.style is ExecStyle.PIPELINED
-
-    def time_ms(self, device: DeviceProfile, *, efficiency: float = 1.0) -> float:
-        """Latency of this kernel on ``device``.
-
-        Pipelined kernels pay the interference model's (mostly hidden)
-        embedded-load cost; branchy kernels additionally pay the divergence
-        penalty on their whole body.
-        """
-        cost = KernelCostModel(device)
-        base = cost.time_with_load_ms(self.op, self.embedded_load_bytes, efficiency=efficiency)
-        if self.style is ExecStyle.BRANCHY and self.embedded_load_bytes > 0:
-            return base * (1.0 + BRANCH_DIVERGENCE_PENALTY)
-        return base
 
 
 @dataclass

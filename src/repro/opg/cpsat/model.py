@@ -141,25 +141,6 @@ class CpModel:
     def objective_value(self, values: Sequence[int]) -> int:
         return self.objective_offset + sum(coef * values[idx] for idx, coef in self.objective)
 
-    def validate_assignment(self, values: Sequence[int]) -> List[str]:
-        """Return human-readable violations of ``values`` (empty if feasible)."""
-        problems: List[str] = []
-        if len(values) != len(self.var_lo):
-            return [f"expected {len(self.var_lo)} values, got {len(values)}"]
-        for idx, (lo, hi) in enumerate(zip(self.var_lo, self.var_hi)):
-            if not lo <= values[idx] <= hi:
-                problems.append(f"variable {idx}={values[idx]} outside [{lo}, {hi}]")
-        for cid, (terms, lo, hi) in enumerate(zip(self.lin_terms, self.lin_lo, self.lin_hi)):
-            total = sum(coef * values[idx] for idx, coef in terms)
-            if not lo <= total <= hi:
-                problems.append(f"linear {cid}: {total} not in [{lo}, {hi}]")
-        for iid, (cond, cond_ge, then, then_ub) in enumerate(self.implications):
-            if values[cond] >= cond_ge and values[then] > then_ub:
-                problems.append(
-                    f"implication {iid}: cond={values[cond]} but then={values[then]} > {then_ub}"
-                )
-        return problems
-
 
 @dataclass
 class Solution:

@@ -103,10 +103,12 @@ class CpSolver:
                 t0 = time.perf_counter()
                 ok = state.propagate_from(prop_stats)
                 stats.time_propagate_s += time.perf_counter() - t0
-                if len(state.entries) > stats.trail_depth_peak:
-                    stats.trail_depth_peak = len(state.entries)
                 if not ok:
                     continue
+                # Only a completed drain has a trail depth independent of
+                # constraint order: a failed one stops at the conflict.
+                if len(state.entries) > stats.trail_depth_peak:
+                    stats.trail_depth_peak = len(state.entries)
 
             if best_obj is not None and has_obj and state.lower_bound >= best_obj:
                 continue  # cannot improve

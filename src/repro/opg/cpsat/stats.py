@@ -45,7 +45,8 @@ class SolverStats:
     #: Constraint evaluations by kind.
     linear_props: int = 0
     implication_props: int = 0
-    #: Deepest trail (undo-log) seen — proxy for search depth x activity.
+    #: Deepest trail (undo-log) after a successful propagation — proxy for
+    #: search depth x activity.
     trail_depth_peak: int = 0
     #: Wall-clock split of the solve loop.
     time_propagate_s: float = 0.0

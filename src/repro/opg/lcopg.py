@@ -219,20 +219,20 @@ class LcOpgSolver:
     ``use_cp=False`` forces pure-heuristic mode (used by ablations and as
     the paper's hybrid fallback for pathological instances).
 
-    The CP solver, the EDF oracle, the SRPT distance floor and the exact
-    prover are looked up by module name (``CpSolver``, ``edf_feasible``,
-    ``srpt_distance_floor``, ``prove_window``) at each call, so tests and
+    The CP solver, the EDF oracle, the SRPT distance floor, the exact
+    prover and the window cache are looked up by module name
+    (``CpSolver``, ``edf_feasible``, ``srpt_distance_floor``,
+    ``prove_window``, ``WindowCache``) at each call, so tests and
     benchmarks swap in the oracles under ``tests/`` by monkeypatching this
     module (patching ``srpt_distance_floor`` to return None forces every
-    window through the CP search).
+    window through the CP search; a ``WindowCache`` that never hits gives
+    the cold solve that window reuse must reproduce).
     """
 
     def __init__(self, config: Optional[OpgConfig] = None, *, use_cp: bool = True) -> None:
         self.config = config or OpgConfig()
         self.use_cp = use_cp
-        self.window_cache: Optional[WindowCache] = (
-            WindowCache() if self.config.window_reuse else None
-        )
+        self.window_cache = WindowCache()
         #: Everything in the solver setup that steers a window's solve.
         self._cache_config_key = (self.config, use_cp)
         #: (period, leader signature) detected on the first partition and
@@ -278,18 +278,15 @@ class LcOpgSolver:
         stats.windows = len(windows)
         deferred: List[WeightInfo] = []
         for window_weights in windows:
-            fingerprint = base = None
-            if self.window_cache is not None:
-                fingerprint, base = self._window_fingerprint(window_weights, budgets, forced_preloads)
-                rounds_left = budgets.max_soft_rounds - budgets.soft_rounds_used
-                entry = self.window_cache.lookup(fingerprint, rounds_left)
-                if entry is not None:
-                    self._replay_window(
-                        problem, window_weights, entry, base, budgets, schedules, statuses, stats, deferred
-                    )
-                    continue
+            fingerprint, base = self._window_fingerprint(window_weights, budgets, forced_preloads)
             soft_before = budgets.soft_rounds_used
             rounds_left_before = budgets.max_soft_rounds - soft_before
+            entry = self.window_cache.lookup(fingerprint, rounds_left_before)
+            if entry is not None:
+                self._replay_window(
+                    problem, window_weights, entry, base, budgets, schedules, statuses, stats, deferred
+                )
+                continue
             heuristic_before = stats.heuristic_windows
             deferred_before = len(deferred)
             assignments, status, soft_sensitive = self._solve_window(
@@ -301,21 +298,20 @@ class LcOpgSolver:
                 if w.name in deferred_names:
                     continue  # scheduled by the rescue pass below
                 schedules[w.name] = self._make_schedule(problem, w, assignments.get(w.name))
-            if self.window_cache is not None:
-                self.window_cache.store(
-                    fingerprint,
-                    self._record_window(
-                        window_weights,
-                        assignments,
-                        status,
-                        base,
-                        soft_rounds=budgets.soft_rounds_used - soft_before,
-                        heuristic_delta=stats.heuristic_windows - heuristic_before,
-                        deferred_names=tuple(w.name for w in deferred[deferred_before:]),
-                        soft_sensitive=soft_sensitive,
-                        soft_rounds_left=rounds_left_before,
-                    ),
-                )
+            self.window_cache.store(
+                fingerprint,
+                self._record_window(
+                    window_weights,
+                    assignments,
+                    status,
+                    base,
+                    soft_rounds=budgets.soft_rounds_used - soft_before,
+                    heuristic_delta=stats.heuristic_windows - heuristic_before,
+                    deferred_names=tuple(w.name for w in deferred[deferred_before:]),
+                    soft_sensitive=soft_sensitive,
+                    soft_rounds_left=rounds_left_before,
+                ),
+            )
 
         # Long-range rescue: weights too large for their CP window stream
         # across the extended horizon using whatever capacity the regular

@@ -62,15 +62,6 @@ class OpgConfig:
     #: plan is a pure function of graph, device and config, whatever the
     #: machine's speed or load (the paper instead gives each model 150 s).
     max_nodes_per_window: int = 500
-    #: Cross-solve window reuse: fingerprint each rolling window in
-    #: canonical (positional, shift- and rename-invariant) coordinates and
-    #: replay the cached schedule when an equivalent window comes back —
-    #: as it does for most windows across adaptive-fusion iterations, and
-    #: between the repeated blocks of periodic models even within one
-    #: solve.  Every window search is bounded by its node budget alone,
-    #: so a replayed window is exactly the window a fresh solve returns
-    #: (see DESIGN.md "compile-path performance").
-    window_reuse: bool = True
     #: Fraction of the device RAM budget the decode-phase KV caches may
     #: occupy as resident state.  The KV residency planner additionally
     #: caps the grant by the RAM the weight plan leaves free, so preload +

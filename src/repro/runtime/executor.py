@@ -158,9 +158,7 @@ class FlashMemExecutor:
 
     def _durations(self, bundle: KernelBundle, nodes: list) -> List[float]:
         """Per-node kernel latencies: one vectorized table per (bundle,
-        device), or the scalar oracle when cost tables are off."""
-        if not pricing.COST_TABLES_DEFAULT:
-            return [bundle.programs[node.index].time_ms(self.device) for node in nodes]
+        device)."""
         # Rows are a pure function of the (immutable once compiled) bundle,
         # so they are cached on it across runs; the priced table itself is
         # memoized per (device, rows) in the pricing layer.

@@ -65,7 +65,7 @@ class PreloadExecutor:
         sim = Simulation(self.device, model=graph.name, runtime=profile.name)
         core = SegmentCore(sim, graph)
         init_end = self._init(sim, graph)
-        durations = self._durations(sim, graph, core.nodes)
+        durations = self._durations(graph, core.nodes)
         if scenario.is_decode:
             details = self._decode(core, graph, scenario, durations, init_end)
         else:
@@ -153,17 +153,15 @@ class PreloadExecutor:
         sim.alloc_um("runtime_arena", overhead + activations, arena_time)
         return init_end
 
-    def _durations(self, sim: Simulation, graph: Graph, nodes: list) -> List[float]:
+    def _durations(self, graph: Graph, nodes: list) -> List[float]:
         """Per-node kernel latencies at the framework's efficiencies: one
-        vectorized table, or the scalar oracle when cost tables are off."""
+        vectorized table."""
         conv_eff = self.profile.conv_exec_efficiency
         eff = self.profile.exec_efficiency
 
         def efficiency(node) -> float:
             return conv_eff if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D) else eff
 
-        if not pricing.COST_TABLES_DEFAULT:
-            return [sim.cost.base_time_ms(node.spec, efficiency=efficiency(node)) for node in nodes]
         # Pure function of the frozen graph and the profile efficiencies,
         # so the rows are memoized on the graph across runs.
         rows = graph._frozen_aggregate(

@@ -17,10 +17,11 @@ the two traces match and every allocation made inside a pass is freed
 inside it, the remaining passes replay the trace with the exact float
 arithmetic of a full pass (same submits, same accumulator adds, same
 delta-log appends), skipping only the per-node Python bookkeeping.  The
-replay is *exact*, not approximate, so a ``RunResult`` is byte-identical
-with replay on or off (pinned by
+replay is *exact*, not approximate: ``RunResult``s are byte-identical to
+simulating every pass (pinned by
 ``tests/runtime/test_extrapolation_equivalence.py`` and
-``tests/runtime/test_decode_equivalence.py``).
+``tests/runtime/test_decode_equivalence.py``, which swap the every-pass
+reference in ``tests/oracles/sim.py`` in for :meth:`SegmentCore.run_segment`).
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ WINOGRAD_BW_FACTOR = 0.5
 #: Dedicated (non-embedded) chunk-copy kernels run strided, well below the
 #: vectorised in-kernel path — what kernel rewriting buys back (Figure 7).
 DEDICATED_COPY_BW_FACTOR = 0.35
-
-#: Whether segments replay their steady state.  Read at every segment, so
-#: tests and benchmark A/B children flip it to simulate every pass.
-EXTRAPOLATE_DEFAULT = True
 
 # Trace instruction opcodes.
 _OP_EXEC = 0
@@ -172,7 +169,7 @@ class SegmentCore:
         KV cache at that kernel's completion.  Passes ``start+1`` and
         ``start+2`` are recorded; when their traces match the rest replay.
         """
-        record = EXTRAPOLATE_DEFAULT and end - start > 3
+        record = end - start > 3
         self._slots = {}
         traces = []
         k = start
@@ -215,11 +212,8 @@ class SegmentCore:
         for si, seg_start in enumerate(breaks):
             seg_end = breaks[si + 1] if si + 1 < len(breaks) else tokens
             kv = context_len + seg_start + 1
-            if pricing.COST_TABLES_DEFAULT:
-                rows = tuple(pricing.flash_row(k, kv, **flash_args) for k in attention.kernels)
-                priced = pricing.flash_attention_time_table(device, rows).tolist()
-            else:
-                priced = [k.time_ms(device, kv, **flash_args) for k in attention.kernels]
+            rows = tuple(pricing.flash_row(k, kv, **flash_args) for k in attention.kernels)
+            priced = pricing.flash_attention_time_table(device, rows).tolist()
             durs = list(durations)
             for pos, dur in zip(attention.positions, priced):
                 durs[pos] = dur

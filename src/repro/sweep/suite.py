@@ -4,8 +4,9 @@ Two phases, both riding the same persistent artifact store:
 
 1. **warm** — the deduplicated primitive (model, device, runtime) cells the
    requested drivers share are fanned out across the pool, populating the
-   store (skipped when caching is off — worker results could not be shared
-   — or when running serially, where warming would just reorder the work).
+   store (skipped when running serially, where warming would just reorder
+   the work).  A pooled run without a persistent store gets a temporary one
+   for its own lifetime, so its workers still share the warm cells.
 2. **render** — the drivers themselves run (also fanned out when
    ``jobs > 1``), loading the warm primitives, and their rendered text is
    written under ``results/`` in deterministic driver order.
@@ -13,6 +14,8 @@ Two phases, both riding the same persistent artifact store:
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +25,7 @@ from repro.sweep.cells import driver_cells, primitive_cells
 from repro.sweep.runner import SweepReport, SweepRunner, format_cache_line, format_sim_line
 
 #: Default persistent cache location (CLI: overridable via --cache-dir or
-#: the REPRO_CACHE_DIR environment variable; --no-cache disables).
+#: the REPRO_CACHE_DIR environment variable; --no-cache keeps nothing).
 DEFAULT_CACHE_DIR = ".artifact-cache"
 
 ProgressFn = Callable[[str], None]
@@ -105,13 +108,17 @@ def run_suite(
     :class:`SuiteReport` and the suite continues.  When ``results_dir`` is
     given, each successful driver's rendered text is written there as
     ``<name>.txt`` (same format as the benchmarks), in driver order.
+    ``cache_dir=None`` persists nothing: a pooled run stores into a
+    temporary directory that is removed before this returns.
     """
     say = progress or (lambda _line: None)
     start = time.perf_counter()
 
     prim_report: Optional[SweepReport] = None
-    if cache_dir is not None and jobs > 1:
-        cells = primitive_cells(names)
+    with contextlib.ExitStack() as scope:
+        if cache_dir is None and jobs > 1:
+            cache_dir = scope.enter_context(tempfile.TemporaryDirectory(prefix="repro-no-cache-"))
+        cells = primitive_cells(names) if jobs > 1 else []
         if cells:
             say(f"warming {len(cells)} primitive cells across {jobs} jobs ...")
             with SweepRunner(jobs=jobs, cache_dir=cache_dir) as runner:
@@ -124,16 +131,16 @@ def run_suite(
                     ),
                 )
 
-    say(f"running {len(names)} drivers ...")
-    with SweepRunner(jobs=jobs, cache_dir=cache_dir) as runner:
-        driver_report = runner.run(
-            driver_cells(names),
-            progress=lambda o, done, total: say(
-                f"  [{done}/{total}] {o.cell.name} {o.wall_s:.2f}s"
-                + (" [cached]" if o.cache_hit else "")
-                + ("" if o.ok else f" FAILED: {o.error}")
-            ),
-        )
+        say(f"running {len(names)} drivers ...")
+        with SweepRunner(jobs=jobs, cache_dir=cache_dir) as runner:
+            driver_report = runner.run(
+                driver_cells(names),
+                progress=lambda o, done, total: say(
+                    f"  [{done}/{total}] {o.cell.name} {o.wall_s:.2f}s"
+                    + (" [cached]" if o.cache_hit else "")
+                    + ("" if o.ok else f" FAILED: {o.error}")
+                ),
+            )
 
     written: List[Path] = []
     if results_dir is not None:

@@ -1,11 +1,12 @@
 """Differential suite for the vectorized capacity pipeline.
 
-Pins the equivalence guarantees the LightGBM-style rewrite rests on:
+Pins the equivalence guarantees the LightGBM-style rewrite rests on,
+against the references in ``tests/oracles/capacity.py``:
 
 - flattened batched tree inference is *bitwise* identical to the per-row
-  node-walk oracle (for exact-split and histogram-split trees alike);
+  node walk (for exact-split and histogram-split trees alike);
 - histogram-binned training stays within a holdout-RMSE tolerance of the
-  exact-split oracle on fig4-style profile data;
+  exact-split regime (``fit_exact``) on fig4-style profile data;
 - ``capacity_bytes_batch`` (lockstep bisection + memo) returns exactly the
   sequential ``capacity_bytes_oracle`` values for both backends, across
   models x devices, fused ops included;
@@ -20,13 +21,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.capacity.gbt import FlatTree, GBTConfig, GradientBoostedTrees, RegressionTree
+from repro.capacity.gbt import FlatTree, GBTConfig, GradientBoostedTrees
 from repro.capacity.model import LoadCapacityModel, analytic_capacity_model
 from repro.capacity.profiler import LoadCapacityProfiler
 from repro.core.store import ArtifactStore, swap_store
 from repro.fusion.fuser import fuse_graph
 from repro.graph.models import load_model
 from repro.gpusim.device import get_device
+from tests.oracles import (
+    RegressionTree,
+    capacity_bytes_oracle,
+    ensemble_nodewalk,
+    fit_exact,
+    tree_nodewalk,
+)
+
+#: The two ways to grow an ensemble: the production histogram fit and the
+#: exact-split reference.
+FITS = {"exact": fit_exact, "hist": GradientBoostedTrees.fit}
 
 
 def _dataset(n, d, seed, *, discrete_cols=()):
@@ -49,38 +61,35 @@ class TestFlatPredictBitwise:
         Xq, _ = _dataset(180, 5, seed + 100, discrete_cols=(2, 4))
         assert isinstance(flat, FlatTree)
         assert np.array_equal(flat.predict(Xq), tree.predict(Xq))
-        assert np.array_equal(flat.predict(Xq), flat.predict_nodewalk(Xq))
+        assert np.array_equal(flat.predict(Xq), tree_nodewalk(flat, Xq))
 
-    @pytest.mark.parametrize("tree_method", ["exact", "hist"])
+    @pytest.mark.parametrize("regime", ["exact", "hist"])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_ensemble_predict_matches_nodewalk(self, tree_method, seed):
+    def test_ensemble_predict_matches_nodewalk(self, regime, seed):
         X, y = _dataset(300, 6, seed, discrete_cols=(3,))
-        model = GradientBoostedTrees(
-            GBTConfig(n_estimators=40, tree_method=tree_method, seed=seed)
-        ).fit(X, y)
+        model = GradientBoostedTrees(GBTConfig(n_estimators=40, seed=seed))
+        FITS[regime](model, X, y)
         Xq, _ = _dataset(200, 6, seed + 50, discrete_cols=(3,))
-        assert np.array_equal(model.predict(Xq), model.predict_nodewalk(Xq))
+        assert np.array_equal(model.predict(Xq), ensemble_nodewalk(model, Xq))
 
     def test_score_rmse_columnar_matches_nodewalk(self):
         X, y = _dataset(200, 4, 11)
         model = GradientBoostedTrees(GBTConfig(n_estimators=25)).fit(X, y)
-        walk = float(np.sqrt(((model.predict_nodewalk(X) - y) ** 2).mean()))
+        walk = float(np.sqrt(((ensemble_nodewalk(model, X) - y) ** 2).mean()))
         assert model.score_rmse(X, y) == walk
 
 
 class TestHistVsExactAccuracy:
-    def test_hist_within_holdout_tolerance_on_profile_data(self):
+    def test_hist_within_holdout_tolerance_on_profile_data(self, monkeypatch):
         device = get_device("OnePlus 12")
         profiler = LoadCapacityProfiler(device, seed=0)
         dataset = profiler.profile_models(
             [load_model("GPTN-S"), load_model("ViT")], max_ops_per_model=24
         )
-        exact = LoadCapacityModel.from_dataset(
-            device, dataset, gbt_config=GBTConfig(tree_method="exact")
-        )
-        hist = LoadCapacityModel.from_dataset(
-            device, dataset, gbt_config=GBTConfig(tree_method="hist")
-        )
+        hist = LoadCapacityModel.from_dataset(device, dataset)
+        with monkeypatch.context() as patch:
+            patch.setattr(GradientBoostedTrees, "fit", fit_exact)
+            exact = LoadCapacityModel.from_dataset(device, dataset)
         assert exact.report is not None and hist.report is not None
         # Binned splits may differ slightly from exact splits, but the fit
         # quality must stay in the same regime (fig4 holdout ~0.02-0.03).
@@ -96,7 +105,7 @@ class TestBatchEqualsSequential:
         model = analytic_capacity_model(get_device(device_name))
         ops = [n.spec for n in fuse_graph(load_model(model_name)).nodes()]
         batch = model.capacity_bytes_batch(ops)
-        assert batch == [model.capacity_bytes_oracle(op) for op in ops]
+        assert batch == [capacity_bytes_oracle(model, op) for op in ops]
         assert all(type(v) is int for v in batch)
 
     @pytest.mark.parametrize("device_name", ["OnePlus 12", "Pixel 8"])
@@ -106,7 +115,7 @@ class TestBatchEqualsSequential:
         model = LoadCapacityModel.train(device, [graph], seed=0, max_ops_per_model=12)
         ops = [n.spec for n in fuse_graph(graph).nodes()]
         batch = model.capacity_bytes_batch(ops)
-        assert batch == [model.capacity_bytes_oracle(op) for op in ops]
+        assert batch == [capacity_bytes_oracle(model, op) for op in ops]
 
     def test_memo_hits_on_requery_and_scalar_path(self):
         model = analytic_capacity_model(get_device("OnePlus 12"))
@@ -143,7 +152,7 @@ class TestStoreCachedRegressor:
             loaded = store.load(key)["regressor"]
         Xq, _ = _dataset(60, 4, seed + 1)
         assert np.array_equal(model.predict(Xq), loaded.predict(Xq))
-        assert np.array_equal(loaded.predict(Xq), loaded.predict_nodewalk(Xq))
+        assert np.array_equal(loaded.predict(Xq), ensemble_nodewalk(loaded, Xq))
 
     def test_trained_capacity_model_warm_reload_identical(self, tmp_path):
         from repro.capacity import cache as capacity_cache

@@ -1,9 +1,11 @@
-"""Tests for the gradient-boosted-trees regressor (XGBoost substitute)."""
+"""Tests for the gradient-boosted-trees regressor (XGBoost substitute), and
+for the exact-split reference tree it is checked against."""
 
 import numpy as np
 import pytest
 
-from repro.capacity.gbt import GBTConfig, GradientBoostedTrees, RegressionTree
+from repro.capacity.gbt import GBTConfig, GradientBoostedTrees
+from tests.oracles import RegressionTree
 
 
 def _make_data(n=400, seed=0):

@@ -1,18 +1,36 @@
 """Tests for the content-addressed artifact store."""
 
 import multiprocessing
+import pathlib
 import pickle
+import shutil
 
 import pytest
 
+import repro
 from repro.core.store import (
-    ARTIFACT_SCHEMA_VERSION,
     ArtifactStore,
     active_store,
+    code_fingerprint,
     read_through,
+    source_fingerprint,
     stable_fingerprint,
     swap_store,
 )
+
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
+
+
+def _edited_package_fingerprint(tmp_path) -> str:
+    """The fingerprint of a copy of the package with one byte changed."""
+    copy = tmp_path / "repro"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert source_fingerprint(copy) == code_fingerprint()
+    module = copy / "core" / "store.py"
+    data = bytearray(module.read_bytes())
+    data[-1] ^= 1
+    module.write_bytes(bytes(data))
+    return source_fingerprint(copy)
 
 KEY = {"kind": "flashmem-run", "model": "ViT", "device": "OnePlus 12", "config": "abc"}
 
@@ -34,11 +52,22 @@ class TestAddressing:
         assert len({a, b, c}) == 3
 
     def test_schema_version_addresses_fresh_entries(self, tmp_path):
-        old = ArtifactStore(tmp_path, schema=ARTIFACT_SCHEMA_VERSION)
-        new = ArtifactStore(tmp_path, schema=ARTIFACT_SCHEMA_VERSION + 1)
+        """An entry saved by one version of the code is a miss for another."""
+        old = ArtifactStore(tmp_path / "store")
+        assert old.schema == code_fingerprint()
+        new = ArtifactStore(tmp_path / "store", schema=_edited_package_fingerprint(tmp_path))
         old.save(KEY, {"v": 1})
         assert new.load(KEY) is None  # plain miss, not a quarantine
         assert new.stats.corrupt == 0
+        assert old.load(KEY) == {"v": 1}
+
+    def test_code_fingerprint_tracks_every_source_byte(self, tmp_path):
+        assert _edited_package_fingerprint(tmp_path) != code_fingerprint()
+        # A renamed module moves it too, even with identical bytes.
+        copy = tmp_path / "repro"
+        before = source_fingerprint(copy)
+        (copy / "cli.py").rename(copy / "cli2.py")
+        assert source_fingerprint(copy) != before
 
 
 class TestRoundTrip:

@@ -3,15 +3,14 @@
 The acceptance bar for the window-reuse cache: across the adaptive-fusion
 loop, plans produced with the cache enabled must be *identical* — same
 schedules, same per-iteration solver statuses, same preload sets — to
-plans produced by solving every window from scratch. Any divergence means
-a fingerprint under-keys some solver input.
+plans produced by solving every window from scratch (a window cache that
+never hits, ``tests/oracles``). Any divergence means a fingerprint
+under-keys some solver input.
 
 Runs the real planner (not synthetic windows) over 3 models x 2 devices
 at a fast config, plus one large-model case at the experiment config
 where replay is known to actually fire.
 """
-
-import dataclasses
 
 import pytest
 
@@ -22,6 +21,7 @@ from repro.graph.lowering import eliminate_layout_ops
 from repro.graph.models.zoo import load_model
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
+from tests.oracles import ColdWindowCache, cold_solver
 
 FAST = OpgConfig(max_nodes_per_window=300)
 
@@ -35,10 +35,10 @@ CASES = [
 ]
 
 
-def _plan(model, device, config):
+def _plan(model, device, config, *, reuse=True):
     graph = eliminate_layout_ops(load_model(model))
     capacity = analytic_capacity_model(get_device(device))
-    solver = LcOpgSolver(config)
+    solver = LcOpgSolver(config) if reuse else cold_solver(config)
     planner = AdaptiveFusionPlanner(solver, capacity, max_iterations=4)
     fused, plan, report = planner.plan(graph, device_name=device)
     return fused, plan, report, solver
@@ -50,13 +50,11 @@ def _preload_set(plan):
 
 @pytest.mark.parametrize("model,device", CASES, ids=[f"{m}-{d}" for m, d in CASES])
 def test_plans_identical_with_and_without_reuse(model, device):
-    on_cfg = FAST
-    off_cfg = dataclasses.replace(FAST, window_reuse=False)
-    fused_on, plan_on, report_on, solver_on = _plan(model, device, on_cfg)
-    fused_off, plan_off, report_off, solver_off = _plan(model, device, off_cfg)
+    fused_on, plan_on, report_on, solver_on = _plan(model, device, FAST)
+    fused_off, plan_off, report_off, solver_off = _plan(model, device, FAST, reuse=False)
 
-    assert solver_on.window_cache is not None
-    assert solver_off.window_cache is None
+    assert not isinstance(solver_on.window_cache, ColdWindowCache)
+    assert isinstance(solver_off.window_cache, ColdWindowCache)
 
     # Same fusion trajectory...
     assert report_on.iterations == report_off.iterations
@@ -82,9 +80,7 @@ def test_reuse_fires_on_iterating_large_model():
     windows to replay — the case the cache exists for."""
     config = OpgConfig()
     _, plan_on, report_on, solver_on = _plan("GPTN-2.7B", "OnePlus 12", config)
-    _, plan_off, _, _ = _plan(
-        "GPTN-2.7B", "OnePlus 12", dataclasses.replace(config, window_reuse=False)
-    )
+    _, plan_off, _, _ = _plan("GPTN-2.7B", "OnePlus 12", config, reuse=False)
     assert report_on.total_windows_reused > 0
     assert solver_on.window_cache.hits == report_on.total_windows_reused
     assert 0.0 < report_on.window_reuse_rate < 1.0

@@ -1,10 +1,11 @@
 """Differential tests: vectorized flash-attention pricing is exact.
 
 ``pricing._compute_flash_table`` is an operation-for-operation mirror of
-the scalar oracle ``FlashAttentionKernel.time_ms`` — same division order,
-same association — so every entry must be *bitwise* equal to the
-corresponding scalar call, across both fetch classes (resident texture /
-unified reads vs disk-streamed tiles) and arbitrary efficiency divisors.
+the scalar oracle ``flash_attention_time_ms`` (``tests/oracles/sim.py``) —
+same division order, same association — so every entry must be *bitwise*
+equal to the corresponding scalar call, across both fetch classes
+(resident texture / unified reads vs disk-streamed tiles) and arbitrary
+efficiency divisors.
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.gpusim.device import get_device
 from repro.gpusim.kernels import FlashAttentionKernel
 from repro.gpusim.pricing import flash_attention_time_table, flash_row
+from tests.oracles import flash_attention_time_ms
 
 DEVICES = ("OnePlus 12", "Pixel 8", "Xiaomi Mi 6")
 
@@ -40,8 +42,8 @@ def test_flash_table_matches_scalar_oracle_bitwise(device_name):
     ]
     table = flash_attention_time_table(device, rows)
     for i, (kernel, kv, res, tex, eff) in enumerate(cases):
-        scalar = kernel.time_ms(
-            device, kv, resident_tiles=res, texture=tex, efficiency=eff
+        scalar = flash_attention_time_ms(
+            kernel, device, kv, resident_tiles=res, texture=tex, efficiency=eff
         )
         assert table[i] == scalar, (
             f"row {i} diverged on {device_name}: "
@@ -65,6 +67,7 @@ def test_tile_plateau():
     the piecewise-constant property the decode extrapolation relies on."""
     device = get_device("OnePlus 12")
     kernel = FlashAttentionKernel(heads=12, head_dim=64, tile_tokens=256)
-    within = [kernel.time_ms(device, kv, resident_tiles=2) for kv in (257, 300, 512)]
+    rows = [flash_row(kernel, kv, resident_tiles=2) for kv in (257, 300, 512, 513)]
+    *within, crossed = flash_attention_time_table(device, rows).tolist()
     assert len(set(within)) == 1
-    assert kernel.time_ms(device, 513, resident_tiles=2) > within[0]
+    assert crossed > within[0]

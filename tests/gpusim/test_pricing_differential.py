@@ -1,21 +1,21 @@
 """Differential tests: vectorized pricing vs the scalar oracle, exactly.
 
 The vectorized cost tables (``repro.gpusim.pricing``) claim *bitwise*
-equality with the scalar :class:`KernelCostModel` / ``KernelProgram.time_ms``
-path — not approximate agreement.  These tests sweep every device preset,
-every op class present in the model zoo, an efficiency grid, and an
-``extra_bytes`` grid, and pin ``==`` on every entry.  They are the formal
-contract behind the executors' ``use_cost_tables`` fast path.
+equality with the scalar :class:`KernelCostModel` path — not approximate
+agreement.  These tests sweep every device preset, every op class present
+in the model zoo, an efficiency grid, and an ``extra_bytes`` grid, and pin
+``==`` on every entry.  They are the formal contract behind the executors'
+table pricing.
 """
 
 import pytest
 
 from repro.gpusim import pricing
 from repro.gpusim.device import DEVICE_PRESETS
-from repro.gpusim.kernels import KernelCostModel
+from repro.gpusim.kernels import BRANCH_DIVERGENCE_PENALTY, KernelCostModel
 from repro.graph.models import load_model
 from repro.graph.ops import OpClass
-from repro.kernels.codegen import BRANCH_DIVERGENCE_PENALTY
+from tests.runtime.identity import scalar_pricing
 
 EFFICIENCIES = (1.0, 0.7, 0.45, 0.22)
 EXTRA_BYTES = (0, 1 << 16, 1 << 20, 37_000_000)
@@ -93,8 +93,35 @@ def test_table_memoized_and_counted(sample_ops):
     assert not first.flags.writeable  # shared array is read-only
 
 
+@pytest.mark.parametrize("framework", ["MNN", "ETorch", "SMem"])
+def test_preload_rows_price_each_node_at_its_efficiency(framework):
+    """PreloadExecutor's table rows: convolutions at the framework's conv
+    efficiency, everything else at its kernel efficiency."""
+    from repro.graph.ops import OpKind
+    from repro.runtime.frameworks import get_profile
+    from repro.runtime.preload import PreloadExecutor
+
+    device = DEVICE_PRESETS["OnePlus 12"]
+    profile = get_profile(framework)
+    graph = load_model("ResNet50")
+    graph.freeze()
+    nodes = list(graph.nodes())
+    cost = KernelCostModel(device)
+    convs = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
+    want = [
+        cost.base_time_ms(
+            n.spec,
+            efficiency=profile.conv_exec_efficiency if n.kind in convs else profile.exec_efficiency,
+        )
+        for n in nodes
+    ]
+    assert any(n.kind in convs for n in nodes)
+    assert PreloadExecutor(profile, device)._durations(graph, nodes) == want
+
+
 def test_preload_executor_tables_match_scalar_path(monkeypatch):
-    """End-to-end: PreloadExecutor prices identically with tables on/off."""
+    """End-to-end: PreloadExecutor prices identically with tables and with
+    one scalar call per kernel."""
     from repro.gpusim.device import oneplus_12
     from repro.runtime.frameworks import get_profile
     from repro.runtime.preload import PreloadExecutor
@@ -104,13 +131,10 @@ def test_preload_executor_tables_match_scalar_path(monkeypatch):
     volatile = {"sim_s", "pricing_hits", "pricing_misses"}
     for framework in ("MNN", "ETorch", "SMem"):
         executor = PreloadExecutor(get_profile(framework), oneplus_12())
-        results = []
-        for tables in (True, False):
-            monkeypatch.setattr(pricing, "COST_TABLES_DEFAULT", tables)
-            results.append(
-                executor.run(graph, scenario=Scenario.prefill(2), check_support=False)
-            )
-        fast, slow = results
+        fast = executor.run(graph, scenario=Scenario.prefill(2), check_support=False)
+        with monkeypatch.context() as patch:
+            scalar_pricing(patch)
+            slow = executor.run(graph, scenario=Scenario.prefill(2), check_support=False)
         assert fast.latency_ms == slow.latency_ms
         assert fast.phases == slow.phases
         assert fast.memory.samples == slow.memory.samples

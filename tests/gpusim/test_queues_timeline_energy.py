@@ -1,6 +1,7 @@
 """Tests for queues, timeline accounting, the energy model, and Simulation."""
 
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.gpusim.energy import measure_energy
 from repro.gpusim.engine import Simulation
 from repro.gpusim.queues import CommandQueue, DualQueue
 from repro.gpusim.timeline import MemoryTimeline, Phases, geo_mean
+from tests.oracles import busy_intervals_reference
 
 
 class TestCommandQueue:
@@ -49,6 +51,18 @@ class TestCommandQueue:
         q = CommandQueue("gpu")
         q.advance_to(50.0)
         assert q.submit("a", 1.0).start_ms == 50.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_busy_intervals_match_sorting_merge(self, seed):
+        """The one-pass merge equals merging the event list by sorting,
+        with back-to-back, gapped and zero-duration events."""
+        rng = random.Random(seed)
+        q = CommandQueue("gpu")
+        for k in range(200):
+            gap = rng.choice((0.0, 0.0, 0.5, 3.0))
+            duration = rng.choice((0.0, 0.25, 1.0, 7.5))
+            q.submit_fast(f"e{k}", duration, q.free_at + gap)
+        assert q.busy_intervals() == busy_intervals_reference(q.events)
 
 
 class TestDualQueue:

@@ -7,10 +7,8 @@ from repro.gpusim.kernels import KernelCostModel
 from repro.gpusim.texture import (
     MAX_TEXTURE_DIM,
     TEXEL_DEPTH,
-    embedded_load_time_ms,
     texture_bytes,
     texture_layout,
-    transform_time_ms,
     winograd_expansion,
 )
 from repro.graph.ops import OpKind, conv2d_spec, elementwise_spec, matmul_spec, softmax_spec
@@ -59,25 +57,6 @@ class TestWinograd:
 
     def test_matmul_no_expansion(self):
         assert winograd_expansion(OpKind.MATMUL) == 1.0
-
-
-class TestTransformCosts:
-    def test_transform_time_scales_with_bytes(self):
-        d = oneplus_12()
-        t1 = transform_time_ms(1_000_000, d, effective_bw=100_000)
-        t2 = transform_time_ms(2_000_000, d, effective_bw=100_000)
-        assert t2 > t1
-
-    def test_embedded_path_much_faster_than_legacy(self):
-        d = oneplus_12()
-        nbytes = 10_000_000
-        legacy = transform_time_ms(nbytes, d, effective_bw=100_000)  # 0.1 GB/s
-        embedded = embedded_load_time_ms(nbytes, d)
-        assert embedded * 10 < legacy
-
-    def test_transform_rejects_bad_bw(self):
-        with pytest.raises(ValueError):
-            transform_time_ms(100, oneplus_12(), effective_bw=0)
 
 
 class TestKernelCostModel:

@@ -1,6 +1,7 @@
 """Tests for kernel rewriting: templates, programs, and bundle generation."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,11 +9,14 @@ from repro.capacity.model import analytic_capacity_model
 from repro.core.flashmem import FlashMem
 from repro.graph.builder import GraphBuilder
 from repro.gpusim.device import oneplus_12
-from repro.kernels.codegen import BRANCH_DIVERGENCE_PENALTY, ExecStyle, KernelProgram
+from repro.gpusim.kernels import BRANCH_DIVERGENCE_PENALTY, KernelCostModel
+from repro.kernels.codegen import ExecStyle, KernelBundle
 from repro.kernels.rewriter import KernelRewriter, transform_kernel_source
 from repro.kernels.templating import Template
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
+from repro.runtime.executor import FlashMemExecutor
+from tests.oracles import kernel_program_time_ms
 
 
 @pytest.fixture(scope="module")
@@ -136,16 +140,22 @@ class TestSourceOnDemand:
         assert any(p.style is ExecStyle.PIPELINED for p in programs)
 
 
+def _priced(device, *programs):
+    """Each program's latency as the FlashMem executor prices it (its
+    pricing-table row), checked bitwise against the scalar reference."""
+    bundle = KernelBundle("t", dict(enumerate(programs)))
+    nodes = [SimpleNamespace(index=i) for i in range(len(programs))]
+    times = FlashMemExecutor(device)._durations(bundle, nodes)
+    assert times == [kernel_program_time_ms(p, device) for p in programs]
+    return times
+
+
 class TestProgramCosting:
     def test_resident_matches_base_cost(self, device, compiled):
         graph, _, _ = compiled
         node = next(n for n in graph.nodes() if n.spec.flops > 0)
         program = KernelRewriter(style=ExecStyle.RESIDENT).rewrite_node(node, 0)
-        from repro.gpusim.kernels import KernelCostModel
-
-        assert program.time_ms(device) == pytest.approx(
-            KernelCostModel(device).base_time_ms(node.spec)
-        )
+        assert _priced(device, program) == [KernelCostModel(device).base_time_ms(node.spec)]
 
     def test_pipelined_cheaper_than_branchy(self, device, compiled):
         graph, _, _ = compiled
@@ -153,10 +163,18 @@ class TestProgramCosting:
         nbytes = 512 * 1024
         pipelined = KernelRewriter(style=ExecStyle.PIPELINED).rewrite_node(node, nbytes)
         branchy = KernelRewriter(style=ExecStyle.BRANCHY).rewrite_node(node, nbytes)
-        assert branchy.time_ms(device) > pipelined.time_ms(device)
-        assert branchy.time_ms(device) == pytest.approx(
-            pipelined.time_ms(device) * (1 + BRANCH_DIVERGENCE_PENALTY)
-        )
+        pipelined_ms, branchy_ms = _priced(device, pipelined, branchy)
+        assert branchy_ms > pipelined_ms
+        assert branchy_ms == pytest.approx(pipelined_ms * (1 + BRANCH_DIVERGENCE_PENALTY))
+
+    @pytest.mark.parametrize("style", [ExecStyle.PIPELINED, ExecStyle.BRANCHY])
+    def test_bundle_rows_price_like_each_program(self, device, compiled, style):
+        """A planned bundle's table rows (embedded loads, divergence) price
+        every program as the scalar reference does."""
+        graph, plan, _ = compiled
+        bundle = KernelRewriter(style=style).rewrite_graph(graph, plan)
+        assert bundle.total_embedded_bytes() > 0
+        _priced(device, *bundle.programs.values())
 
     def test_embedded_load_costs_time(self, device, compiled):
         graph, _, _ = compiled
@@ -164,4 +182,5 @@ class TestProgramCosting:
         rewriter = KernelRewriter()
         free = rewriter.rewrite_node(node, 0)
         loaded = rewriter.rewrite_node(node, 4 << 20)
-        assert loaded.time_ms(device) > free.time_ms(device)
+        free_ms, loaded_ms = _priced(device, free, loaded)
+        assert loaded_ms > free_ms

@@ -9,7 +9,7 @@ import pytest
 
 from repro.opg.cpsat.model import CpModel, SolveStatus
 from repro.opg.cpsat.search import CpSolver
-from tests.oracles import Domains, propagate
+from tests.oracles import Domains, propagate, validate_assignment
 
 
 class TestModelBuilding:
@@ -47,9 +47,9 @@ class TestModelBuilding:
         b = m.new_int(0, 5, "b")
         m.add_sum_eq([(a, 1), (b, 1)], 6, name="sum")
         m.add_implication(a, 3, b, 2)
-        assert m.validate_assignment([2, 4]) == []
-        assert m.validate_assignment([3, 3])  # sum ok but implication violated
-        assert m.validate_assignment([9, 9])  # domain + sum violations
+        assert validate_assignment(m, [2, 4]) == []
+        assert validate_assignment(m, [3, 3])  # sum ok but implication violated
+        assert validate_assignment(m, [9, 9])  # domain + sum violations
 
 
 class TestPropagation:
@@ -162,7 +162,7 @@ class TestSolver:
         m.minimize([(z, -1)])
         sol = CpSolver().solve(m)
         assert sol.feasible
-        assert m.validate_assignment(sol.values) == []
+        assert validate_assignment(m, sol.values) == []
 
     @staticmethod
     def _large_model() -> CpModel:

@@ -12,7 +12,7 @@ import random
 
 from repro.opg.cpsat.model import CpModel, SolveStatus
 from repro.opg.cpsat.search import CpSolver
-from tests.oracles import NaiveCpSolver
+from tests.oracles import NaiveCpSolver, validate_assignment
 
 N_MODELS = 220
 #: Keep exhaustive enumeration cheap: cap the assignment-space size.
@@ -71,7 +71,7 @@ def _brute_force(model: CpModel):
     feasible = False
     for assignment in itertools.product(*ranges):
         values = list(assignment)
-        if model.validate_assignment(values):
+        if validate_assignment(model, values):
             continue
         feasible = True
         if not model.objective:
@@ -96,7 +96,7 @@ def test_trail_solver_matches_brute_force_and_naive():
         else:
             assert sol.status is SolveStatus.OPTIMAL, f"case {case}: trail status {sol.status}"
             assert naive.status is SolveStatus.OPTIMAL, f"case {case}: naive status {naive.status}"
-            assert model.validate_assignment(sol.values) == [], f"case {case}: invalid trail solution"
+            assert validate_assignment(model, sol.values) == [], f"case {case}: invalid trail solution"
             if model.objective:
                 assert sol.objective == best, (
                     f"case {case}: trail objective {sol.objective} != brute force {best}"

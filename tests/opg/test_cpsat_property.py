@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.opg.cpsat.model import CpModel, SolveStatus
 from repro.opg.cpsat.search import CpSolver
+from tests.oracles import validate_assignment
 
 
 @st.composite
@@ -65,7 +66,7 @@ def test_solver_solutions_are_feasible(instance):
     sol = CpSolver().solve(m)
     assert sol.status is not SolveStatus.INFEASIBLE
     if sol.values is not None:
-        assert m.validate_assignment(sol.values) == []
+        assert validate_assignment(m, sol.values) == []
 
 
 @given(witnessed_instances())
@@ -80,7 +81,7 @@ def test_optimal_matches_brute_force(instance):
     ranges = [range(lo, hi + 1) for lo, hi in zip(m.var_lo, m.var_hi)]
     best = None
     for assignment in itertools.product(*ranges):
-        if m.validate_assignment(list(assignment)):
+        if validate_assignment(m, list(assignment)):
             continue
         obj = m.objective_value(list(assignment))
         if best is None or obj < best:

@@ -97,6 +97,10 @@ def test_merged_layer_bound_searches_like_the_pair():
         assert (merged.status, merged.values, merged.objective) == (
             pair.status, pair.values, pair.objective), f"case {case}"
         assert merged.nodes_explored == pair.nodes_explored, f"case {case}"
+        # The fixpoints agree, so every completed drain leaves the trail
+        # equally deep (failed drains, which stop at the conflict, are not
+        # sampled).
+        assert merged.stats.trail_depth_peak == pair.stats.trail_depth_peak, f"case {case}"
         statuses.add(pair.status)
         m_peak_binds += any(m < c for m, c in zip(window["m_peak"], window["capacity"]))
     # The windows reach every outcome and bind on m_peak.

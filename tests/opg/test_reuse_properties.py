@@ -15,7 +15,7 @@ randomize over the same invariants the canonical fingerprint must hold:
 - **patching replays are exact** — a warm solver re-solving after an
   upstream structure change (grown graph / different window partition /
   an adaptive-fusion split sequence) produces schedules byte-identical to
-  a cold ``window_reuse=False`` solve.
+  a cold solve (a window cache that never hits, ``tests/oracles``).
 
 Example counts are kept small (solves are real) and ``deadline=None``
 because single-core CI boxes make per-example wall-clock meaningless.
@@ -35,6 +35,7 @@ from repro.gpusim.device import get_device, oneplus_12
 from repro.opg.heuristics import Budgets
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig, WeightInfo
+from tests.oracles import cold_solver
 
 FAST = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024)
 
@@ -170,9 +171,7 @@ class TestPatchingProperties:
         warm = LcOpgSolver(cfg)
         warm.solve(_model(blocks), capacity)
         patched = warm.solve(_model(blocks + extra), capacity)
-        cold = LcOpgSolver(dataclasses.replace(cfg, window_reuse=False)).solve(
-            _model(blocks + extra), capacity
-        )
+        cold = cold_solver(cfg).solve(_model(blocks + extra), capacity)
         assert patched.schedules == cold.schedules
         assert patched.stats.solver_status == cold.stats.solver_status
 
@@ -190,16 +189,12 @@ class TestPatchingProperties:
         graph = eliminate_layout_ops(load_model(model))
         cap = analytic_capacity_model(get_device(device))
 
-        def plan(config):
-            planner = AdaptiveFusionPlanner(
-                LcOpgSolver(config), cap, max_iterations=max_iterations
-            )
+        def plan(solver):
+            planner = AdaptiveFusionPlanner(solver, cap, max_iterations=max_iterations)
             return planner.plan(graph, device_name=device)
 
-        fused_on, plan_on, report_on = plan(FAST)
-        fused_off, plan_off, report_off = plan(
-            dataclasses.replace(FAST, window_reuse=False)
-        )
+        fused_on, plan_on, report_on = plan(LcOpgSolver(FAST))
+        fused_off, plan_off, report_off = plan(cold_solver(FAST))
         assert plan_on.schedules == plan_off.schedules
         assert [n.name for n in fused_on.nodes()] == [n.name for n in fused_off.nodes()]
         assert report_on.iterations == report_off.iterations

@@ -13,6 +13,7 @@ compare ``results/BENCH_solver.json`` before/after via
 from repro.opg.cpsat.model import SolveStatus
 from repro.opg.cpsat.search import CpSolver
 from tests.opg.window_models import build_window_model
+from tests.oracles import validate_assignment
 
 #: (n_weights, n_layers, cap, seed, node_budget, known_optimal_objective).
 #: Current trail solver needs ~1.2k and ~6.6k nodes respectively.
@@ -32,7 +33,7 @@ def test_fixed_windows_reach_optimal_within_node_budget():
             f"(budget {node_budget}) — solver regressed"
         )
         assert sol.objective == optimal, f"{label}: objective {sol.objective} != {optimal}"
-        assert model.validate_assignment(sol.values) == []
+        assert validate_assignment(model, sol.values) == []
         assert sol.nodes_explored < node_budget
 
 

@@ -1,12 +1,11 @@
 """Plan byte-identity with window reuse on and off.
 
 Window-reuse patching is a *transparent* optimisation: the compiled plan
-must be byte-identical to the reuse-off reference.  This test runs both
-settings end-to-end through ``LcOpgSolver`` on a real graph and compares
-every plan against the reuse-off one.
+must be byte-identical to the reuse-off reference, a solver whose window
+cache never hits (``tests/oracles``).  This test runs both end-to-end
+through ``LcOpgSolver`` on a real graph and compares every plan against
+the reuse-off one.
 """
-
-import dataclasses
 
 import pytest
 
@@ -15,6 +14,7 @@ from repro.graph.builder import GraphBuilder
 from repro.gpusim.device import oneplus_12
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
+from tests.oracles import cold_solver
 
 FAST = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024)
 
@@ -28,8 +28,7 @@ def _graph():
 
 
 def _solve(reuse):
-    cfg = dataclasses.replace(FAST, window_reuse=reuse)
-    solver = LcOpgSolver(cfg)
+    solver = LcOpgSolver(FAST) if reuse else cold_solver(FAST)
     graph = _graph()
     capacity = analytic_capacity_model(oneplus_12())
     first = solver.solve(graph, capacity, device_name="OnePlus 12")

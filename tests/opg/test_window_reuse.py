@@ -15,6 +15,7 @@ from repro.gpusim.device import oneplus_12
 from repro.opg.heuristics import Budgets
 from repro.opg.lcopg import LcOpgSolver, WindowCache, _WindowEntry
 from repro.opg.problem import OpgConfig, WeightInfo, build_problem
+from tests.oracles import ColdWindowCache, cold_solver
 
 FAST = OpgConfig(max_nodes_per_window=300, chunk_bytes=8 * 1024)
 
@@ -131,14 +132,17 @@ class TestReplayEquivalence:
         assert plan2.stats.soft_threshold_rounds == plan1.stats.soft_threshold_rounds
         assert plan2.stats.incremental_preloads == plan1.stats.incremental_preloads
 
-    def test_reuse_disabled_by_config(self):
+    def test_cold_cache_reuses_nothing(self):
+        """The oracle cache: every window of a repeated solve runs cold."""
         graph = _model()
         capacity = analytic_capacity_model(oneplus_12())
-        solver = LcOpgSolver(dataclasses.replace(FAST, window_reuse=False))
-        assert solver.window_cache is None
+        solver = cold_solver(FAST)
+        assert isinstance(solver.window_cache, ColdWindowCache)
         plan1 = solver.solve(graph, capacity)
         plan2 = solver.solve(graph, capacity)
         assert plan2.stats.windows_reused == 0
+        assert solver.window_cache.hits == 0
+        assert solver.window_cache.misses == plan1.stats.windows + plan2.stats.windows
         assert plan2.schedules == plan1.schedules
 
     def test_replay_consumes_identical_budgets(self):
@@ -149,7 +153,7 @@ class TestReplayEquivalence:
         warm = LcOpgSolver(FAST)
         warm.solve(graph, capacity)
         replayed = warm.solve(graph, capacity)
-        cold = LcOpgSolver(dataclasses.replace(FAST, window_reuse=False)).solve(graph, capacity)
+        cold = cold_solver(FAST).solve(graph, capacity)
         assert replayed.schedules == cold.schedules
 
 

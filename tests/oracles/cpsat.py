@@ -12,7 +12,10 @@ The production solver (:class:`repro.opg.cpsat.search.CpSolver` over
   implication up to ``max_passes`` times.  Bounds propagation is confluent,
   so the incremental engine must stop at exactly this fixpoint;
 - :func:`objective_lower_bound` — the O(objective) re-scan the trail keeps
-  incrementally.
+  incrementally;
+- :func:`validate_assignment` — every violated domain, linear and
+  implication constraint of a full assignment, so any solution a solver
+  returns can be checked against the model it solved.
 
 Both propagators tighten identically: linear constraints bound each
 variable against the residual slack of the other terms (bounds
@@ -141,6 +144,26 @@ def objective_lower_bound(model: CpModel, domains: Domains) -> int:
     for idx, coef in model.objective:
         total += coef * (domains.lo[idx] if coef > 0 else domains.hi[idx])
     return total
+
+
+def validate_assignment(model: CpModel, values) -> List[str]:
+    """Human-readable violations of ``values`` in ``model`` (empty if feasible)."""
+    problems: List[str] = []
+    if len(values) != len(model.var_lo):
+        return [f"expected {len(model.var_lo)} values, got {len(values)}"]
+    for idx, (lo, hi) in enumerate(zip(model.var_lo, model.var_hi)):
+        if not lo <= values[idx] <= hi:
+            problems.append(f"variable {idx}={values[idx]} outside [{lo}, {hi}]")
+    for cid, (terms, lo, hi) in enumerate(zip(model.lin_terms, model.lin_lo, model.lin_hi)):
+        total = sum(coef * values[idx] for idx, coef in terms)
+        if not lo <= total <= hi:
+            problems.append(f"linear {cid}: {total} not in [{lo}, {hi}]")
+    for iid, (cond, cond_ge, then, then_ub) in enumerate(model.implications):
+        if values[cond] >= cond_ge and values[then] > then_ub:
+            problems.append(
+                f"implication {iid}: cond={values[cond]} but then={values[then]} > {then_ub}"
+            )
+    return problems
 
 
 class NaiveCpSolver:

@@ -1,0 +1,170 @@
+"""Simulator oracles: scalar pricing, every-pass simulation, the sorting merge.
+
+The executors' fast paths must reproduce these bit for bit:
+
+- :func:`kernel_program_time_ms` — one rewritten kernel priced by the
+  scalar :class:`~repro.gpusim.kernels.KernelCostModel`, BRANCHY kernels
+  with embedded loads paying the divergence factor on their whole body.
+  :func:`scalar_kernel_time_table` prices each
+  :data:`~repro.gpusim.pricing.KernelRow` the same way; swapped in for
+  ``pricing.kernel_time_table`` it turns a whole run into per-kernel scalar
+  pricing.
+- :func:`flash_attention_time_ms` — one tiled decode-attention call, and
+  :func:`scalar_flash_attention_time_table` its per-row table, swapped in
+  for ``pricing.flash_attention_time_table``.
+- :func:`run_segment_every_pass` — :meth:`SegmentCore.run_segment` without
+  record/replay: every pass simulated node by node.  Swapped in for
+  ``SegmentCore.run_segment``.
+- :func:`busy_intervals_reference` — merges any event list by sorting;
+  :meth:`CommandQueue.busy_intervals` must return the identical list.
+
+The executors look all three swapped names up at call time, so a
+``monkeypatch.setattr`` of the module or class attribute is the seam.
+"""
+
+from __future__ import annotations
+
+from typing import List, NamedTuple, Sequence, Tuple
+
+import numpy as np
+
+from repro.gpusim.kernels import (
+    BRANCH_DIVERGENCE_PENALTY,
+    UM_KV_BW_FACTOR,
+    FlashAttentionKernel,
+    KernelCostModel,
+)
+from repro.graph.ops import OpClass
+from repro.kernels.codegen import ExecStyle
+from repro.runtime import segment
+
+
+class _RowOp(NamedTuple):
+    """The operator fields :class:`KernelCostModel` reads, from a row."""
+
+    op_class: OpClass
+    flops: int
+    bytes_moved: int
+    output_bytes: int
+
+
+def _loaded_time_ms(cost: KernelCostModel, op, extra_bytes: int, efficiency: float,
+                    divergent: bool) -> float:
+    base = cost.time_with_load_ms(op, extra_bytes, efficiency=efficiency)
+    if divergent and extra_bytes > 0:
+        return base * (1.0 + BRANCH_DIVERGENCE_PENALTY)
+    return base
+
+
+def kernel_program_time_ms(program, device, *, efficiency: float = 1.0) -> float:
+    """Latency of one :class:`~repro.kernels.codegen.KernelProgram`.
+
+    Pipelined kernels pay the interference model's (mostly hidden)
+    embedded-load cost; branchy kernels additionally pay the divergence
+    penalty on their whole body.
+    """
+    return _loaded_time_ms(
+        KernelCostModel(device),
+        program.op,
+        program.embedded_load_bytes,
+        efficiency,
+        program.style is ExecStyle.BRANCHY,
+    )
+
+
+def scalar_kernel_time_table(device, rows: Sequence[tuple]) -> np.ndarray:
+    """``pricing.kernel_time_table`` priced one scalar call per row."""
+    cost = KernelCostModel(device)
+    return np.array(
+        [
+            _loaded_time_ms(cost, _RowOp(op_class, flops, moved, out_bytes), extra, eff, divergent)
+            for op_class, flops, moved, out_bytes, extra, eff, divergent in rows
+        ],
+        dtype=np.float64,
+    )
+
+
+def flash_attention_time_ms(
+    kernel: FlashAttentionKernel,
+    device,
+    kv_tokens: int,
+    *,
+    resident_tiles: int = None,
+    texture: bool = True,
+    efficiency: float = 1.0,
+) -> float:
+    """Latency of one decode-attention call over ``kv_tokens`` rows.
+
+    ``resident_tiles=None`` keeps the whole cache resident (the preloading
+    baselines); otherwise the oldest ``n - resident_tiles`` tiles stream
+    from disk.  ``texture`` selects the resident read path (texture cache
+    vs :data:`UM_KV_BW_FACTOR`-degraded unified memory).
+    """
+    if efficiency <= 0:
+        raise ValueError("efficiency must be positive")
+    if kv_tokens <= 0:
+        raise ValueError("kv_tokens must be positive")
+    n = -(-kv_tokens // kernel.tile_tokens)
+    if resident_tiles is None:
+        r = n
+    elif resident_tiles < 0:
+        raise ValueError("resident_tiles must be non-negative")
+    else:
+        r = min(n, resident_tiles)
+    s = n - r
+    tile_bytes = 2 * kernel.heads * kernel.head_dim * kernel.tile_tokens * kernel.dtype_bytes
+    tile_flops = 4 * kernel.heads * kernel.head_dim * kernel.tile_tokens
+    t_compute = device.compute_time_ms(tile_flops) / efficiency
+    t_resident = device.memory_time_ms(tile_bytes) / efficiency
+    if not texture:
+        t_resident = t_resident / UM_KV_BW_FACTOR
+    t_stream = device.disk_latency_ms + tile_bytes / device.disk_bw
+    # Streamed (oldest) tiles run first; the pipeline fill exposes the
+    # first tile's fetch, every later fetch hides behind compute.
+    fill = t_stream if s > 0 else t_resident
+    steady = s * max(t_compute, t_stream) + r * max(t_compute, t_resident)
+    return device.kernel_launch_ms + fill + steady
+
+
+def scalar_flash_attention_time_table(device, rows: Sequence[tuple]) -> np.ndarray:
+    """``pricing.flash_attention_time_table`` priced one scalar call per row."""
+    return np.array(
+        [
+            flash_attention_time_ms(
+                FlashAttentionKernel(heads, head_dim, tile_tokens, dtype_bytes),
+                device,
+                kv_tokens,
+                resident_tiles=None if resident < 0 else resident,
+                texture=texture,
+                efficiency=eff,
+            )
+            for heads, head_dim, tile_tokens, dtype_bytes, kv_tokens, resident, texture, eff
+            in rows
+        ],
+        dtype=np.float64,
+    )
+
+
+def run_segment_every_pass(core, start, end, durations, tag_prefix,
+                           kv_append=segment._NO_APPEND) -> None:
+    """:meth:`SegmentCore.run_segment` simulating passes ``start..end-1``
+    node by node, none recorded or replayed."""
+    for k in range(start, end):
+        core._pass(k, f"{tag_prefix}{k}:", durations, kv_append, False)
+
+
+def busy_intervals_reference(events, kinds=None) -> List[Tuple[float, float]]:
+    """Merge an arbitrary :class:`QueueEvent` list into disjoint busy
+    intervals (zero-duration events skipped), sorting first."""
+    spans = sorted(
+        (e.start_ms, e.end_ms)
+        for e in events
+        if e.duration_ms > 0 and (kinds is None or e.kind in kinds)
+    )
+    merged: List[Tuple[float, float]] = []
+    for start, end in spans:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged

@@ -2,16 +2,22 @@
 
 ``test_extrapolation_equivalence`` (prefill) and ``test_decode_equivalence``
 (decode) check that segment replay is exact: every ``RunResult`` field
-except the volatile wall-clock and replay counters must be equal with
-replay on and off, for FlashMem and for the MNN preloading baseline.
+except the volatile wall-clock and replay counters must equal a run that
+simulates every pass (``tests/oracles/sim.py``), for FlashMem and for the
+MNN preloading baseline.
 """
 
 import pytest
 
 from repro.gpusim import pricing
-from repro.runtime import segment
 from repro.runtime.frameworks import get_profile
 from repro.runtime.preload import PreloadExecutor
+from repro.runtime.segment import SegmentCore
+from tests.oracles import (
+    run_segment_every_pass,
+    scalar_flash_attention_time_table,
+    scalar_kernel_time_table,
+)
 
 #: Wall-clock and replay observability fields, excluded from byte identity.
 VOLATILE_DETAILS = {
@@ -49,20 +55,27 @@ def run(runtime, fm, compiled, graph, scenario):
 
 
 def replay_on_off(monkeypatch, simulate):
-    """``[fast, full]``: ``simulate()`` with segment replay on, then off."""
-    results = []
-    for replay in (True, False):
-        monkeypatch.setattr(segment, "EXTRAPOLATE_DEFAULT", replay)
-        results.append(simulate())
-    return results
+    """``[fast, full]``: ``simulate()`` with segment replay, then with every
+    pass simulated."""
+    fast = simulate()
+    with monkeypatch.context() as patch:
+        patch.setattr(SegmentCore, "run_segment", run_segment_every_pass)
+        full = simulate()
+    return [fast, full]
+
+
+def scalar_pricing(monkeypatch):
+    """Price every kernel and attention call with one scalar call per row."""
+    monkeypatch.setattr(pricing, "kernel_time_table", scalar_kernel_time_table)
+    monkeypatch.setattr(pricing, "flash_attention_time_table", scalar_flash_attention_time_table)
 
 
 def tables_by_replay(monkeypatch, simulate):
     """``simulate()`` under all four (cost tables, replay) combinations."""
-    results = []
-    for tables in (True, False):
-        monkeypatch.setattr(pricing, "COST_TABLES_DEFAULT", tables)
-        results += replay_on_off(monkeypatch, simulate)
+    results = replay_on_off(monkeypatch, simulate)
+    with monkeypatch.context() as patch:
+        scalar_pricing(patch)
+        results += replay_on_off(patch, simulate)
     return results
 
 

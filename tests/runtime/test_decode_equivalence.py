@@ -8,6 +8,8 @@ except the volatile wall-clock counters must agree with replay disabled,
 across the whole breakpoint structure (growing KV, the growing->capped
 transition, and the capped steady state), on both runtimes: FlashMem's
 planned residency and the MNN baseline's unbounded unified-memory cache.
+The "replay disabled" side swaps in the every-pass reference from
+``tests/oracles/sim.py``.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.runtime.frameworks import get_profile
 from repro.runtime.preload import PreloadExecutor
 from repro.runtime.scenario import Scenario
 from tests.runtime.identity import (
+    RUNTIMES,
     assert_results_identical,
     replay_on_off,
     run,
@@ -85,14 +88,33 @@ def test_short_decodes_byte_identical(monkeypatch, fm, graphs, compiled_models, 
     assert_results_identical(fast, full)
 
 
-def test_decode_composes_with_scalar_pricing(monkeypatch, fm, compiled_models):
-    """All four (cost tables, replay) combinations agree bitwise."""
+def test_decode_composes_with_scalar_pricing(monkeypatch, fm, graphs, compiled_models):
+    """All four (cost tables, replay) combinations agree bitwise, on both
+    runtimes."""
     compiled = compiled_models[("GPTN-S", "OnePlus 12")]
     scenario = Scenario.decode(tokens=24, context_len=CONTEXT)
+    for runtime in RUNTIMES:
+        results = tables_by_replay(
+            monkeypatch, lambda: run(runtime, fm, compiled, graphs["GPTN-S"], scenario)
+        )
+        reference = results[0]
+        for other in results[1:]:
+            assert_results_identical(other, reference)
+
+
+def test_spilled_decode_composes_with_scalar_pricing(monkeypatch):
+    """A KV budget of one tile streams the older tiles from disk, the
+    attention pricing path the resident cases never take."""
+    fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300,
+                                               kv_budget_fraction=1e-4)))
+    compiled = fm.compile(load_decode_model("GPTN-S", context_len=CONTEXT),
+                          get_device("OnePlus 12"))
+    assert compiled.plan.kv_plan.resident_tiles == 1
+    scenario = Scenario.decode(tokens=TOKENS, context_len=CONTEXT)
     results = tables_by_replay(monkeypatch, lambda: fm.run(compiled, scenario=scenario))
-    reference = results[0]
+    assert results[0].details["kv_spilled_bytes"] > 0
     for other in results[1:]:
-        assert_results_identical(other, reference)
+        assert_results_identical(other, results[0])
 
 
 def test_streamed_weight_decode_byte_identical(monkeypatch, fm):

@@ -5,8 +5,9 @@ they match (and alloc/free balance), replays the trace for iterations
 >= 3 instead of re-simulating — re-executing the *same* float operations
 on raw queue columns and the raw delta log.  The claim is byte-identity,
 not approximation: every ``RunResult`` field except the volatile
-wall-clock counters must be equal with replay on and off, for FlashMem and
-for the MNN preloading baseline.
+wall-clock counters must equal a run that simulates every pass
+(``tests/oracles/sim.py``), for FlashMem and for the MNN preloading
+baseline.
 
 Compiles here use a reduced solver budget — plan quality is irrelevant to
 the equivalence property, only that both runs share one plan.
@@ -21,6 +22,7 @@ from repro.graph.models import load_model
 from repro.opg.problem import OpgConfig
 from repro.runtime.scenario import Scenario
 from tests.runtime.identity import (
+    RUNTIMES,
     assert_results_identical,
     replay_on_off,
     run,
@@ -73,12 +75,15 @@ def test_extrapolation_byte_identical(
         assert replayed == 0.0
 
 
-def test_extrapolation_composes_with_scalar_pricing(monkeypatch, fm, compiled_models):
-    """All four (tables, replay) combinations agree bitwise."""
+def test_extrapolation_composes_with_scalar_pricing(monkeypatch, fm, graphs, compiled_models):
+    """All four (tables, replay) combinations agree bitwise, on both
+    runtimes."""
     compiled = compiled_models[("ViT", "OnePlus 12")]
-    results = tables_by_replay(
-        monkeypatch, lambda: fm.run(compiled, scenario=Scenario.prefill(6))
-    )
-    reference = results[0]
-    for other in results[1:]:
-        assert_results_identical(other, reference)
+    for runtime in RUNTIMES:
+        results = tables_by_replay(
+            monkeypatch,
+            lambda: run(runtime, fm, compiled, graphs["ViT"], Scenario.prefill(6)),
+        )
+        reference = results[0]
+        for other in results[1:]:
+            assert_results_identical(other, reference)

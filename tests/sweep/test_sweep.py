@@ -1,6 +1,7 @@
 """Tests for the parallel sweep runner and cross-process cache behavior."""
 
 import pickle
+import tempfile
 
 import pytest
 
@@ -160,3 +161,19 @@ class TestSuite:
         assert len(report.drivers.failures) == 1
         assert report.text_for("table5") is not None
         assert "FAIL" in report.summary()
+
+    def test_pooled_run_without_store_warms_a_temporary_one(self, tmp_path, monkeypatch):
+        """``cache_dir=None`` with a pool still shares the warm cells between
+        workers, and leaves no store behind."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        report = run_suite(["table1"], jobs=2, cache_dir=None)
+        assert report.ok
+        assert report.primitives is not None
+        assert len(report.primitives.outcomes) == 3 and not report.primitives.failures
+        assert "warm phase: 3 primitive cells" in report.summary()
+        assert report.store_totals()["hits"] >= 3  # the driver read the warm cells
+        assert list(scratch.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tmp"]

@@ -81,8 +81,9 @@ def test_decode_ab_quick(monkeypatch):
     from repro.experiments import common
     from repro.gpusim.device import get_device
     from repro.graph.models import load_decode_model
-    from repro.runtime import segment
     from repro.runtime.scenario import Scenario
+    from repro.runtime.segment import SegmentCore
+    from tests.oracles import run_segment_every_pass
 
     fm = FlashMem(common.experiment_flashmem_config())
     compiled = fm.compile(
@@ -90,7 +91,7 @@ def test_decode_ab_quick(monkeypatch):
     )
     scenario = Scenario.decode(tokens=32, context_len=512)
     fast = fm.run(compiled, scenario=scenario)
-    monkeypatch.setattr(segment, "EXTRAPOLATE_DEFAULT", False)
+    monkeypatch.setattr(SegmentCore, "run_segment", run_segment_every_pass)
     full = fm.run(compiled, scenario=scenario)
     assert fast.latency_ms == full.latency_ms
     assert fast.peak_memory_bytes == full.peak_memory_bytes
@@ -107,6 +108,7 @@ def test_capacity_ab_quick(tmp_path):
     from repro.core.store import ArtifactStore, swap_store
     from repro.fusion.fuser import fuse_graph
     from repro.graph.models import load_model
+    from tests.oracles import capacity_bytes_oracle
 
     previous = swap_store(ArtifactStore(tmp_path))
     capacity_cache.clear_capacity_cache()
@@ -116,7 +118,7 @@ def test_capacity_ab_quick(tmp_path):
         model = capacity_cache.trained_capacity_model("OnePlus 12", **kwargs)
         ops = [n.spec for n in fuse_graph(load_model("GPTN-S")).nodes()]
         batch = model.capacity_bytes_batch(ops)
-        assert batch == [model.capacity_bytes_oracle(op) for op in ops]
+        assert batch == [capacity_bytes_oracle(model, op) for op in ops]
         assert model.stats["batch_predicts"] < 4 * len(ops)
         capacity_cache.clear_capacity_cache()
         warm = capacity_cache.trained_capacity_model("OnePlus 12", **kwargs)
