@@ -17,10 +17,11 @@ trajectory:
 - **warm_reuse** — cold vs warm ``trained_capacity_model`` through a
   persistent ``ArtifactStore``; the warm rerun must retrain 0 regressors.
 
-The pre-PR baseline classes (``SeedRegressionTree``, ``SeedGBT``,
-``SeedCapacityModel``) are verbatim ports of the seed implementation:
-python-loop exact splits, node-object per-row predicts, and per-op
-sequential capacity bisection with no memo and no batching.  Everything
+The pre-PR baseline classes (``SeedGBT``, ``SeedCapacityModel``) are
+verbatim ports of the seed implementation: python-loop exact splits
+(``tests/oracles``' ``RegressionTree``, the seed's tree), node-object
+per-row predicts after every stage, and per-op sequential capacity
+bisection with no memo and no batching.  Everything
 else (profiler, cost model, fusion loop, solver) is shared, so each ratio
 isolates this PR's capacity-path work.
 
@@ -33,8 +34,7 @@ import gc
 import json
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.capacity.gbt import GBTConfig
 from repro.capacity.model import LoadCapacityModel
 from repro.gpusim.device import get_device
 from repro.graph.models import load_model
-from tests.oracles import capacity_bytes_oracle
+from tests.oracles import RegressionTree, capacity_bytes_oracle
 
 DEVICE = "OnePlus 12"
 QUERY_MODEL = "GPTN-2.7B"
@@ -71,88 +71,12 @@ def _profile_dataset(device):
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _SeedNode:
-    value: float = 0.0
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["_SeedNode"] = None
-    right: Optional["_SeedNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-class SeedRegressionTree:
-    """Seed CART tree: python-loop exact splits, per-row node-object walks."""
-
-    def __init__(self, *, max_depth=4, min_samples_leaf=4, min_gain=1e-12):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.min_gain = min_gain
-        self._root: Optional[_SeedNode] = None
-
-    def fit(self, X, y):
-        self._root = self._build(X, y, depth=0)
-        return self
-
-    def _build(self, X, y, depth):
-        node = _SeedNode(value=float(y.mean()))
-        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
-            return node
-        split = self._best_split(X, y)
-        if split is None:
-            return node
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
-
-    def _best_split(self, X, y) -> Optional[Tuple[int, float]]:
-        n, d = X.shape
-        base_sse = float(((y - y.mean()) ** 2).sum())
-        best_gain = self.min_gain
-        best: Optional[Tuple[int, float]] = None
-        for f in range(d):
-            order = np.argsort(X[:, f], kind="stable")
-            xs, ys = X[order, f], y[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys**2)
-            total_sum, total_sq = csum[-1], csq[-1]
-            for i in range(self.min_samples_leaf - 1, n - self.min_samples_leaf):
-                if xs[i] == xs[i + 1]:
-                    continue
-                nl = i + 1
-                nr = n - nl
-                sl, sql = csum[i], csq[i]
-                sr, sqr = total_sum - sl, total_sq - sql
-                sse = (sql - sl * sl / nl) + (sqr - sr * sr / nr)
-                gain = base_sse - sse
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (f, float((xs[i] + xs[i + 1]) / 2.0))
-        return best
-
-    def predict(self, X):
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
-
-
 class SeedGBT:
     """Seed boosting loop: per-stage re-predict via per-row node walks."""
 
     def __init__(self, config: Optional[GBTConfig] = None):
         self.config = config or GBTConfig()
-        self._trees: List[SeedRegressionTree] = []
+        self._trees: List[RegressionTree] = []
         self._base = 0.0
         self.train_rmse_: Optional[float] = None
 
@@ -169,7 +93,7 @@ class SeedGBT:
         for _ in range(cfg.n_estimators):
             residual = y - pred
             idx = rng.choice(n, size=sample, replace=False) if sample < n else np.arange(n)
-            tree = SeedRegressionTree(
+            tree = RegressionTree(
                 max_depth=cfg.max_depth, min_samples_leaf=cfg.min_samples_leaf
             ).fit(X[idx], residual[idx])
             pred = pred + cfg.learning_rate * tree.predict(X)

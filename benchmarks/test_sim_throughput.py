@@ -22,10 +22,11 @@ segment replay (``SegmentCore.run_segment`` simulates every pass), and
 ``CommandQueue`` / ``Simulation`` methods are monkeypatched to the pre-PR
 accounting — a ``QueueEvent`` object built per submit, busy/idle time
 recomputed by walking the event log, interval merges through the sorting
-reference implementation, the timeline integrated in pure python one
-``record()`` at a time, and graph aggregates (peak activations, total
-weight bytes, pricing rows) recomputed per run instead of memoized on the
-frozen graph.
+reference implementation, the timeline integrated in pure python (a
+time-sorted row list with a running total, turned into the timeline's
+columns at the end), and graph aggregates (peak activations, total weight
+bytes, pricing rows, weight texture sizes) recomputed per run instead of
+memoized on the frozen graph.
 
 Both sides must report bitwise-identical simulated latencies (the fast
 path's exactness contract); each scenario asserts that before the bar.
@@ -136,13 +137,14 @@ def _install_seed_emulation() -> None:
     def seed_build_timeline(self):
         if self._timeline is not None and self._timeline[0] == len(self._deltas):
             return self._timeline[1]
-        timeline = MemoryTimeline()
+        rows = [(0.0, 0)]
         total = 0
         for row in sorted(self._deltas, key=lambda d: d[0]):
             total += row[1]
             if total < 0:
                 raise ValueError("memory cannot be negative")
-            timeline.record(row[0], total)
+            rows.append((row[0], total))
+        timeline = MemoryTimeline([t for t, _ in rows], [v for _, v in rows])
         self._timeline = (len(self._deltas), timeline)
         return timeline
 

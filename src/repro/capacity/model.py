@@ -253,6 +253,10 @@ class LoadCapacityModel:
         hi = np.asarray([hi0[p] for p in remaining], dtype=np.int64)
         self.stats["bisections"] += len(remaining)
         for _ in range(40):
+            # Once every interval is down to one step, mid == lo and no
+            # further step can move lo.
+            if (hi - lo <= 1).all():
+                break
             mid = (lo + hi) // 2
             mids = [int(v) for v in mid]
             self._set_load_columns(Xr, mids, ib_r)

@@ -135,6 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_p = sub.add_parser(
         "compile", help="run the offline compile pipeline for one request"
     )
+    compile_p.set_defaults(parser=compile_p)
     compile_p.add_argument("model", choices=sorted(set(ALL_CARDS) | set(DECODE_MODELS)))
     compile_p.add_argument("device_pos", nargs="?", default=None, metavar="DEVICE",
                            help="device preset name or alias (overrides --device)")
@@ -517,7 +518,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             capacity_backend=args.capacity_backend,
         ).normalized()
     except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
+        # A malformed request is a usage error (exit code 2), as for ``run``.
+        args.parser.error(exc.args[0])
     if args.via_service:
         from repro.service.daemon import ServiceError
         from repro.service.server import ServiceClient

@@ -52,7 +52,7 @@ class Episode:
     peak_bytes: int
     oom: bool
     #: Memory timeline as absolute columns on the episode's own clock: the
-    #: run's step samples, then the teardown row ``(latency_ms, 0)``.
+    #: run's timeline rows, then the teardown row ``(latency_ms, 0)``.
     times: np.ndarray
     totals: np.ndarray
 
@@ -66,14 +66,14 @@ class Episode:
     ) -> "Episode":
         """Columns of ``result``'s timeline, checked replayable.
 
-        Raises ``ValueError`` if a total is negative or a sample lies outside
+        Raises ``ValueError`` if a total is negative or a row lies outside
         ``[0, latency_ms]`` or out of time order: replay lays sessions end to
         end, which is a valid timeline only when each stays inside its own
         ``[start, end]`` window.
         """
-        samples = result.memory.samples
-        times = np.array([t for t, _ in samples] + [result.latency_ms], dtype=np.float64)
-        totals = np.array([v for _, v in samples] + [0], dtype=np.int64)
+        memory = result.memory
+        times = np.append(memory.times, np.float64(result.latency_ms))
+        totals = np.append(memory.totals, np.int64(0))
         label = f"{result.model}/{result.runtime}@{result.device} episode"
         if totals.min() < 0:
             raise ValueError(f"{label}: memory cannot be negative")

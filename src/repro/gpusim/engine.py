@@ -5,10 +5,12 @@ and kernel work, allocating/freeing memory at event boundaries — and then
 :meth:`Simulation.finish` assembles the :class:`~repro.gpusim.timeline.RunResult`.
 
 Memory events are recorded as (time, delta) pairs and integrated at finish
-time: executors allocate at *event completion times* that do not arrive in
-chronological order (a disk load finishes long before the transform kernel
-enqueued after it), so the step function can only be built once all events
-are known.
+time into the timeline's two columns: executors allocate at *event
+completion times* that do not arrive in chronological order (a disk load
+finishes long before the transform kernel enqueued after it), so the step
+function can only be built once all events are known.  The pools only
+check that every name is allocated and freed once; the delta log is the
+one memory record.
 
 **Tie-breaking rule.**  Deltas at equal timestamps integrate *frees before
 allocations* (sorted by (time, delta), so negative deltas come first).  An
@@ -72,7 +74,7 @@ class Simulation:
         return self.um.in_use + self.tm.in_use
 
     def alloc_um(self, name: str, nbytes: int, time_ms: float) -> None:
-        self.um.allocate(name, nbytes, time_ms)
+        self.um.allocate(name, nbytes)
         self._deltas.append((time_ms, nbytes, 0))
 
     def free_um(self, name: str, time_ms: float, *, after_allocs: bool = False) -> None:
@@ -84,15 +86,15 @@ class Simulation:
         memory allocated at the same time — a copy-out transient — rather
         than being exchanged for it.
         """
-        nbytes = self.um.free(name, time_ms)
+        nbytes = self.um.free(name)
         self._deltas.append((time_ms, -nbytes, 1 if after_allocs else 0))
 
     def alloc_tm(self, name: str, nbytes: int, time_ms: float) -> None:
-        self.tm.allocate(name, nbytes, time_ms)
+        self.tm.allocate(name, nbytes)
         self._deltas.append((time_ms, nbytes, 0))
 
     def free_tm(self, name: str, time_ms: float) -> None:
-        nbytes = self.tm.free(name, time_ms)
+        nbytes = self.tm.free(name)
         self._deltas.append((time_ms, -nbytes, 0))
 
     def free_all(self, time_ms: float) -> None:
@@ -116,28 +118,31 @@ class Simulation:
     def build_timeline(self) -> MemoryTimeline:
         """Integrate the delta log into a chronological step function.
 
-        The integration sorts the full delta log, so it is memoised on the
-        log length: ``oom`` and ``finish`` (and repeated OOM probes) share
-        one timeline instead of re-sorting per call.  Any new delta
-        invalidates the memo.
+        One lexsort of the log orders the rows and one cumsum gives the
+        totals; the columns go into the timeline as they are.  The result
+        is memoised on the log length: ``oom`` and ``finish`` (and repeated
+        OOM probes) share one timeline instead of re-sorting per call.  Any
+        new delta invalidates the memo.
         """
         if self._timeline is not None and self._timeline[0] == len(self._deltas):
             return self._timeline[1]
-        timeline = MemoryTimeline()
-        if self._deltas:
-            times = np.array([d[0] for d in self._deltas], dtype=np.float64)
-            deltas = np.array([d[1] for d in self._deltas], dtype=np.int64)
-            ranks = np.array([d[2] for d in self._deltas], dtype=np.int8)
+        log = self._deltas
+        n = len(log)
+        times = np.zeros(n + 1, dtype=np.float64)
+        totals = np.zeros(n + 1, dtype=np.int64)
+        if n:
+            log_times = np.array([d[0] for d in log], dtype=np.float64)
+            log_deltas = np.array([d[1] for d in log], dtype=np.int64)
+            ranks = np.array([d[2] for d in log], dtype=np.int8)
             # Chronological; frees before allocs at ties, except rank-1
             # after-alloc frees which land last (see module docs).
-            order = np.lexsort((deltas, ranks, times))
-            totals = np.cumsum(deltas[order])
+            order = np.lexsort((log_deltas, ranks, log_times))
+            np.cumsum(log_deltas[order], out=totals[1:])
             if totals.min() < 0:
                 raise ValueError("memory cannot be negative")
-            # Equivalent to timeline.record per sorted delta: times arrive
-            # non-decreasing, so every record would take the append path.
-            timeline.samples.extend(zip(times[order].tolist(), totals.tolist()))
-        self._timeline = (len(self._deltas), timeline)
+            times[1:] = log_times[order]
+        timeline = MemoryTimeline(times, totals)
+        self._timeline = (n, timeline)
         return timeline
 
     @property

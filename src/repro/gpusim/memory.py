@@ -1,14 +1,16 @@
-"""Memory pools with residency accounting for unified and texture memory.
+"""Memory pools: which regions are live in unified and texture memory.
 
-The simulator tracks every allocation's lifetime so the timeline can report
-instantaneous, peak, and time-weighted-average footprints — the quantities
-Tables 1 and 8 and Figures 6 and 10 report.
+A pool only checks the executors' bookkeeping: every name is allocated
+once and freed once, and ``in_use`` is the sum of the live sizes.  The
+quantities Tables 1 and 8 and Figures 6 and 10 report — instantaneous,
+peak and time-weighted-average footprints — come from the simulation's
+delta log, integrated into a :class:`~repro.gpusim.timeline.MemoryTimeline`
+(see :mod:`repro.gpusim.engine`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
 class OutOfMemoryError(Exception):
@@ -28,101 +30,44 @@ class OutOfMemoryError(Exception):
         self.budget = budget
 
 
-@dataclass
-class Allocation:
-    """A live region in a pool."""
-
-    name: str
-    nbytes: int
-    alloc_time_ms: float
-
-
 class MemoryPool:
-    """A named pool (unified memory or texture memory) with usage tracking.
+    """A named pool (unified memory or texture memory): live name -> bytes.
 
-    Allocations are keyed by name; double allocation or double free of a name
-    is an error — the executors are expected to manage lifetimes precisely,
-    and sloppy accounting here would silently corrupt the memory results.
+    Double allocation or double free of a name is an error — the executors
+    are expected to manage lifetimes precisely, and sloppy accounting here
+    would silently corrupt the memory results.
     """
 
-    def __init__(self, name: str, budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.budget_bytes = budget_bytes
-        self._live: Dict[str, Allocation] = {}
-        self._in_use = 0
-        self._peak = 0
-        #: (time_ms, in_use_bytes) samples, appended on every alloc/free.
-        self.history: List[Tuple[float, int]] = [(0.0, 0)]
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def peak(self) -> int:
-        return self._peak
+        self._live: Dict[str, int] = {}
+        self.in_use = 0
 
     def contains(self, name: str) -> bool:
         return name in self._live
 
-    def allocate(self, name: str, nbytes: int, time_ms: float) -> None:
-        """Allocate ``nbytes`` under ``name`` at simulation time ``time_ms``."""
+    def allocate(self, name: str, nbytes: int) -> None:
+        """Allocate ``nbytes`` under ``name``."""
         if nbytes < 0:
             raise ValueError("allocation size must be non-negative")
         if name in self._live:
             raise ValueError(f"{self.name}: {name!r} already allocated")
-        if self.budget_bytes is not None and self._in_use + nbytes > self.budget_bytes:
-            raise OutOfMemoryError(nbytes, self._in_use, self.budget_bytes)
-        self._live[name] = Allocation(name, nbytes, time_ms)
-        self._in_use += nbytes
-        self._peak = max(self._peak, self._in_use)
-        self.history.append((time_ms, self._in_use))
+        self._live[name] = nbytes
+        self.in_use += nbytes
 
-    def free(self, name: str, time_ms: float) -> int:
+    def free(self, name: str) -> int:
         """Free the allocation ``name``; returns its size."""
         try:
-            alloc = self._live.pop(name)
+            nbytes = self._live.pop(name)
         except KeyError:
             raise ValueError(f"{self.name}: {name!r} not allocated") from None
-        self._in_use -= alloc.nbytes
-        self.history.append((time_ms, self._in_use))
-        return alloc.nbytes
+        self.in_use -= nbytes
+        return nbytes
 
-    def free_all(self, time_ms: float) -> None:
+    def free_all(self) -> None:
         """Release every live allocation (model teardown)."""
-        for name in list(self._live):
-            self.free(name, time_ms)
-
-    def size_of(self, name: str) -> int:
-        return self._live[name].nbytes
+        self._live.clear()
+        self.in_use = 0
 
     def live_names(self) -> List[str]:
         return list(self._live)
-
-    def average_over(self, start_ms: float, end_ms: float) -> float:
-        """Time-weighted average usage over [start, end] in bytes.
-
-        History samples are step changes, so the average is the integral of
-        the step function divided by the window length.
-        """
-        if end_ms <= start_ms:
-            return float(self._in_use)
-        total = 0.0
-        prev_t, prev_v = start_ms, self._usage_at(start_ms)
-        for t, v in self.history:
-            if t <= start_ms:
-                continue
-            if t >= end_ms:
-                break
-            total += prev_v * (t - prev_t)
-            prev_t, prev_v = t, v
-        total += prev_v * (end_ms - prev_t)
-        return total / (end_ms - start_ms)
-
-    def _usage_at(self, time_ms: float) -> int:
-        usage = 0
-        for t, v in self.history:
-            if t > time_ms:
-                break
-            usage = v
-        return usage

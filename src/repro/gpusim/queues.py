@@ -9,22 +9,27 @@ earliest-start constraints; the queue returns the completion time.
 
 **Columnar storage.**  Events are held as parallel columns (label, start,
 end, kind) with running busy-time accumulators updated at submit time, so
-``busy_time_ms``/``idle_time_ms`` and the energy model's interval merge stop
-re-walking per-event objects.  :class:`QueueEvent` rows are materialized
-lazily (and cached) for callers that want the object view.
+``busy_time_ms``/``idle_time_ms`` never re-walk the log.  Starts and ends
+are ``array('d')`` columns — 8 bytes a row, no float objects — that the
+energy model's interval merge reads through numpy views.
+:class:`QueueEvent` rows are materialized lazily (and cached) for callers
+that want the object view.
 
 **Invariant.**  Because queues are in-order (an item starts at
 ``max(free_at, not_before)`` and ``free_at`` only moves forward), the event
 columns are always start-sorted and pairwise disjoint: each start is >= the
 previous end.  :meth:`CommandQueue.busy_intervals` exploits this to merge
-busy spans in one pass without sorting — adjacent events coalesce exactly
-when one starts the instant the previous ends.
+busy spans with one running maximum and no sort — adjacent events coalesce
+exactly when one starts the instant the previous ends.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,8 @@ class CommandQueue:
         self.name = name
         self._free_at = 0.0
         self._labels: List[str] = []
-        self._starts: List[float] = []
-        self._ends: List[float] = []
+        self._starts = array("d")
+        self._ends = array("d")
         self._kinds: List[str] = []
         # Running totals, accumulated in submit order so they are bitwise
         # identical to summing event durations left-to-right.
@@ -135,7 +140,7 @@ class CommandQueue:
         return max(0.0, self._free_at - self._busy_total)
 
     # ---------------------------------------------------------- replay API
-    def replay_columns(self) -> Tuple[List[str], List[float], List[float], List[str]]:
+    def replay_columns(self) -> Tuple[List[str], array, array, List[str]]:
         """The raw mutable columns ``(labels, starts, ends, kinds)``.
 
         For trusted bulk-append replay paths (steady-state iteration
@@ -156,30 +161,27 @@ class CommandQueue:
         self._busy_by_kind = dict(busy_by_kind)
 
     def busy_intervals(self) -> List[Tuple[float, float]]:
-        """Disjoint busy (start, end) intervals, merged in one pass.
+        """Disjoint busy (start, end) intervals, merged without sorting.
 
-        Relies on the class invariant (columns start-sorted and disjoint),
-        so no sorting is needed; zero-duration events are skipped like the
-        energy model always did.
+        Relies on the class invariant (columns start-sorted), so an event
+        joins the current span exactly when it starts at or before the
+        running maximum of the ends before it; zero-duration events are
+        skipped like the energy model always did.  The numpy views of the
+        columns die with the call: an ``array`` with a live buffer export
+        cannot grow.
         """
-        merged: List[Tuple[float, float]] = []
-        append = merged.append
-        prev_start = prev_end = 0.0
-        have = False
-        for start, end in zip(self._starts, self._ends):
-            if end <= start:  # zero-duration (e.g. instantaneous markers)
-                continue
-            if have and start <= prev_end:
-                if end > prev_end:
-                    prev_end = end
-            else:
-                if have:
-                    append((prev_start, prev_end))
-                prev_start, prev_end = start, end
-                have = True
-        if have:
-            append((prev_start, prev_end))
-        return merged
+        if not self._starts:
+            return []
+        starts = np.frombuffer(self._starts)
+        ends = np.frombuffer(self._ends)
+        busy = ends > starts
+        starts, ends = starts[busy], ends[busy]
+        if not len(starts):
+            return []
+        reach = np.maximum.accumulate(ends)
+        first = np.flatnonzero(np.concatenate(([True], starts[1:] > reach[:-1])))
+        last = np.append(first[1:] - 1, len(starts) - 1)
+        return list(zip(starts[first].tolist(), reach[last].tolist()))
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Simulation result containers: memory timeline and latency phases.
 
 Every executor produces a :class:`RunResult`; the experiment drivers read
-peak/average memory, phase latencies, and energy from it.  Multi-model runs
-(Figure 6) concatenate per-model results into a shared timeline.
+peak/average memory, phase latencies, and energy from it.  Its memory
+timeline is two numpy columns (times, totals); multi-model runs (Figure 6)
+merge per-session delta columns into a shared timeline in one numpy pass.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,64 +16,64 @@ import numpy as np
 
 
 class MemoryTimeline:
-    """Step-function record of total memory in use over simulated time."""
+    """Step function of total memory in use over simulated time.
 
-    def __init__(self) -> None:
-        #: (time_ms, total_bytes) step samples, time-sorted.
-        self.samples: List[Tuple[float, int]] = [(0.0, 0)]
+    Two read-only columns, origin row ``(0.0, 0)`` first: ``times``
+    (float64, non-decreasing) and ``totals`` (int64 bytes in use from that
+    instant on; at a repeated time the last row holds).  Producers build
+    the columns whole — :meth:`Simulation.build_timeline
+    <repro.gpusim.engine.Simulation.build_timeline>` from its sorted delta
+    log, :func:`merge_session_columns` from per-session deltas — and every
+    query is a numpy pass that returns a Python ``int`` or ``float``.
+    """
 
-    def record(self, time_ms: float, total_bytes: int) -> None:
-        """Append a sample; out-of-order times are inserted in place."""
-        if total_bytes < 0:
-            raise ValueError("memory cannot be negative")
-        if self.samples and time_ms >= self.samples[-1][0]:
-            self.samples.append((time_ms, total_bytes))
-        else:
-            idx = bisect.bisect_right([t for t, _ in self.samples], time_ms)
-            self.samples.insert(idx, (time_ms, total_bytes))
+    def __init__(self, times: Optional[np.ndarray] = None, totals: Optional[np.ndarray] = None) -> None:
+        if times is None:
+            times, totals = np.zeros(1), np.zeros(1, dtype=np.int64)
+        self.times = np.asarray(times, dtype=np.float64)
+        self.totals = np.asarray(totals, dtype=np.int64)
+        if self.times.shape != self.totals.shape:
+            raise ValueError("times and totals must be columns of one length")
+        self.times.flags.writeable = False
+        self.totals.flags.writeable = False
 
     @property
     def peak_bytes(self) -> int:
-        return max(v for _, v in self.samples)
+        return int(self.totals.max())
 
     def usage_at(self, time_ms: float) -> int:
-        usage = 0
-        for t, v in self.samples:
-            if t > time_ms:
-                break
-            usage = v
-        return usage
+        """Bytes in use at ``time_ms`` (the last row at or before it)."""
+        i = int(np.searchsorted(self.times, time_ms, side="right"))
+        return int(self.totals[i - 1]) if i else 0
 
     def average_bytes(self, start_ms: float = 0.0, end_ms: Optional[float] = None) -> float:
-        """Time-weighted average over [start, end] (end defaults to last sample).
+        """Time-weighted average over [start, end] (end defaults to the last row).
 
-        The result is clamped to the value range attained over the window: a
-        true time-weighted mean lies between the minimum and maximum of the
-        step function, but the float integral can drift an ulp past those
-        bounds (e.g. a constant timeline averaging a hair above its peak).
+        The integral is the left fold ``total += v * (t_next - t)`` over the
+        steps inside the window, in time order: ``np.add.accumulate`` is
+        that sequential recurrence (``np.sum`` would pair terms up and round
+        differently).  The result is clamped to the value range attained
+        over the window: a true time-weighted mean lies between the minimum
+        and maximum of the step function, but the float integral can drift
+        an ulp past those bounds (e.g. a constant timeline averaging a hair
+        above its peak).
         """
+        times, totals = self.times, self.totals
         if end_ms is None:
-            end_ms = self.samples[-1][0]
+            end_ms = float(times[-1])
         if end_ms <= start_ms:
             return float(self.usage_at(start_ms))
-        total = 0.0
-        prev_t, prev_v = start_ms, self.usage_at(start_ms)
-        vmin = vmax = prev_v
-        for t, v in self.samples:
-            if t <= start_ms:
-                continue
-            if t >= end_ms:
-                break
-            total += prev_v * (t - prev_t)
-            prev_t, prev_v = t, v
-            if v < vmin:
-                vmin = v
-            elif v > vmax:
-                vmax = v
-        total += prev_v * (end_ms - prev_t)
-        average = total / (end_ms - start_ms)
+        lo = int(np.searchsorted(times, start_ms, side="right"))
+        hi = int(np.searchsorted(times, end_ms, side="left"))
+        # The steps in force over the window and their edges.
+        values = np.concatenate(([totals[lo - 1] if lo else 0], totals[lo:hi]))
+        edges = np.concatenate(([start_ms], times[lo:hi], [end_ms]))
+        terms = np.concatenate(([0.0], values * np.diff(edges)))
+        average = float(np.add.accumulate(terms)[-1]) / (end_ms - start_ms)
+        vmax = int(values.max())
         if average > vmax:
             return float(vmax)
+        vmin = int(values.min())
         if average < vmin:
             return float(vmin)
         return average
@@ -83,30 +83,28 @@ class MemoryTimeline:
         if resolution_ms <= 0:
             raise ValueError("resolution must be positive")
         if end_ms is None:
-            end_ms = self.samples[-1][0]
-        out: List[Tuple[float, int]] = []
+            end_ms = float(self.times[-1])
+        grid: List[float] = []
         t = 0.0
         while t <= end_ms:
-            out.append((t, self.usage_at(t)))
+            grid.append(t)
             t += resolution_ms
-        return out
+        rows = np.searchsorted(self.times, grid, side="right")
+        values = np.where(rows > 0, self.totals[rows - 1], 0)
+        return list(zip(grid, values.tolist()))
 
 
 # ------------------------------------------------------- columnar merging
 def session_deltas(timeline: MemoryTimeline) -> Tuple[np.ndarray, np.ndarray]:
-    """A timeline's step samples as (times, deltas) columns.
+    """A timeline's columns as (times, deltas).
 
-    The first sample's delta is its absolute value, so ``np.cumsum(deltas)``
-    reproduces the sample values exactly (values are integer byte counts and
-    the deltas are int64 — the round trip is bit-exact).  This is the
-    recording format multi-session merges consume: a session's contribution
-    to a shared timeline is its delta train, offset to its start time.
+    The first row's delta is its absolute value, so ``np.cumsum(deltas)``
+    reproduces ``totals`` exactly (int64 byte counts — the round trip is
+    bit-exact).  This is the recording format multi-session merges consume:
+    a session's contribution to a shared timeline is its delta train,
+    offset to its start time.
     """
-    samples = timeline.samples
-    n = len(samples)
-    times = np.fromiter((t for t, _ in samples), dtype=np.float64, count=n)
-    values = np.fromiter((v for _, v in samples), dtype=np.int64, count=n)
-    return times, np.diff(values, prepend=np.int64(0))
+    return timeline.times, np.diff(timeline.totals, prepend=np.int64(0))
 
 
 def merge_session_columns(
@@ -135,8 +133,9 @@ def merge_session_columns(
     transient double-residency.  Sessions must be supplied in start order.
 
     Returns ``(times, totals)`` columns; totals are exact int64 sums, and
-    for non-overlapping sessions the columns are sample-for-sample what the
-    seed per-``record`` merge loop produced.  Its caller is
+    for non-overlapping sessions the columns are row-for-row what the seed
+    per-sample merge loop produced (appending each session's rows at its
+    offset, then its teardown row).  Its caller is
     :class:`~repro.runtime.multimodel.FifoPipeline`, whose timed arrivals
     can overlap; the fleet replay, whose sessions never overlap, streams
     them end to end instead and is tested against this merge.
@@ -164,11 +163,8 @@ def merge_session_columns(
 def merge_sessions(
     sessions: Sequence[Tuple[float, np.ndarray, np.ndarray, float]],
 ) -> MemoryTimeline:
-    """:func:`merge_session_columns`, materialized as a :class:`MemoryTimeline`."""
-    merged_times, totals = merge_session_columns(sessions)
-    timeline = MemoryTimeline()
-    timeline.samples = list(zip(merged_times.tolist(), totals.tolist()))
-    return timeline
+    """:func:`merge_session_columns` as a :class:`MemoryTimeline`."""
+    return MemoryTimeline(*merge_session_columns(sessions))
 
 
 @dataclass

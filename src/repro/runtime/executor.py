@@ -32,7 +32,6 @@ from repro.graph.dag import Graph
 from repro.gpusim.device import DeviceProfile
 from repro.gpusim.engine import Simulation
 from repro.gpusim import pricing
-from repro.gpusim.texture import texture_bytes, winograd_expansion
 from repro.kernels.codegen import ExecStyle, KernelBundle
 from repro.kernels.rewriter import KernelRewriter
 from repro.opg.plan import KvResidencyPlan, OverlapPlan
@@ -134,23 +133,22 @@ class FlashMemExecutor:
         setup_start, setup_end = gpu.submit_fast("gpu_setup", device.gpu_setup_ms, kind="setup")
         sim.phases.setup = setup_end - setup_start
         for name in plan.preloaded_weights:
-            weight, node = core.weights[name]
+            nbytes, tex_bytes, expansion = core.weights[name]
             _, load_end = io.submit_fast(
-                f"preload:{name}", device.disk_latency_ms + weight.nbytes / device.disk_bw, kind="load"
+                f"preload:{name}", device.disk_latency_ms + nbytes / device.disk_bw, kind="load"
             )
-            sim.alloc_um(name, weight.nbytes, load_end)
-            expansion = winograd_expansion(node.kind, int(node.spec.attrs.get("kernel", 0)))
+            sim.alloc_um(name, nbytes, load_end)
             bw = device.tm_upload_bw * (WINOGRAD_BW_FACTOR if expansion > 1.0 else 1.0)
             xform_start, xform_end = gpu.submit_fast(
                 f"transform:{name}",
-                device.kernel_launch_ms + weight.nbytes / bw,
+                device.kernel_launch_ms + nbytes / bw,
                 load_end,
                 "transform",
             )
             if expansion > 1.0:
-                sim.alloc_um(f"{name}.winograd", int(weight.nbytes * (expansion - 1.0)), xform_start)
+                sim.alloc_um(f"{name}.winograd", int(nbytes * (expansion - 1.0)), xform_start)
                 sim.free_um(f"{name}.winograd", xform_end)
-            sim.alloc_tm(name + ".tex", texture_bytes(weight.tensor), xform_end)
+            sim.alloc_tm(name + ".tex", tex_bytes, xform_end)
             sim.free_um(name, xform_end)
         sim.phases.load = io.busy_time_ms(kind="load")
         sim.phases.transform = gpu.busy_time_ms(kind="transform")

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.gpusim.timeline import MemoryTimeline, RunResult
 
 
@@ -40,13 +42,6 @@ class PreemptionOutcome:
     #: Peak memory across the episode.
     peak_memory_bytes: int
     memory: MemoryTimeline
-
-
-def _splice(dst: MemoryTimeline, src: MemoryTimeline, offset: float, *, until: Optional[float] = None) -> None:
-    for t, v in src.samples:
-        if until is not None and t > until:
-            break
-        dst.record(offset + t, v)
 
 
 def run_preemption_episode(
@@ -69,6 +64,8 @@ def run_preemption_episode(
     """
     if not 0.0 < preempt_fraction < 1.0:
         raise ValueError("preempt_fraction must be in (0, 1)")
+    if switch_overhead_ms < 0:
+        raise ValueError("switch_overhead_ms must be non-negative")
     first = victim()
     preempt_at = first.latency_ms * preempt_fraction
     urgent_run = urgent()
@@ -77,16 +74,27 @@ def run_preemption_episode(
     else:
         resumed = victim_resume(preempt_fraction)
 
-    memory = MemoryTimeline()
-    _splice(memory, first.memory, 0.0, until=preempt_at)
-    # The victim's resident state at the preemption instant stays allocated
-    # while the urgent model runs (FlashMem: small; preloader: everything).
-    held = first.memory.usage_at(preempt_at)
+    # The victim's rows up to the preemption instant; its resident state
+    # then stays allocated while the urgent model runs (FlashMem: small;
+    # preloader: everything), and the resumed victim follows.
+    paused = first.memory
+    upto = int(np.searchsorted(paused.times, preempt_at, side="right"))
+    held = paused.usage_at(preempt_at)
     urgent_offset = preempt_at + switch_overhead_ms
-    for t, v in urgent_run.memory.samples:
-        memory.record(urgent_offset + t, v + held)
     resume_offset = urgent_offset + urgent_run.latency_ms + switch_overhead_ms
-    _splice(memory, resumed.memory, resume_offset)
+    memory = MemoryTimeline(
+        np.concatenate(
+            (
+                [0.0],
+                0.0 + paused.times[:upto],
+                urgent_offset + urgent_run.memory.times,
+                resume_offset + resumed.memory.times,
+            )
+        ),
+        np.concatenate(
+            ([0], paused.totals[:upto], urgent_run.memory.totals + held, resumed.memory.totals)
+        ),
+    )
     session_ms = resume_offset + resumed.latency_ms
     return PreemptionOutcome(
         runtime=runtime,
@@ -109,12 +117,13 @@ def flashmem_resume_factory(run: Callable[[], RunResult], setup_ms: float) -> Ca
     def resume(progress_fraction: float) -> RunResult:
         full = run()
         remaining = max(0.0, (full.latency_ms - setup_ms) * (1.0 - progress_fraction))
-        memory = MemoryTimeline()
-        for t, v in full.memory.samples:
-            if t >= setup_ms:
-                scaled_t = (t - setup_ms) * (1.0 - progress_fraction)
-                memory.record(scaled_t, v)
-        memory.record(remaining, 0)
+        kept = full.memory.times >= setup_ms
+        memory = MemoryTimeline(
+            np.concatenate(
+                ([0.0], (full.memory.times[kept] - setup_ms) * (1.0 - progress_fraction), [remaining])
+            ),
+            np.concatenate(([0], full.memory.totals[kept], [0])),
+        )
         return RunResult(
             model=full.model,
             runtime=full.runtime,

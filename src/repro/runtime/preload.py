@@ -19,10 +19,9 @@ from repro.graph.ops import OpKind
 from repro.gpusim.device import DeviceProfile
 from repro.gpusim.engine import Simulation
 from repro.gpusim import pricing
-from repro.gpusim.texture import texture_bytes, winograd_expansion
 from repro.runtime.frameworks import FrameworkProfile
 from repro.runtime.scenario import Scenario
-from repro.runtime.segment import SegmentCore, attention_index
+from repro.runtime.segment import SegmentCore, attention_index, weight_rows
 
 
 class ModelNotSupportedError(Exception):
@@ -87,48 +86,42 @@ class PreloadExecutor:
 
         # ---- GPU context / program setup -------------------------------
         sim.alloc_um("process_baseline", int(profile.baseline_mb * 1e6), 0.0)
-        setup = gpu.submit("gpu_setup", device.gpu_setup_ms * profile.setup_ms_factor, kind="setup")
-        sim.phases.setup = setup.duration_ms
+        setup_start, setup_end = gpu.submit_fast(
+            "gpu_setup", device.gpu_setup_ms * profile.setup_ms_factor, kind="setup"
+        )
+        sim.phases.setup = setup_end - setup_start
 
         # ---- Init: load + transform every weight ------------------------
         # The serialized model file stays mapped while it is parsed and
         # copied out (freed once the last tensor has loaded) — this is the
         # init-time transient that makes Table 1's peaks ~3x the weights and
         # OOMs big models on 6-8 GB devices (Figure 10).
-        sim.alloc_um("model_file_buffer", graph.total_weight_bytes, setup.start_ms)
+        sim.alloc_um("model_file_buffer", graph.total_weight_bytes, setup_start)
         staging_factor = 2 if profile.fp32_staging else 1
         load_bw = device.disk_bw * profile.load_bw_factor
         transform_bw = device.tm_upload_bw * profile.transform_bw_factor
-        for weight, node in graph.weights():
-            um_bytes = weight.nbytes * staging_factor
-            load = io.submit(
-                f"load:{weight.name}",
-                device.disk_latency_ms + weight.nbytes / load_bw,
-                kind="load",
+        free_after_transform = not profile.keep_um_copy and not profile.free_um_at_init_end
+        rows = weight_rows(graph)
+        for name, (nbytes, tex_bytes, expansion) in rows.items():
+            _, load_end = io.submit_fast(
+                f"load:{name}", device.disk_latency_ms + nbytes / load_bw, kind="load"
             )
-            sim.alloc_um(weight.name, um_bytes, load.end_ms)
+            sim.alloc_um(name, nbytes * staging_factor, load_end)
             if profile.uses_texture:
-                tex_bytes = texture_bytes(weight.tensor)
-                expansion = winograd_expansion(node.kind, int(node.spec.attrs.get("kernel", 0)))
                 transform_time = (
-                    device.kernel_launch_ms
-                    + profile.per_tensor_transform_ms
-                    + weight.nbytes / transform_bw
+                    device.kernel_launch_ms + profile.per_tensor_transform_ms + nbytes / transform_bw
                 )
-                xform = gpu.submit(
-                    f"transform:{weight.name}",
-                    transform_time,
-                    not_before=load.end_ms,
-                    kind="transform",
+                xform_start, xform_end = gpu.submit_fast(
+                    f"transform:{name}", transform_time, load_end, "transform"
                 )
                 if expansion > 1.0:
                     # Winograd scratch lives only during the transform.
-                    scratch = int(weight.nbytes * (expansion - 1.0))
-                    sim.alloc_um(f"{weight.name}.winograd", scratch, xform.start_ms)
-                    sim.free_um(f"{weight.name}.winograd", xform.end_ms)
-                sim.alloc_tm(weight.name + ".tex", tex_bytes, xform.end_ms)
-                if not profile.keep_um_copy and not profile.free_um_at_init_end:
-                    sim.free_um(weight.name, xform.end_ms)
+                    scratch = int(nbytes * (expansion - 1.0))
+                    sim.alloc_um(f"{name}.winograd", scratch, xform_start)
+                    sim.free_um(f"{name}.winograd", xform_end)
+                sim.alloc_tm(name + ".tex", tex_bytes, xform_end)
+                if free_after_transform:
+                    sim.free_um(name, xform_end)
         # The mapped file coexists with the last tensor copied out of it for
         # an instant — a genuine double-residency transient (Table 1's ~3x
         # init peaks), not an exchange, so the free integrates after the
@@ -136,9 +129,9 @@ class PreloadExecutor:
         sim.free_um("model_file_buffer", io.free_at, after_allocs=True)
         init_end = sim.queues.makespan_ms
         if profile.free_um_at_init_end and not profile.keep_um_copy:
-            for weight, _node in graph.weights():
-                if sim.um.contains(weight.name):
-                    sim.free_um(weight.name, init_end)
+            for name in rows:
+                if sim.um.contains(name):
+                    sim.free_um(name, init_end)
         sim.phases.load = io.busy_time_ms(kind="load")
         sim.phases.transform = gpu.busy_time_ms(kind="transform")
 
@@ -149,7 +142,7 @@ class PreloadExecutor:
         activations = graph.peak_activation_bytes()
         if profile.fp32_staging:
             activations *= 2
-        arena_time = setup.end_ms if profile.arena_at_start else init_end
+        arena_time = setup_end if profile.arena_at_start else init_end
         sim.alloc_um("runtime_arena", overhead + activations, arena_time)
         return init_end
 

@@ -27,7 +27,7 @@ reference in ``tests/oracles/sim.py`` in for :meth:`SegmentCore.run_segment`).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,33 @@ class Attention(NamedTuple):
     kernels: List[FlashAttentionKernel]
     #: Position of each KV_APPEND node -> bytes it appends per token.
     append: Dict[int, int]
+
+
+def weight_rows(graph: Graph) -> Dict[str, Tuple[int, int, float]]:
+    """Each weight's ``(nbytes, texture bytes, Winograd expansion)`` by
+    name, in execution order.
+
+    A pure function of the frozen graph, so one entry per graph serves
+    every simulated run instead of re-deriving texture layouts per run.
+    Weight names key the executors' allocations, so a repeated name is an
+    error here rather than a silently merged row.
+    """
+
+    def rows() -> Dict[str, Tuple[int, int, float]]:
+        weights = graph.weights()
+        out = {
+            weight.name: (
+                weight.nbytes,
+                texture_bytes(weight.tensor),
+                winograd_expansion(node.kind, int(node.spec.attrs.get("kernel", 0))),
+            )
+            for weight, node in weights
+        }
+        if len(out) != len(weights):
+            raise ValueError(f"{graph.name!r} repeats a weight name")
+        return out
+
+    return graph._frozen_aggregate("weight-rows", rows)
 
 
 def attention_index(graph: Graph, nodes: Sequence) -> Attention:
@@ -109,7 +136,7 @@ class SegmentCore:
         self._wall0 = time.perf_counter()
         self._stats_before = pricing.STATS.snapshot()
         self._slots: Dict[str, int] = {}
-        self.weights: Dict[str, tuple] = {}
+        self.weights: Dict[str, Tuple[int, int, float]] = {}
         self.loads_by_layer: Dict[int, List[str]] = {}
         self.chunks_by_layer: Dict[int, List[tuple]] = {}
         self.dedicated = set()
@@ -125,7 +152,7 @@ class SegmentCore:
         """Index streamed weights by load layer and their transform
         segments (byte-exact) by host layer."""
         device = self.sim.device
-        self.weights = {w.name: (w, node) for w, node in graph.weights()}
+        self.weights = weight_rows(graph)
         for name, sched in plan.schedules.items():
             if sched.preloaded:
                 continue
@@ -135,7 +162,7 @@ class SegmentCore:
                     (name, seg.end_offset - seg.start_offset)
                 )
         self.dedicated = {n for n, s in plan.schedules.items() if s.dedicated_transform}
-        self.weight_nbytes = {n: self.weights[n][0].nbytes for n in plan.schedules}
+        self.weight_nbytes = {n: self.weights[n][0] for n in plan.schedules}
         self.sched_nbytes = {n: s.nbytes for n, s in plan.schedules.items()}
         self.stream_load_ms = {
             name: device.disk_latency_ms + self.weight_nbytes[name] / device.disk_bw
@@ -301,27 +328,23 @@ class SegmentCore:
             #    (first pass only — the transformed texture persists).
             if k == 0 and dedicated:
                 for weight_spec in node.weights:
-                    if weight_spec.name not in dedicated:
+                    name = weight_spec.name
+                    if name not in dedicated:
                         continue
-                    weight, wnode = self.weights[weight_spec.name]
-                    expansion = winograd_expansion(
-                        wnode.kind, int(wnode.spec.attrs.get("kernel", 0))
-                    )
+                    nbytes, tex_bytes, expansion = self.weights[name]
                     xform_start, xform_end = gpu.submit_fast(
-                        f"{tag}winograd:{weight_spec.name}",
+                        f"{tag}winograd:{name}",
                         device.kernel_launch_ms
-                        + weight.nbytes / (device.tm_upload_bw * WINOGRAD_BW_FACTOR),
-                        um_ready.get(weight_spec.name, 0.0),
+                        + nbytes / (device.tm_upload_bw * WINOGRAD_BW_FACTOR),
+                        um_ready.get(name, 0.0),
                         "transform",
                     )
                     if expansion > 1.0:
-                        scratch = int(weight.nbytes * (expansion - 1.0))
-                        sim.alloc_um(f"{tag}{weight_spec.name}.winograd", scratch, xform_start)
-                        sim.free_um(f"{tag}{weight_spec.name}.winograd", xform_end)
-                    sim.alloc_tm(
-                        f"{tag}{weight_spec.name}.tex", texture_bytes(weight.tensor), xform_end
-                    )
-                    sim.free_um(f"{tag}{weight_spec.name}", xform_end)
+                        scratch = int(nbytes * (expansion - 1.0))
+                        sim.alloc_um(f"{tag}{name}.winograd", scratch, xform_start)
+                        sim.free_um(f"{tag}{name}.winograd", xform_end)
+                    sim.alloc_tm(f"{tag}{name}.tex", tex_bytes, xform_end)
+                    sim.free_um(f"{tag}{name}", xform_end)
 
             # 3) The layer's transform chunks.
             chunks = chunks_by_layer.get(idx, ())

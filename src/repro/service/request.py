@@ -47,6 +47,11 @@ class CompileRequest:
     def __post_init__(self) -> None:
         if self.context_len < 0:
             raise ValueError("context_len must be >= 0")
+        # The solver would clamp an out-of-range ratio, but the store key
+        # keeps it: one plan would live under two addresses.
+        ratio = self.target_preload_ratio
+        if ratio is not None and not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"target_preload_ratio must be in [0, 1], got {ratio}")
         if self.capacity_backend not in ("analytic", "gbt"):
             raise ValueError(f"unknown capacity backend {self.capacity_backend!r}")
 

@@ -14,6 +14,7 @@ against the references in ``tests/oracles/capacity.py``:
   (hypothesis round-trip).
 """
 
+import math
 import tempfile
 
 import numpy as np
@@ -115,6 +116,21 @@ class TestBatchEqualsSequential:
         model = LoadCapacityModel.train(device, [graph], seed=0, max_ops_per_model=12)
         ops = [n.spec for n in fuse_graph(graph).nodes()]
         batch = model.capacity_bytes_batch(ops)
+        assert batch == [capacity_bytes_oracle(model, op) for op in ops]
+
+    def test_gbt_lockstep_stops_at_convergence(self):
+        """One lockstep call stops once every bisection has converged:
+        at most the two set-up predicts plus ceil(log2(max hi0)) steps,
+        with capacities still equal to the sequential 40-step oracle."""
+        device = get_device("OnePlus 12")
+        graph = load_model("GPTN-S")
+        model = LoadCapacityModel.train(device, [graph], seed=0, max_ops_per_model=12)
+        ops = [n.spec for n in fuse_graph(graph).nodes()]
+        max_hi0 = max(max(n.spec.input_bytes * 16, 1 << 20) for n in graph.nodes())
+        before = model.stats["batch_predicts"]
+        batch = model.capacity_bytes_batch(ops)
+        assert model.stats["bisections"] > 0
+        assert model.stats["batch_predicts"] - before <= 2 + math.ceil(math.log2(max_hi0))
         assert batch == [capacity_bytes_oracle(model, op) for op in ops]
 
     def test_memo_hits_on_requery_and_scalar_path(self):

@@ -153,6 +153,19 @@ class TestCli:
         assert exc.value.code == 2  # argparse usage error, before any compile
         assert "--time-limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        (["--preload-ratio", "1.5"], "target_preload_ratio must be in [0, 1]"),
+        (["--context", "-4"], "context_len must be >= 0"),
+        (["nodevice"], "unknown device 'nodevice'"),
+    ], ids=["ratio", "context", "device"])
+    def test_compile_request_errors_are_usage_errors(self, option, message, capsys):
+        """A malformed compile request is an argparse usage error (exit
+        code 2), not a plain failure, and nothing is compiled."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["compile", "GPTN-S"] + option)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["run", "GPTN-S"], ["profile", "run", "GPTN-S", "oneplus12"],
     ], ids=["run", "profile-run"])

@@ -62,8 +62,7 @@ def runs(monkeypatch):
 
 
 def _run_result(samples, latency_ms):
-    memory = MemoryTimeline()
-    memory.samples = list(samples)
+    memory = MemoryTimeline([t for t, _ in samples], [v for _, v in samples])
     return RunResult(
         model="m",
         runtime="r",
@@ -117,9 +116,10 @@ class TestEpisodeProvider:
         episode = EpisodeProvider().get("ViT", "OnePlus 12", "FlashMem", PREFILL)
         run = runs[id(episode)]
         assert episode.latency_ms > 0
-        # The run's samples, then the teardown row at the episode's end.
-        samples = list(zip(episode.times[:-1].tolist(), episode.totals[:-1].tolist()))
-        assert samples == run.memory.samples
+        # The run's rows, then the teardown row at the episode's end.
+        assert episode.times[:-1].tobytes() == run.memory.times.tobytes()
+        assert episode.totals[:-1].tobytes() == run.memory.totals.tobytes()
+        assert (episode.times.dtype, episode.totals.dtype) == (np.float64, np.int64)
         assert (episode.times[-1], episode.totals[-1]) == (episode.latency_ms, 0)
         assert episode.peak_bytes == int(episode.totals.max()) == run.peak_memory_bytes
 

@@ -11,7 +11,7 @@ from repro.gpusim.device import (
     pixel_8,
     xiaomi_mi6,
 )
-from repro.gpusim.memory import MemoryPool, OutOfMemoryError
+from repro.gpusim.memory import MemoryPool
 
 
 class TestDeviceProfiles:
@@ -119,66 +119,31 @@ class TestDeviceAliases:
 class TestMemoryPool:
     def test_alloc_free_roundtrip(self):
         p = MemoryPool("um")
-        p.allocate("w", 100, 0.0)
+        p.allocate("w", 100)
         assert p.in_use == 100
-        assert p.free("w", 1.0) == 100
+        assert p.free("w") == 100
         assert p.in_use == 0
-
-    def test_peak_tracks_high_water(self):
-        p = MemoryPool("um")
-        p.allocate("a", 100, 0.0)
-        p.allocate("b", 50, 1.0)
-        p.free("a", 2.0)
-        assert p.peak == 150
-        assert p.in_use == 50
 
     def test_double_alloc_rejected(self):
         p = MemoryPool("um")
-        p.allocate("a", 10, 0.0)
+        p.allocate("a", 10)
         with pytest.raises(ValueError):
-            p.allocate("a", 10, 1.0)
+            p.allocate("a", 10)
 
     def test_free_unknown_rejected(self):
         p = MemoryPool("um")
         with pytest.raises(ValueError):
-            p.free("ghost", 0.0)
-
-    def test_budget_enforced(self):
-        p = MemoryPool("um", budget_bytes=100)
-        p.allocate("a", 80, 0.0)
-        with pytest.raises(OutOfMemoryError):
-            p.allocate("b", 30, 1.0)
-
-    def test_oom_carries_diagnostics(self):
-        p = MemoryPool("um", budget_bytes=100)
-        p.allocate("a", 80, 0.0)
-        with pytest.raises(OutOfMemoryError) as exc:
-            p.allocate("b", 30, 1.0)
-        assert exc.value.requested == 30
-        assert exc.value.in_use == 80
-        assert exc.value.budget == 100
+            p.free("ghost")
 
     def test_free_all(self):
         p = MemoryPool("um")
         for i in range(5):
-            p.allocate(f"w{i}", 10, float(i))
-        p.free_all(10.0)
+            p.allocate(f"w{i}", 10)
+        p.free_all()
         assert p.in_use == 0
         assert not p.live_names()
-
-    def test_average_over_window(self):
-        p = MemoryPool("um")
-        p.allocate("a", 100, 0.0)
-        p.free("a", 5.0)
-        # 100 bytes for 5 ms out of a 10 ms window -> average 50.
-        assert p.average_over(0.0, 10.0) == pytest.approx(50.0)
-
-    def test_average_constant_usage(self):
-        p = MemoryPool("um")
-        p.allocate("a", 64, 0.0)
-        assert p.average_over(1.0, 9.0) == pytest.approx(64.0)
 
     def test_negative_alloc_rejected(self):
         p = MemoryPool("um")
         with pytest.raises(ValueError):
-            p.allocate("a", -1, 0.0)
+            p.allocate("a", -1)

@@ -15,7 +15,7 @@ from repro.gpusim.device import DEVICE_PRESETS
 from repro.gpusim.kernels import BRANCH_DIVERGENCE_PENALTY, KernelCostModel
 from repro.graph.models import load_model
 from repro.graph.ops import OpClass
-from tests.runtime.identity import scalar_pricing
+from tests.runtime.identity import assert_timelines_identical, scalar_pricing
 
 EFFICIENCIES = (1.0, 0.7, 0.45, 0.22)
 EXTRA_BYTES = (0, 1 << 16, 1 << 20, 37_000_000)
@@ -137,7 +137,7 @@ def test_preload_executor_tables_match_scalar_path(monkeypatch):
             slow = executor.run(graph, scenario=Scenario.prefill(2), check_support=False)
         assert fast.latency_ms == slow.latency_ms
         assert fast.phases == slow.phases
-        assert fast.memory.samples == slow.memory.samples
+        assert_timelines_identical(fast.memory, slow.memory)
         assert fast.peak_memory_bytes == slow.peak_memory_bytes
         assert fast.avg_memory_bytes == slow.avg_memory_bytes
         assert fast.energy_j == slow.energy_j

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.gpusim import energy
@@ -80,46 +81,58 @@ class TestDualQueue:
         assert [e.start_ms for e in events] == sorted(e.start_ms for e in events)
 
 
+def _timeline(rows):
+    """A timeline whose columns are the origin row, then ``rows``."""
+    return MemoryTimeline([0.0] + [t for t, _ in rows], [0] + [v for _, v in rows])
+
+
 class TestMemoryTimeline:
     def test_peak(self):
-        t = MemoryTimeline()
-        t.record(1.0, 100)
-        t.record(2.0, 300)
-        t.record(3.0, 50)
+        t = _timeline([(1.0, 100), (2.0, 300), (3.0, 50)])
         assert t.peak_bytes == 300
+        assert type(t.peak_bytes) is int
 
     def test_usage_at(self):
-        t = MemoryTimeline()
-        t.record(1.0, 100)
-        t.record(5.0, 200)
+        t = _timeline([(1.0, 100), (5.0, 200)])
         assert t.usage_at(0.5) == 0
         assert t.usage_at(3.0) == 100
         assert t.usage_at(5.0) == 200
+        assert type(t.usage_at(3.0)) is int
 
     def test_average_step_function(self):
-        t = MemoryTimeline()
-        t.record(0.0, 100)
-        t.record(5.0, 0)
+        t = _timeline([(0.0, 100), (5.0, 0)])
         assert t.average_bytes(0.0, 10.0) == pytest.approx(50.0)
+        assert type(t.average_bytes(0.0, 10.0)) is float
 
-    def test_out_of_order_insertion(self):
-        t = MemoryTimeline()
-        t.record(5.0, 100)
-        t.record(2.0, 50)  # late insertion
-        assert t.usage_at(3.0) == 50
+    def test_average_over_window(self):
+        t = _timeline([(0.0, 100), (5.0, 0)])
+        # 100 bytes for 5 ms out of a 10 ms window -> average 50.
+        assert t.average_bytes(0.0, 10.0) == pytest.approx(50.0)
+        # A window that starts between rows takes the value in force.
+        assert t.average_bytes(2.5, 7.5) == pytest.approx(50.0)
+
+    def test_average_constant_usage(self):
+        t = _timeline([(0.0, 64)])
+        assert t.average_bytes(1.0, 9.0) == pytest.approx(64.0)
 
     def test_series_resolution(self):
-        t = MemoryTimeline()
-        t.record(0.0, 10)
-        t.record(100.0, 20)
+        t = _timeline([(0.0, 10), (100.0, 20)])
         series = t.series(resolution_ms=25.0, end_ms=100.0)
         assert len(series) == 5
         assert series[0][1] == 10
+        assert series[-1] == (100.0, 20)
+
+    def test_columns_read_only(self):
+        t = _timeline([(1.0, 100)])
+        assert t.times.dtype == np.float64 and t.totals.dtype == np.int64
+        with pytest.raises(ValueError):
+            t.totals[0] = 5
 
     def test_negative_memory_rejected(self):
-        t = MemoryTimeline()
+        sim = Simulation(oneplus_12(), model="m", runtime="r")
+        sim.raw_deltas().append((0.0, -5, 0))
         with pytest.raises(ValueError):
-            t.record(0.0, -5)
+            sim.build_timeline()
 
 
 class TestPhases:
@@ -268,7 +281,7 @@ class TestTimelineTieBreaking:
         sim.alloc_um("b", 50, 5.0)
         sim.alloc_um("a", 100, 0.0)
         sim.free_um("a", 5.0)
-        times = [t for t, _ in sim.build_timeline().samples]
+        times = sim.build_timeline().times.tolist()
         assert times == sorted(times)
         assert sim.build_timeline().peak_bytes == 100
 

@@ -19,9 +19,8 @@ from repro.gpusim.timeline import MemoryTimeline
 )
 @settings(max_examples=80, deadline=None)
 def test_timeline_peak_dominates_average(samples):
-    t = MemoryTimeline()
-    for time_ms, nbytes in sorted(samples):
-        t.record(time_ms, nbytes)
+    rows = [(0.0, 0)] + sorted(samples)
+    t = MemoryTimeline([r[0] for r in rows], [r[1] for r in rows])
     end = max(time for time, _ in samples) + 1.0
     assert t.peak_bytes >= t.average_bytes(0.0, end)
     assert t.peak_bytes >= max(v for _, v in samples)
@@ -51,17 +50,14 @@ def test_memory_pool_accounting_balances(ops):
     """Random alloc/free interleavings keep in_use = sum of live sizes."""
     pool = MemoryPool("um")
     live = {}
-    clock = 0.0
     for name, size in ops:
-        clock += 1.0
         if name in live:
-            pool.free(name, clock)
-            del live[name]
+            assert pool.free(name) == live.pop(name)
         else:
-            pool.allocate(name, size, clock)
+            pool.allocate(name, size)
             live[name] = size
         assert pool.in_use == sum(live.values())
-    assert pool.peak >= pool.in_use
+    assert sorted(pool.live_names()) == sorted(live)
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Property tests: columnar session merge ≡ the seed per-``record`` loop.
+"""Property tests: columnar session merge ≡ the seed per-sample loop.
 
 The seed ``FifoPipeline.run`` stitched sessions with a per-sample loop::
 
@@ -6,10 +6,11 @@ The seed ``FifoPipeline.run`` stitched sessions with a per-sample loop::
         merged.record(clock + t, v)
     merged.record(end, 0)
 
-For non-overlapping sessions supplied in start order, the numpy merge
-(:func:`merge_sessions`) must reproduce that loop sample-for-sample —
-same times (bit-identical float adds), same values, same order at shared
-instants (teardown frees land before the next session's allocations).
+For non-overlapping sessions supplied in start order every ``record`` was
+an append, so the loop is the row list built below.  The numpy merge
+(:func:`merge_sessions`) must reproduce it row for row — same times
+(bit-identical float adds), same values, same order at shared instants
+(teardown frees land before the next session's allocations).
 """
 
 import numpy as np
@@ -23,16 +24,22 @@ from repro.gpusim.timeline import (
     merge_sessions,
     session_deltas,
 )
+from tests.oracles import timeline_rows
 
 
 def _seed_merge(timelines, offsets, ends):
-    """The pre-columnar merge loop, verbatim."""
-    merged = MemoryTimeline()
+    """The pre-columnar merge loop, appending rows."""
+    merged = [(0.0, 0)]
     for tl, off, end in zip(timelines, offsets, ends):
-        for t, v in tl.samples:
-            merged.record(off + t, v)
-        merged.record(end, 0)
+        for t, v in timeline_rows(tl):
+            merged.append((off + t, v))
+        merged.append((end, 0))
     return merged
+
+
+def _timeline(rows):
+    """A timeline whose columns are the origin row, then ``rows``."""
+    return MemoryTimeline([0.0] + [t for t, _ in rows], [0] + [v for _, v in rows])
 
 
 def _columnar_merge(timelines, offsets, ends):
@@ -65,11 +72,12 @@ def _build(spec):
     timelines, offsets, ends = [], [], []
     clock = 0.0
     for events, idle_gap, tail in spec:
-        tl = MemoryTimeline()
+        rows = []
         t = 0.0
         for gap, value in events:
             t += gap
-            tl.record(t, value)
+            rows.append((t, value))
+        tl = _timeline(rows)
         off = clock + idle_gap
         end = off + t + tail
         timelines.append(tl)
@@ -85,27 +93,23 @@ def test_columnar_merge_matches_seed_loop(spec):
     timelines, offsets, ends = _build(spec)
     expected = _seed_merge(timelines, offsets, ends)
     merged = _columnar_merge(timelines, offsets, ends)
-    assert merged.samples == expected.samples
+    assert timeline_rows(merged) == expected
 
 
 def test_touching_sessions_free_before_alloc_tie():
     # Session A ends at t=10 exactly when session B records its first
     # allocation: the merged timeline must free A before allocating B.
-    a = MemoryTimeline()
-    a.record(0.0, 100)
-    b = MemoryTimeline()
-    b.record(0.0, 70)
+    a = _timeline([(0.0, 100)])
+    b = _timeline([(0.0, 70)])
     merged = _columnar_merge([a, b], [0.0, 10.0], [10.0, 20.0])
-    at_ten = [v for t, v in merged.samples if t == 10.0]
+    at_ten = [v for t, v in timeline_rows(merged) if t == 10.0]
     assert at_ten == [0, 0, 70]  # teardown, B's initial zero, B's alloc
     assert merged.peak_bytes == 100
 
 
 def test_overlapping_sessions_sum():
-    a = MemoryTimeline()
-    a.record(0.0, 100)
-    b = MemoryTimeline()
-    b.record(0.0, 70)
+    a = _timeline([(0.0, 100)])
+    b = _timeline([(0.0, 70)])
     merged = _columnar_merge([a, b], [0.0, 5.0], [10.0, 20.0])
     assert merged.usage_at(7.0) == 170
     assert merged.usage_at(10.0) == 70  # A torn down, B still resident
@@ -114,8 +118,7 @@ def test_overlapping_sessions_sum():
 
 
 def test_negative_total_rejected():
-    tl = MemoryTimeline()
-    tl.record(0.0, 100)
+    tl = _timeline([(0.0, 100)])
     times, deltas = session_deltas(tl)
     with pytest.raises(ValueError):
         # A bogus extra free below zero.
@@ -125,9 +128,8 @@ def test_negative_total_rejected():
 
 
 def test_session_deltas_round_trip():
-    tl = MemoryTimeline()
-    for t, v in [(1.0, 10), (2.0, 35), (2.0, 5), (7.0, 0)]:
-        tl.record(t, v)
+    tl = _timeline([(1.0, 10), (2.0, 35), (2.0, 5), (7.0, 0)])
     times, deltas = session_deltas(tl)
-    assert np.cumsum(deltas).tolist() == [v for _, v in tl.samples]
-    assert times.tolist() == [t for t, _ in tl.samples]
+    assert np.cumsum(deltas).tolist() == tl.totals.tolist()
+    assert times.tolist() == tl.times.tolist()
+    assert deltas.dtype == np.int64

@@ -29,8 +29,9 @@ looks up at call time:
 The rest are references compared against directly: ``validate_assignment``
 (CP solutions), ``tree_nodewalk``/``ensemble_nodewalk`` (columnar GBT
 predicts), ``capacity_bytes_oracle`` (batched capacities),
-``kernel_program_time_ms``/``flash_attention_time_ms`` (priced tables) and
-``busy_intervals_reference`` (the queues' interval merge).
+``kernel_program_time_ms``/``flash_attention_time_ms`` (priced tables),
+``busy_intervals_reference`` (the queues' interval merge) and the
+``*_bytes_reference``/``usage_at_reference`` row walks (timeline queries).
 """
 
 from tests.oracles.capacity import (
@@ -51,12 +52,16 @@ from tests.oracles.cpsat import (
 from tests.oracles.exact import edf_feasible_reference, prove_window_reference
 from tests.oracles.lcopg import ColdWindowCache, cold_solver
 from tests.oracles.sim import (
+    average_bytes_reference,
     busy_intervals_reference,
     flash_attention_time_ms,
     kernel_program_time_ms,
+    peak_bytes_reference,
     run_segment_every_pass,
     scalar_flash_attention_time_table,
     scalar_kernel_time_table,
+    timeline_rows,
+    usage_at_reference,
 )
 
 __all__ = [
@@ -75,10 +80,14 @@ __all__ = [
     "prove_window_reference",
     "ColdWindowCache",
     "cold_solver",
+    "average_bytes_reference",
     "busy_intervals_reference",
     "flash_attention_time_ms",
     "kernel_program_time_ms",
+    "peak_bytes_reference",
     "run_segment_every_pass",
     "scalar_flash_attention_time_table",
     "scalar_kernel_time_table",
+    "timeline_rows",
+    "usage_at_reference",
 ]

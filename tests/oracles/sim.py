@@ -1,4 +1,5 @@
-"""Simulator oracles: scalar pricing, every-pass simulation, the sorting merge.
+"""Simulator oracles: scalar pricing, every-pass simulation, the sorting
+merge, and the list-walking timeline queries.
 
 The executors' fast paths must reproduce these bit for bit:
 
@@ -17,6 +18,11 @@ The executors' fast paths must reproduce these bit for bit:
   ``SegmentCore.run_segment``.
 - :func:`busy_intervals_reference` — merges any event list by sorting;
   :meth:`CommandQueue.busy_intervals` must return the identical list.
+- :func:`peak_bytes_reference`, :func:`usage_at_reference` and
+  :func:`average_bytes_reference` — the step-function queries walked over
+  a ``(time, bytes)`` row list, as the timeline answered them before it
+  kept columns.  :class:`~repro.gpusim.timeline.MemoryTimeline`'s numpy
+  queries must return the identical ``int``/``float``.
 
 The executors look all three swapped names up at call time, so a
 ``monkeypatch.setattr`` of the module or class attribute is the seam.
@@ -24,7 +30,7 @@ The executors look all three swapped names up at call time, so a
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,3 +174,53 @@ def busy_intervals_reference(events, kinds=None) -> List[Tuple[float, float]]:
         else:
             merged.append((start, end))
     return merged
+
+
+def timeline_rows(timeline) -> List[Tuple[float, int]]:
+    """A :class:`MemoryTimeline`'s columns as ``(time, bytes)`` rows."""
+    return list(zip(timeline.times.tolist(), timeline.totals.tolist()))
+
+
+def peak_bytes_reference(rows: Sequence[Tuple[float, int]]) -> int:
+    return max(v for _, v in rows)
+
+
+def usage_at_reference(rows: Sequence[Tuple[float, int]], time_ms: float) -> int:
+    usage = 0
+    for t, v in rows:
+        if t > time_ms:
+            break
+        usage = v
+    return usage
+
+
+def average_bytes_reference(
+    rows: Sequence[Tuple[float, int]], start_ms: float = 0.0, end_ms: Optional[float] = None
+) -> float:
+    """Time-weighted average over [start, end] as a left fold over the
+    time-sorted ``rows``, clamped to the range attained in the window."""
+    if end_ms is None:
+        end_ms = rows[-1][0]
+    if end_ms <= start_ms:
+        return float(usage_at_reference(rows, start_ms))
+    total = 0.0
+    prev_t, prev_v = start_ms, usage_at_reference(rows, start_ms)
+    vmin = vmax = prev_v
+    for t, v in rows:
+        if t <= start_ms:
+            continue
+        if t >= end_ms:
+            break
+        total += prev_v * (t - prev_t)
+        prev_t, prev_v = t, v
+        if v < vmin:
+            vmin = v
+        elif v > vmax:
+            vmax = v
+    total += prev_v * (end_ms - prev_t)
+    average = total / (end_ms - start_ms)
+    if average > vmax:
+        return float(vmax)
+    if average < vmin:
+        return float(vmin)
+    return average

@@ -79,11 +79,19 @@ def tables_by_replay(monkeypatch, simulate):
     return results
 
 
+def assert_timelines_identical(a, b):
+    """Both memory columns equal byte for byte, dtypes included."""
+    for column in ("times", "totals"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
 def assert_results_identical(fast, full):
     assert fast.model == full.model and fast.device == full.device
     assert fast.latency_ms == full.latency_ms
     assert fast.phases == full.phases
-    assert fast.memory.samples == full.memory.samples
+    assert_timelines_identical(fast.memory, full.memory)
     assert fast.peak_memory_bytes == full.peak_memory_bytes
     assert fast.avg_memory_bytes == full.avg_memory_bytes
     assert fast.energy_j == full.energy_j

@@ -82,7 +82,7 @@ class TestHostileDevices:
         result = FlashMemExecutor(tiny).run(g, plan)
         assert result.details.get("oom") == 1.0
         # Accounting still balances even past the budget.
-        assert result.memory.samples[-1][1] == 0
+        assert result.memory.totals[-1] == 0
 
     def test_preloader_oom_raises_when_asked(self, capacity):
         from repro.gpusim.memory import OutOfMemoryError
@@ -90,6 +90,20 @@ class TestHostileDevices:
         tiny = oneplus_12().scaled(ram_bytes=128 * 1024 * 1024)
         with pytest.raises(OutOfMemoryError):
             PreloadExecutor(SMARTMEM, tiny).run(_model(), check_support=False, raise_on_oom=True)
+
+    def test_oom_carries_diagnostics(self, capacity):
+        """The raised error names the run's peak and the device budget."""
+        from repro.gpusim.memory import OutOfMemoryError
+
+        tiny = oneplus_12().scaled(ram_bytes=128 * 1024 * 1024)
+        executor = PreloadExecutor(SMARTMEM, tiny)
+        flagged = executor.run(_model(), check_support=False)
+        with pytest.raises(OutOfMemoryError) as exc:
+            executor.run(_model(), check_support=False, raise_on_oom=True)
+        assert exc.value.requested == 0
+        assert exc.value.in_use == flagged.peak_memory_bytes > tiny.ram_budget_bytes
+        assert exc.value.budget == tiny.ram_budget_bytes
+        assert "MB in use of" in str(exc.value)
 
     def test_zero_capacity_device_still_produces_valid_plan(self, device):
         """A device whose kernels have no slack forces everything to

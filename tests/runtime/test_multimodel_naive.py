@@ -13,6 +13,7 @@ from repro.runtime.frameworks import MNN
 from repro.runtime.multimodel import FifoPipeline, fifo_schedule
 from repro.runtime.naive_overlap import AlwaysNextPlanner, SameOpTypePlanner
 from repro.runtime.preload import PreloadExecutor
+from tests.runtime.identity import assert_timelines_identical
 
 FAST = OpgConfig(max_nodes_per_window=200, chunk_bytes=8 * 1024)
 
@@ -129,7 +130,7 @@ class TestArrivals:
         timed = pipeline.run(
             ["m1", "m2"], arrivals=[inv.start_ms for inv in default.invocations]
         )
-        assert timed.memory.samples == default.memory.samples
+        assert_timelines_identical(timed.memory, default.memory)
         assert timed.total_ms == default.total_ms
 
     def test_arrival_validation(self, pipeline):

@@ -88,5 +88,6 @@ class TestEpisode:
             "FlashMem", fv, fu,
             victim_resume=flashmem_resume_factory(fv, setup_ms=300.0),
         )
-        assert all(v >= 0 for _, v in outcome.memory.samples)
+        assert (outcome.memory.totals >= 0).all()
+        assert (outcome.memory.times[1:] >= outcome.memory.times[:-1]).all()
         assert outcome.peak_memory_bytes == outcome.memory.peak_bytes

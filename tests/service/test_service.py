@@ -57,6 +57,17 @@ class TestCompileRequest:
         with pytest.raises(ValueError):
             CompileRequest(model=MODEL, context_len=-1)
 
+    @pytest.mark.parametrize("ratio", [1.5, -0.1, float("nan")])
+    def test_preload_ratio_outside_unit_interval_rejected(self, ratio):
+        """The solver clamps a ratio to [0, 1] but the store key would keep
+        it, addressing one plan twice: reject it at construction."""
+        with pytest.raises(ValueError, match="target_preload_ratio"):
+            CompileRequest(model=MODEL, target_preload_ratio=ratio)
+        with pytest.raises(ValueError, match="target_preload_ratio"):
+            CompileRequest.from_payload({"model": MODEL, "target_preload_ratio": ratio})
+        for edge in (0.0, 1.0):
+            assert CompileRequest(model=MODEL, target_preload_ratio=edge).target_preload_ratio == edge
+
     def test_budget_axes_address_distinct_artifacts(self):
         base = _request().store_key()
         assert _request(lam=0.5).store_key() != base

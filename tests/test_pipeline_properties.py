@@ -67,10 +67,10 @@ def test_plans_always_validate(graph):
 def test_executor_memory_balances(graph):
     plan = LcOpgSolver(_CFG).solve(graph, _CAPACITY)
     result = FlashMemExecutor(_DEVICE).run(graph, plan)
-    samples = result.memory.samples
-    assert samples[0][1] == 0
-    assert samples[-1][1] == 0
-    assert all(v >= 0 for _, v in samples)
+    totals = result.memory.totals
+    assert totals[0] == 0
+    assert totals[-1] == 0
+    assert (totals >= 0).all()
     assert result.peak_memory_bytes >= result.avg_memory_bytes > 0
 
 
