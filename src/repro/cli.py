@@ -96,6 +96,24 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
     return args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
 
 
+def _device_name(name: str) -> str:
+    """A device option (``type=``): the preset's canonical name."""
+    try:
+        return get_device(name).name
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _preload_ratio(text: str) -> float:
+    """``--preload-ratio`` (``type=``): ``CompileRequest``'s [0, 1] rule."""
+    from repro.service.request import check_preload_ratio
+
+    try:
+        return check_preload_ratio(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -109,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(parser=run_p)
     run_p.add_argument("model", choices=sorted(set(ALL_CARDS) | set(DECODE_MODELS)))
     run_p.add_argument("device_pos", nargs="?", default=None, metavar="DEVICE",
-                       help="device preset name or alias (overrides --device)")
-    run_p.add_argument("--device", default="OnePlus 12",
+                       type=_device_name, help="device preset name or alias (overrides --device)")
+    run_p.add_argument("--device", default="OnePlus 12", type=_device_name,
                        help="device preset name or alias (e.g. 'oneplus12')")
     run_p.add_argument("--scenario", default="prefill", choices=list(SCENARIO_KINDS),
                        help="workload: prefill passes or autoregressive decode")
@@ -120,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tokens to generate (decode scenario only)")
     run_p.add_argument("--context", type=int, default=None,
                        help="prompt length in tokens (decode scenario only)")
-    run_p.add_argument("--preload-ratio", type=float, default=None,
+    run_p.add_argument("--preload-ratio", type=_preload_ratio, default=None,
                        help="force a preload fraction (Figure 8 knob)")
     run_p.add_argument("--baseline", default=None,
                        choices=["MNN", "NCNN", "TVM", "LiteRT", "ETorch", "SMem"],
@@ -138,12 +156,13 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_p.set_defaults(parser=compile_p)
     compile_p.add_argument("model", choices=sorted(set(ALL_CARDS) | set(DECODE_MODELS)))
     compile_p.add_argument("device_pos", nargs="?", default=None, metavar="DEVICE",
+                           type=_device_name,
                            help="device preset name or alias (overrides --device)")
-    compile_p.add_argument("--device", default="OnePlus 12",
+    compile_p.add_argument("--device", default="OnePlus 12", type=_device_name,
                            help="device preset name or alias (e.g. 'oneplus12')")
     compile_p.add_argument("--context", type=int, default=0,
                            help="prompt length: >0 compiles the decode-phase graph")
-    compile_p.add_argument("--preload-ratio", type=float, default=None,
+    compile_p.add_argument("--preload-ratio", type=_preload_ratio, default=None,
                            help="force a preload fraction (Figure 8 knob)")
     compile_p.add_argument("--via-service", default=None, metavar="SOCKET",
                            help="send the request to a running 'repro serve' "
@@ -188,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_trace_p.add_argument("--jobs", type=int, default=1,
                                help="worker processes for the cell grid "
                                     "(default 1 = inline)")
-    serve_trace_p.add_argument("--devices", nargs="+", default=None,
+    serve_trace_p.add_argument("--devices", nargs="+", default=None, type=_device_name,
                                help="device presets to replay on "
                                     "(default: OnePlus 12, Pixel 8)")
     serve_trace_p.add_argument("--runtimes", nargs="+", default=None,
@@ -204,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plan_p = sub.add_parser("plan", help="solve and inspect an overlap plan")
     plan_p.add_argument("model", choices=sorted(ALL_CARDS))
-    plan_p.add_argument("--device", default="OnePlus 12",
+    plan_p.add_argument("--device", default="OnePlus 12", type=_device_name,
                        help="device preset name or alias (e.g. 'oneplus12')")
     plan_p.add_argument("--out", default=None, help="write the plan JSON here")
     plan_p.add_argument("--solver-stats", action="store_true",
@@ -216,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compile", help="cProfile one FlashMem.compile and print hotspots"
     )
     prof_compile.add_argument("model", choices=sorted(ALL_CARDS))
-    prof_compile.add_argument("device", help="device preset name or alias")
+    prof_compile.add_argument("device", type=_device_name, help="device preset name or alias")
     prof_compile.add_argument("--top", type=int, default=25,
                               help="number of hotspot rows to print (default 25)")
     prof_run = prof_sub.add_parser(
@@ -224,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     prof_run.set_defaults(parser=prof_run)
     prof_run.add_argument("model", choices=sorted(set(ALL_CARDS) | set(DECODE_MODELS)))
-    prof_run.add_argument("device", help="device preset name or alias")
+    prof_run.add_argument("device", type=_device_name, help="device preset name or alias")
     prof_run.add_argument("--scenario", default="prefill", choices=list(SCENARIO_KINDS),
                           help="workload: prefill passes or autoregressive decode")
     prof_run.add_argument("--iterations", type=int, default=None,
@@ -242,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "per-class capacity distributions plus the Figure 4 report",
     )
     prof_capacity.add_argument("model", choices=sorted(ALL_CARDS))
-    prof_capacity.add_argument("device", help="device preset name or alias")
+    prof_capacity.add_argument("device", type=_device_name, help="device preset name or alias")
     prof_capacity.add_argument("--seed", type=int, default=0,
                                help="profiling/regression seed (default 0)")
     prof_capacity.add_argument("--max-ops", type=int, default=24,
@@ -626,7 +645,7 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
         trace = Trace.load(args.trace)
     except (OSError, ValueError, KeyError) as exc:
         raise SystemExit(f"error: cannot load trace {args.trace}: {exc}")
-    devices = tuple(get_device(d).name for d in (args.devices or DEFAULT_DEVICES))
+    devices = tuple(args.devices or DEFAULT_DEVICES)
     report = run_fleet(
         trace,
         devices,

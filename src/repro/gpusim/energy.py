@@ -79,7 +79,8 @@ def measure_energy(queues: DualQueue, device: DeviceProfile, *, end_ms: float = 
         + rails.idle_w * idle
     )
     energy_j = energy_mj / 1e3  # W * ms -> J
-    avg_power = energy_j / (horizon / 1e3) if horizon > 0 else 0.0
+    seconds = horizon / 1e3  # 0.0 for a horizon too small to convert (subnormal)
+    avg_power = energy_j / seconds if seconds > 0 else 0.0
     return EnergyReport(
         energy_j=energy_j,
         avg_power_w=avg_power,

@@ -1,4 +1,4 @@
-"""The segment core: one per-node pass and one record/replay loop.
+"""The segment core: one per-node pass and one columnar replay.
 
 Every executor path simulates *segments*: runs of consecutive passes over
 the graph whose simulation is a pure function of the clock offset.
@@ -7,26 +7,30 @@ the graph whose simulation is a pure function of the clock offset.
 - Decode (FlashMem and the preloading baselines) is one segment per
   attention-tile interval: all tiles are priced full, so a token's cost
   only changes when the KV cache crosses a tile boundary.
-- The preloading baselines' passes are pure compute (every weight is
-  resident), so they run the same pass with no streaming indexes.
 
-:meth:`SegmentCore.run_segment` simulates a segment node by node and
-records passes 2 and 3 as instruction traces (the first can differ: a
-run's first pass also loads and transforms dedicated conv weights).  When
-the two traces match and every allocation made inside a pass is freed
-inside it, the remaining passes replay the trace with the exact float
-arithmetic of a full pass (same submits, same accumulator adds, same
-delta-log appends), skipping only the per-node Python bookkeeping.  The
-replay is *exact*, not approximate: ``RunResult``s are byte-identical to
-simulating every pass (pinned by
-``tests/runtime/test_extrapolation_equivalence.py`` and
-``tests/runtime/test_decode_equivalence.py``, which swap the every-pass
-reference in ``tests/oracles/sim.py`` in for :meth:`SegmentCore.run_segment`).
+:meth:`SegmentCore.run_segment` replays every pass of a pure-compute
+segment (no streaming index: the preloading baselines, or a FlashMem plan
+that preloads every weight) from a trace built from its durations and KV
+appends.  A streaming segment simulates three passes node by node and
+records passes 2 and 3 (a run's first pass also loads and transforms
+dedicated conv weights); when the two traces match and are alloc/free
+balanced, the remaining passes replay.  :meth:`SegmentCore._replay` steps
+in Python only through a trace's event points (disk loads, kernels waiting
+on a loaded chunk, OPG-only transforms), each with its own ``max`` rule
+and stall accounting.  Each run of dependency-free kernels between them is
+one ``np.add.accumulate`` (the sequential left fold, unlike ``np.sum``)
+into an end-time column, from which the accumulators (by the same folds),
+queue rows and memory deltas follow.  ``RunResult``s are byte-identical to
+simulating every pass (``tests/runtime/test_extrapolation_equivalence.py``
+and ``test_decode_equivalence.py`` swap in the every-pass reference from
+``tests/oracles/sim.py``; ``test_replay_core.py`` checks random traces
+against the scalar replay loop there).
 """
 
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,14 +113,91 @@ def attention_index(graph: Graph, nodes: Sequence) -> Attention:
     return attention
 
 
+def build_stream_index(graph: Graph, plan: OverlapPlan) -> tuple:
+    """``plan``'s streaming indexes over ``graph``: ``(loads_by_layer,
+    chunks_by_layer, dedicated, weight_nbytes, sched_nbytes, consumers)``,
+    the last holding per node the ``(weight, layer, bytes)`` streamed
+    (non-dedicated) chunks it consumes.  Walks each schedule's segments once."""
+    loads_by_layer: Dict[int, List[str]] = {}
+    chunks_by_layer: Dict[int, List[Tuple[str, int]]] = {}
+    segments: Dict[str, List[Tuple[int, int]]] = {}
+    for name, sched in plan.schedules.items():
+        if sched.preloaded:
+            continue
+        loads_by_layer.setdefault(sched.load_layer, []).append(name)
+        segments[name] = [(s.layer, s.end_offset - s.start_offset) for s in sched.segments()]
+        for layer, nbytes in segments[name]:
+            chunks_by_layer.setdefault(layer, []).append((name, nbytes))
+    dedicated = frozenset(n for n, s in plan.schedules.items() if s.dedicated_transform)
+    consumers = tuple(
+        tuple((w.name, layer, nbytes) for w in node.weights
+              if w.name in segments and w.name not in dedicated
+              for layer, nbytes in segments[w.name])
+        for node in graph.nodes()
+    )
+    weights = weight_rows(graph)
+    return (loads_by_layer, chunks_by_layer, dedicated,
+            {n: weights[n][0] for n in plan.schedules},
+            {n: s.nbytes for n, s in plan.schedules.items()}, consumers)
+
+
+def stream_index(graph: Graph, plan: OverlapPlan) -> tuple:
+    """:func:`build_stream_index`, memoized on ``plan``.  The memo holds the
+    (frozen, so unchanging) graph it indexes and answers for that object
+    only: another plan, or a rebuilt copy of the graph, builds its own."""
+    memo = plan.__dict__.get("_stream_index")
+    if memo is None or memo[0] is not graph:
+        memo = plan.__dict__["_stream_index"] = (graph, build_stream_index(graph, plan))
+    return memo[1]
+
+
+def _columns(trace: tuple) -> tuple:
+    """A :meth:`SegmentCore._pass` trace as :meth:`SegmentCore._replay`'s
+    ``(durations, events, load_bytes, deltas)``.
+
+    GPU instructions (kernels, OPG-only transforms) are numbered in submit
+    order.  An event ``(g, opcode, operand, duration)`` is a load of slot
+    ``operand`` issued after the pass's first ``g`` GPU instructions, or
+    instruction ``g``: a kernel waiting on slots ``operand`` or a transform
+    waiting on one.  ``deltas`` holds each instruction's ``(g, amounts)``.
+    """
+    durations, events, load_bytes, deltas = [], [], [], []
+    for ins in trace:
+        g, code = len(durations), ins[0]
+        if code != _OP_EXEC:
+            events.append((g, code, ins[1], ins[2]))
+            if code == _OP_LOAD:
+                load_bytes.append(ins[3])
+                continue
+            durations.append(ins[2])
+            continue
+        _, dur, nb_slots, seg_ops, tex_frees, _suffix = ins
+        if nb_slots:
+            events.append((g, code, nb_slots, dur))
+        amounts = []
+        for seg_bytes, um_freed in seg_ops:
+            amounts += (seg_bytes, -um_freed) if um_freed else (seg_bytes,)
+        amounts += [-size for size in tex_frees]
+        if amounts:
+            deltas.append((g, amounts))
+        durations.append(dur)
+    return np.array(durations, dtype=np.float64), events, load_bytes, deltas
+
+
+def _fold(seed: float, values: np.ndarray) -> float:
+    """``seed + values[0] + values[1] + ...`` as the strict left fold."""
+    return float(np.add.accumulate(np.concatenate(([seed], values)))[-1])
+
+
 class SegmentCore:
     """Simulates segments of passes over one graph on one :class:`Simulation`.
 
     ``plan`` supplies FlashMem's streaming indexes (disk loads at each
-    weight's ``z_w`` layer, chunk transforms, texture frees); without one
-    the pass is pure compute.  ``exec_total``/``stall_total`` accumulate
-    across every segment in submit order, and ``replayed`` counts the
-    passes replayed instead of simulated.
+    weight's ``z_w`` layer, chunk transforms, texture frees); without one,
+    or when the plan preloads every weight, the pass is pure compute.
+    ``exec_total``/``stall_total`` accumulate across every segment in
+    submit order, and ``replayed`` counts the passes replayed instead of
+    simulated node by node.
     """
 
     def __init__(
@@ -136,48 +217,20 @@ class SegmentCore:
         self._wall0 = time.perf_counter()
         self._stats_before = pricing.STATS.snapshot()
         self._slots: Dict[str, int] = {}
-        self.weights: Dict[str, Tuple[int, int, float]] = {}
-        self.loads_by_layer: Dict[int, List[str]] = {}
-        self.chunks_by_layer: Dict[int, List[tuple]] = {}
-        self.dedicated = set()
-        self.weight_nbytes: Dict[str, int] = {}
-        self.sched_nbytes: Dict[str, int] = {}
-        self.stream_load_ms: Dict[str, float] = {}
-        # Per node: streamed (non-dedicated) weight chunks it consumes.
-        self.consumers: List[tuple] = [()] * len(self.nodes)
-        if plan is not None:
-            self._index(graph, plan)
-
-    def _index(self, graph: Graph, plan: OverlapPlan) -> None:
-        """Index streamed weights by load layer and their transform
-        segments (byte-exact) by host layer."""
-        device = self.sim.device
-        self.weights = weight_rows(graph)
-        for name, sched in plan.schedules.items():
-            if sched.preloaded:
-                continue
-            self.loads_by_layer.setdefault(sched.load_layer, []).append(name)
-            for seg in sched.segments():
-                self.chunks_by_layer.setdefault(seg.layer, []).append(
-                    (name, seg.end_offset - seg.start_offset)
-                )
-        self.dedicated = {n for n, s in plan.schedules.items() if s.dedicated_transform}
-        self.weight_nbytes = {n: self.weights[n][0] for n in plan.schedules}
-        self.sched_nbytes = {n: s.nbytes for n, s in plan.schedules.items()}
+        self.weights = weight_rows(graph) if plan is not None else {}
+        (self.loads_by_layer, self.chunks_by_layer, self.dedicated, self.weight_nbytes,
+         self.sched_nbytes, self.consumers) = (
+            stream_index(graph, plan) if plan is not None
+            else ({}, {}, frozenset(), {}, {}, ((),) * len(self.nodes))
+        )
+        #: Whether a pass can touch the IO queue (if not, every pass replays).
+        self.streaming = bool(self.loads_by_layer or self.chunks_by_layer or self.dedicated)
+        device = sim.device
         self.stream_load_ms = {
             name: device.disk_latency_ms + self.weight_nbytes[name] / device.disk_bw
             for names in self.loads_by_layer.values()
             for name in names
         }
-        for pos, node in enumerate(self.nodes):
-            items = []
-            for weight_spec in node.weights:
-                sched = plan.schedules.get(weight_spec.name)
-                if sched is None or sched.preloaded or sched.dedicated_transform:
-                    continue
-                for seg in sched.segments():
-                    items.append((weight_spec.name, seg.layer, seg.end_offset - seg.start_offset))
-            self.consumers[pos] = tuple(items)
 
     # ------------------------------------------------------------- driving
     def run_segment(
@@ -193,9 +246,19 @@ class SegmentCore:
         ``durations`` holds each node's kernel latency for this segment;
         ``tag_prefix`` plus the pass index labels each pass's events;
         ``kv_append`` maps node positions to bytes appended to the resident
-        KV cache at that kernel's completion.  Passes ``start+1`` and
-        ``start+2`` are recorded; when their traces match the rest replay.
+        KV cache at that kernel's completion.  A pure-compute segment
+        replays every pass; a streaming one records passes ``start+1`` and
+        ``start+2``, and when their traces match the rest replay.
         """
+        if not self.streaming:
+            if end > start:
+                durs = np.array(durations, dtype=np.float64)
+                if (durs < 0).any():
+                    raise ValueError("duration must be non-negative")
+                appends = [(pos, (kvd,)) for pos, kvd in kv_append.items()]
+                self.replayed += end - start
+                self._replay((durs, (), [], appends), start, end, tag_prefix)
+            return
         record = end - start > 3
         self._slots = {}
         traces = []
@@ -211,7 +274,7 @@ class SegmentCore:
                         break
         if k < end:
             self.replayed += end - k
-            self._replay(traces[1], k, end, tag_prefix)
+            self._replay(_columns(traces[1]), k, end, tag_prefix)
 
     def run_decode(
         self,
@@ -438,163 +501,116 @@ class SegmentCore:
 
     # --------------------------------------------------------------- replay
     def _replay(self, trace: tuple, start_it: int, iterations: int, tag_prefix: str) -> None:
-        """Re-execute ``trace`` for passes ``start_it..iterations-1``.
+        """Re-execute the columnar ``trace`` (see :func:`_columns`) for
+        passes ``start_it..iterations-1``.
 
-        Performs the exact float arithmetic of a full pass (same submits,
-        same accumulator adds, same delta-log appends in the same order) on
-        local variables and raw queue columns, skipping only the per-node
-        Python bookkeeping that cannot affect the result: dict indexing,
-        ``MemoryPool`` membership updates (the trace is alloc/free balanced,
-        so pools end each pass exactly as they started), and re-pricing.
-
-        Pure-compute traces (every instruction an ``_OP_EXEC`` with no
-        upstream IO dependency — fully-preloaded models, steady decode
-        segments, and the preloading baselines) take a vectorized bulk
-        path: the GPU clock is a strict left-fold of durations, which
-        ``np.add.accumulate`` reproduces bitwise.
+        Performs the float arithmetic of full passes (same submits, same
+        accumulator adds in the same order, the same delta-log entries),
+        skipping only what cannot change the result: per-node dict
+        indexing, ``MemoryPool`` membership updates (a replayed trace is
+        alloc/free balanced), re-pricing, and per-instruction queue rows.
+        ``ends[k + 1]`` is GPU instruction ``k``'s end, ``ends[0]`` the clock
+        before the replay.  It starts out holding the durations, so a
+        dependency-free run accumulates in place from the end before it,
+        and an event reads the clock at its own position, ``ends[k]``.
         """
-        if all(ins[0] == _OP_EXEC and not ins[2] for ins in trace):
-            self._replay_bulk(trace, start_it, iterations, tag_prefix)
+        durations, events, load_bytes, deltas = trace
+        n = len(durations)
+        total = (iterations - start_it) * n
+        if not total:
             return
         sim = self.sim
-        stall_total, exec_total = self.stall_total, self.exec_total
-        nslots = len(self._slots)
         io, gpu = sim.queues.io, sim.queues.gpu
-        io_labels, io_starts, io_ends, io_kinds = io.replay_columns()
-        gpu_labels, gpu_starts, gpu_ends, gpu_kinds = gpu.replay_columns()
-        io_free, io_busy, io_kind_tot = io.clock_state()
-        gpu_free, gpu_busy, gpu_kind_tot = gpu.clock_state()
-        io_load = io_kind_tot.get("load", 0.0)
-        gpu_compute = gpu_kind_tot.get("compute", 0.0)
-        gpu_transform = gpu_kind_tot.get("transform", 0.0)
-        deltas_append = sim.raw_deltas().append
-
-        for rep_it in range(start_it, iterations):
-            rtag = f"{tag_prefix}{rep_it}:"
+        io_free, io_busy, io_kinds = io.clock_state()
+        gpu_free, gpu_busy, gpu_kinds = gpu.clock_state()
+        ends = np.empty(total + 1)
+        ends[0] = gpu_free
+        ends[1:].reshape(-1, n)[:] = durations
+        cells = ends.data  # the same buffer, read and written as plain floats
+        stall_total, nslots = self.stall_total, len(self._slots)
+        event_starts, load_starts, load_ends = [], [], []
+        done = 0  # ends[:done + 1] are final
+        for base in range(0, total, n):
             um_slot = [0.0] * nslots
-            for ins in trace:
-                code = ins[0]
+            for g, code, arg, dur in events:
+                k = base + g
+                if k > done:
+                    run = ends[done:k + 1]
+                    np.add.accumulate(run, out=run)
+                    done = k
+                free = cells[k]
+                if code == _OP_LOAD:
+                    start = io_free if io_free > free else free
+                    io_free = um_slot[arg] = start + dur
+                    load_starts.append(start)
+                    load_ends.append(io_free)
+                    continue
                 if code == _OP_EXEC:
-                    _, dur, nb_slots, seg_ops, tex_frees, suffix = ins
                     nb = 0.0
-                    for s in nb_slots:
+                    for s in arg:
                         ready = um_slot[s]
                         if ready > nb:
                             nb = ready
-                    if nb > gpu_free:
-                        stall_total += nb - gpu_free
+                    if nb > free:
+                        stall_total += nb - free
                         start = nb
                     else:
-                        start = gpu_free
-                    end = start + dur
-                    gpu_free = end
-                    busy = end - start
-                    exec_total += busy
-                    gpu_busy += busy
-                    gpu_compute += busy
-                    gpu_labels.append(rtag + suffix)
-                    gpu_starts.append(start)
-                    gpu_ends.append(end)
-                    gpu_kinds.append("compute")
-                    for seg_bytes, um_freed in seg_ops:
-                        deltas_append((end, seg_bytes, 0))
-                        if um_freed:
-                            deltas_append((end, -um_freed, 0))
-                    for size in tex_frees:
-                        deltas_append((end, -size, 0))
-                elif code == _OP_LOAD:
-                    _, s, dur, nbytes, suffix = ins
-                    start = io_free if io_free > gpu_free else gpu_free
-                    end = start + dur
-                    io_free = end
-                    busy = end - start
-                    io_busy += busy
-                    io_load += busy
-                    io_labels.append(rtag + suffix)
-                    io_starts.append(start)
-                    io_ends.append(end)
-                    io_kinds.append("load")
-                    um_slot[s] = end
-                    deltas_append((end, nbytes, 0))
+                        start = free
                 else:  # _OP_XFORM
-                    _, s, dur, suffix = ins
-                    nb = um_slot[s]
-                    start = gpu_free if gpu_free > nb else nb
-                    end = start + dur
-                    gpu_free = end
-                    busy = end - start
-                    gpu_busy += busy
-                    gpu_transform += busy
-                    gpu_labels.append(rtag + suffix)
-                    gpu_starts.append(start)
-                    gpu_ends.append(end)
-                    gpu_kinds.append("transform")
+                    nb = um_slot[arg]
+                    start = free if free > nb else nb
+                cells[k + 1] = start + dur
+                event_starts.append(start)
+                done = k + 1
+        run = ends[done:]
+        np.add.accumulate(run, out=run)
+        self.stall_total = stall_total
 
-        io_kind_tot["load"] = io_load
-        gpu_kind_tot["compute"] = gpu_compute
-        gpu_kind_tot["transform"] = gpu_transform
-        io.sync_clock(io_free, io_busy, io_kind_tot)
-        gpu.sync_clock(gpu_free, gpu_busy, gpu_kind_tot)
-        self.stall_total, self.exec_total = stall_total, exec_total
+        # Accumulators, queue rows and memory deltas, from the columns.
+        label = f"{tag_prefix}{start_it}-{iterations - 1}:replay"
+        gpu_ends, gpu_starts = ends[1:], ends[:-1]
+        if event_starts:
+            gpu_starts = gpu_starts.copy()
+            at = [g for g, code, _, _ in events if code != _OP_LOAD]
+            gpu_starts[(np.arange(0, total, n)[:, None] + at).ravel()] = event_starts
+        busies = gpu_ends - gpu_starts
+        xform = np.zeros(n, dtype=bool)
+        xform[[g for g, code, _, _ in events if code == _OP_XFORM]] = True
+        xforms = np.tile(xform, total // n)
+        compute = busies[~xforms] if xform.any() else busies
+        self.exec_total = _fold(self.exec_total, compute)
+        gpu_kinds["compute"] = _fold(gpu_kinds.get("compute", 0.0), compute)
+        if xform.any():
+            gpu_kinds["transform"] = _fold(gpu_kinds.get("transform", 0.0), busies[xforms])
+        gpu.sync_clock(cells[total], _fold(gpu_busy, busies), gpu_kinds)
+        _append_spans(gpu, label, gpu_starts, gpu_ends, xforms, ("compute", "transform"))
+        log = sim.raw_deltas()
+        by_pass = gpu_ends.reshape(-1, n)
+        for g, amounts in deltas:
+            times = by_pass[:, g].tolist()
+            for amount in amounts:
+                log.extend(zip(times, repeat(amount), repeat(0)))
+        if load_ends:
+            log.extend(zip(load_ends, load_bytes * (total // n), repeat(0)))
+            starts, stops = np.array(load_starts), np.array(load_ends)
+            busy = stops - starts
+            io_kinds["load"] = _fold(io_kinds.get("load", 0.0), busy)
+            io.sync_clock(io_free, _fold(io_busy, busy), io_kinds)
+            _append_spans(io, label, starts, stops, np.zeros(len(busy), dtype=bool), ("load",))
 
-    def _replay_bulk(self, trace: tuple, start_it: int, iterations: int, tag_prefix: str) -> None:
-        """Vectorized replay of a pure-compute trace (``_replay``'s fast path).
 
-        With no IO dependencies every kernel starts the instant the GPU
-        frees, so the event times are the strict left-fold
-        ``end_i = end_{i-1} + dur_i`` — exactly what ``np.add.accumulate``
-        computes (unlike ``np.sum``/``cumsum``'s pairwise trees, ufunc
-        accumulation is the sequential recurrence, so every intermediate is
-        bitwise what the scalar loop produces).  The busy/exec accumulators
-        are folded the same way, seeded with their running values.  Memory
-        deltas attach to the precomputed end times column-by-column; the
-        timeline integration lexsorts the whole log, so append order does
-        not affect the result.
-
-        The event log gets ONE coalesced row for the whole replay instead of
-        ``reps * k`` per-kernel rows.  This is observability-lossy (no
-        per-kernel labels for the replayed span) but result-exact: nothing
-        in a :class:`RunResult` reads labels, the busy accumulators are
-        synced from the folds above, and ``busy_intervals`` — the energy
-        model's only column consumer — merges the back-to-back kernel rows
-        into exactly the ``(gpu_free, ends[-1])`` span this row spells out
-        (zero-duration kernels never advance the clock, so coverage is
-        contiguous either way; an all-zero replay span is skipped by the
-        merge in both representations).
-        """
-        sim = self.sim
-        reps = iterations - start_it
-        k = len(trace)
-        gpu = sim.queues.gpu
-        gpu_labels, gpu_starts, gpu_ends, gpu_kinds = gpu.replay_columns()
-        gpu_free, gpu_busy, gpu_kind_tot = gpu.clock_state()
-        gpu_compute = gpu_kind_tot.get("compute", 0.0)
-
-        durs = np.tile(np.array([ins[1] for ins in trace], dtype=np.float64), reps)
-        ends = np.add.accumulate(np.concatenate(([gpu_free], durs)))[1:]
-        starts = np.concatenate(([gpu_free], ends[:-1]))
-        busies = ends - starts
-        self.exec_total = float(np.add.accumulate(np.concatenate(([self.exec_total], busies)))[-1])
-        gpu_busy = float(np.add.accumulate(np.concatenate(([gpu_busy], busies)))[-1])
-        gpu_compute = float(np.add.accumulate(np.concatenate(([gpu_compute], busies)))[-1])
-
-        gpu_starts.append(float(starts[0]))
-        gpu_ends.append(float(ends[-1]))
-        gpu_labels.append(f"{tag_prefix}{start_it}-{iterations - 1}:replay[{reps}x{k} kernels]")
-        gpu_kinds.append("compute")
-
-        deltas = sim.raw_deltas()
-        ends_mat = ends.reshape(reps, k)
-        for j, ins in enumerate(trace):
-            if not ins[3] and not ins[4]:
-                continue
-            col = ends_mat[:, j].tolist()
-            for seg_bytes, um_freed in ins[3]:
-                deltas.extend((e, seg_bytes, 0) for e in col)
-                if um_freed:
-                    deltas.extend((e, -um_freed, 0) for e in col)
-            for size in ins[4]:
-                deltas.extend((e, -size, 0) for e in col)
-
-        gpu_kind_tot["compute"] = gpu_compute
-        gpu.sync_clock(float(ends[-1]), gpu_busy, gpu_kind_tot)
+def _append_spans(queue, label: str, starts: np.ndarray, ends: np.ndarray,
+                  kinds: np.ndarray, names: Tuple[str, ...]) -> None:
+    """Append one ``queue`` row per maximal run of instructions of one kind
+    (``names[kinds[i]]``) that each start the instant the one before ends."""
+    new = np.empty(len(starts), dtype=bool)
+    new[0] = True
+    np.not_equal(starts[1:], ends[:-1], out=new[1:])
+    new[1:] |= kinds[1:] != kinds[:-1]
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], len(starts)) - 1
+    labels, starts_col, ends_col, kinds_col = queue.replay_columns()
+    labels.extend(repeat(label, len(first)))
+    starts_col.frombytes(starts[first].tobytes())
+    ends_col.frombytes(ends[last].tobytes())
+    kinds_col.extend(names[k] for k in kinds[first].tolist())

@@ -22,6 +22,13 @@ from repro.core.store import stable_fingerprint
 from repro.gpusim.device import get_device
 
 
+def check_preload_ratio(ratio: float) -> float:
+    """``ratio``, if it is a preload fraction in [0, 1] (NaN is not)."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"target_preload_ratio must be in [0, 1], got {ratio}")
+    return ratio
+
+
 @dataclass(frozen=True, order=True)
 class CompileRequest:
     """One (model, device, config) compilation request.
@@ -49,9 +56,8 @@ class CompileRequest:
             raise ValueError("context_len must be >= 0")
         # The solver would clamp an out-of-range ratio, but the store key
         # keeps it: one plan would live under two addresses.
-        ratio = self.target_preload_ratio
-        if ratio is not None and not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"target_preload_ratio must be in [0, 1], got {ratio}")
+        if self.target_preload_ratio is not None:
+            check_preload_ratio(self.target_preload_ratio)
         if self.capacity_backend not in ("analytic", "gbt"):
             raise ValueError(f"unknown capacity backend {self.capacity_backend!r}")
 

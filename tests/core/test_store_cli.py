@@ -167,6 +167,32 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["run", "ViT", "nodevice"],
+        ["profile", "run", "ViT", "nodevice"],
+        ["profile", "compile", "ViT", "nodevice"],
+        ["profile", "capacity", "ViT", "nodevice"],
+        ["plan", "ViT", "--device", "nodevice"],
+        ["serve-trace", "{trace}", "--devices", "OnePlus 12", "nodevice"],
+        ["run", "ViT", "--preload-ratio", "1.5"],
+        ["run", "ViT", "--preload-ratio", "nan"],
+    ], ids=["run", "profile-run", "profile-compile", "profile-capacity", "plan",
+            "serve-trace", "run-ratio", "run-ratio-nan"])
+    def test_malformed_device_or_ratio_is_usage_error(self, argv, tmp_path, capsys):
+        """Every subcommand resolves device names and preload ratios while
+        parsing: exit code 2 and one ``error:`` line, before any compile
+        (a device was a KeyError traceback, a ratio a silent clamp)."""
+        trace = tmp_path / "trace.json"
+        assert cli_main(["make-trace", str(trace), "--duration-s", "5"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli_main([arg.format(trace=trace) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert ("unknown device 'nodevice'" in err
+                or "target_preload_ratio must be in [0, 1]" in err)
+
+    @pytest.mark.parametrize("argv", [
         ["run", "GPTN-S"], ["profile", "run", "GPTN-S", "oneplus12"],
     ], ids=["run", "profile-run"])
     @pytest.mark.parametrize("context", [None, "0"], ids=["no-context", "zero-context"])

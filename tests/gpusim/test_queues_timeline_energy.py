@@ -183,6 +183,13 @@ class TestEnergy:
         report = measure_energy(dq, oneplus_12(), end_ms=110.0)
         assert report.idle_ms == pytest.approx(100.0)
 
+    def test_subnormal_horizon_has_no_average_power(self):
+        # 5e-324 ms is positive, but in seconds it rounds to zero.
+        dq = DualQueue()
+        dq.gpu.submit("k", 5e-324)
+        report = measure_energy(dq, oneplus_12())
+        assert report.avg_power_w == 0.0 and report.compute_only_ms == 5e-324
+
     def test_busy_totals_independent_of_builtin_sum(self, monkeypatch):
         # Python 3.12 made float sum() compensated; a compensated sum in the
         # module's namespace stands in for it.

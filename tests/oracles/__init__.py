@@ -22,6 +22,12 @@ looks up at call time:
 
     monkeypatch.setattr(SegmentCore, "run_segment", run_segment_every_pass)
 
+- the scalar replay loop, one instruction at a time, in place of the
+  columnar replay core (a recorded trace replays either way)::
+
+    replay_reference(core, trace, start_it, iterations, tag_prefix)
+    # vs core._replay(segment._columns(trace), start_it, iterations, tag_prefix)
+
 - the exact-split GBT regime::
 
     monkeypatch.setattr(GradientBoostedTrees, "fit", fit_exact)
@@ -57,6 +63,7 @@ from tests.oracles.sim import (
     flash_attention_time_ms,
     kernel_program_time_ms,
     peak_bytes_reference,
+    replay_reference,
     run_segment_every_pass,
     scalar_flash_attention_time_table,
     scalar_kernel_time_table,
@@ -85,6 +92,7 @@ __all__ = [
     "flash_attention_time_ms",
     "kernel_program_time_ms",
     "peak_bytes_reference",
+    "replay_reference",
     "run_segment_every_pass",
     "scalar_flash_attention_time_table",
     "scalar_kernel_time_table",

@@ -16,6 +16,8 @@ The executors' fast paths must reproduce these bit for bit:
 - :func:`run_segment_every_pass` — :meth:`SegmentCore.run_segment` without
   record/replay: every pass simulated node by node.  Swapped in for
   ``SegmentCore.run_segment``.
+- :func:`replay_reference` — the scalar replay loop, one instruction at a
+  time; the columnar :meth:`SegmentCore._replay` must match it bit for bit.
 - :func:`busy_intervals_reference` — merges any event list by sorting;
   :meth:`CommandQueue.busy_intervals` must return the identical list.
 - :func:`peak_bytes_reference`, :func:`usage_at_reference` and
@@ -157,6 +159,97 @@ def run_segment_every_pass(core, start, end, durations, tag_prefix,
     node by node, none recorded or replayed."""
     for k in range(start, end):
         core._pass(k, f"{tag_prefix}{k}:", durations, kv_append, False)
+
+
+def replay_reference(core, trace, start_it, iterations, tag_prefix) -> None:
+    """The scalar replay loop: :meth:`SegmentCore._replay` re-executing the
+    instruction ``trace`` recorded by :meth:`SegmentCore._pass` one
+    instruction at a time, every queue row its own.
+
+    ``SegmentCore._replay(segment._columns(trace), ...)`` must leave the queues'
+    clocks, busy totals and busy intervals, ``exec_total``/``stall_total``
+    and the memory timeline bitwise where this loop does.
+    """
+    sim = core.sim
+    stall_total, exec_total = core.stall_total, core.exec_total
+    nslots = len(core._slots)
+    io, gpu = sim.queues.io, sim.queues.gpu
+    io_labels, io_starts, io_ends, io_kinds = io.replay_columns()
+    gpu_labels, gpu_starts, gpu_ends, gpu_kinds = gpu.replay_columns()
+    io_free, io_busy, io_kind_tot = io.clock_state()
+    gpu_free, gpu_busy, gpu_kind_tot = gpu.clock_state()
+    io_load = io_kind_tot.get("load", 0.0)
+    gpu_compute = gpu_kind_tot.get("compute", 0.0)
+    gpu_transform = gpu_kind_tot.get("transform", 0.0)
+    deltas_append = sim.raw_deltas().append
+
+    for rep_it in range(start_it, iterations):
+        rtag = f"{tag_prefix}{rep_it}:"
+        um_slot = [0.0] * nslots
+        for ins in trace:
+            code = ins[0]
+            if code == segment._OP_EXEC:
+                _, dur, nb_slots, seg_ops, tex_frees, suffix = ins
+                nb = 0.0
+                for s in nb_slots:
+                    ready = um_slot[s]
+                    if ready > nb:
+                        nb = ready
+                if nb > gpu_free:
+                    stall_total += nb - gpu_free
+                    start = nb
+                else:
+                    start = gpu_free
+                end = start + dur
+                gpu_free = end
+                busy = end - start
+                exec_total += busy
+                gpu_busy += busy
+                gpu_compute += busy
+                gpu_labels.append(rtag + suffix)
+                gpu_starts.append(start)
+                gpu_ends.append(end)
+                gpu_kinds.append("compute")
+                for seg_bytes, um_freed in seg_ops:
+                    deltas_append((end, seg_bytes, 0))
+                    if um_freed:
+                        deltas_append((end, -um_freed, 0))
+                for size in tex_frees:
+                    deltas_append((end, -size, 0))
+            elif code == segment._OP_LOAD:
+                _, s, dur, nbytes, suffix = ins
+                start = io_free if io_free > gpu_free else gpu_free
+                end = start + dur
+                io_free = end
+                busy = end - start
+                io_busy += busy
+                io_load += busy
+                io_labels.append(rtag + suffix)
+                io_starts.append(start)
+                io_ends.append(end)
+                io_kinds.append("load")
+                um_slot[s] = end
+                deltas_append((end, nbytes, 0))
+            else:  # _OP_XFORM
+                _, s, dur, suffix = ins
+                nb = um_slot[s]
+                start = gpu_free if gpu_free > nb else nb
+                end = start + dur
+                gpu_free = end
+                busy = end - start
+                gpu_busy += busy
+                gpu_transform += busy
+                gpu_labels.append(rtag + suffix)
+                gpu_starts.append(start)
+                gpu_ends.append(end)
+                gpu_kinds.append("transform")
+
+    io_kind_tot["load"] = io_load
+    gpu_kind_tot["compute"] = gpu_compute
+    gpu_kind_tot["transform"] = gpu_transform
+    io.sync_clock(io_free, io_busy, io_kind_tot)
+    gpu.sync_clock(gpu_free, gpu_busy, gpu_kind_tot)
+    core.stall_total, core.exec_total = stall_total, exec_total
 
 
 def busy_intervals_reference(events, kinds=None) -> List[Tuple[float, float]]:

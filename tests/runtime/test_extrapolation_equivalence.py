@@ -68,7 +68,10 @@ def test_extrapolation_byte_identical(
     )
     assert_results_identical(fast, full)
     replayed = fast.details.get("replayed_iterations", 0.0)
-    if iterations > 3:
+    if runtime != "FlashMem" or not compiled.plan.streamed_weights:
+        # A pure-compute segment replays every pass from its durations.
+        assert replayed == iterations
+    elif iterations > 3:
         # Steady state must actually have been detected and replayed.
         assert replayed == iterations - 3
     else:
@@ -87,3 +90,34 @@ def test_extrapolation_composes_with_scalar_pricing(monkeypatch, fm, graphs, com
         reference = results[0]
         for other in results[1:]:
             assert_results_identical(other, reference)
+
+
+@pytest.fixture(scope="module")
+def rewriting_compiles():
+    """Compiles per (model, rewriting), built on first use."""
+    cache = {}
+
+    def compiled(model, rewriting):
+        if (model, rewriting) not in cache:
+            fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300),
+                                         use_kernel_rewriting=rewriting))
+            cache[model, rewriting] = fm, fm.compile(load_model(model), get_device("Pixel 8"))
+        return cache[model, rewriting]
+
+    return compiled
+
+
+@pytest.mark.parametrize("rewriting", [True, False], ids=["rewriting", "opg-only"])
+@pytest.mark.parametrize("iterations", [4, 9])
+@pytest.mark.parametrize("model", ["ViT", "ResNet50", "GPTN-S", "SAM-2", "DeepViT"])
+def test_replay_exact_in_both_rewriting_modes(
+    monkeypatch, rewriting_compiles, model, iterations, rewriting
+):
+    """Without rewriting, chunks move in dedicated transform kernels: the
+    replayed trace's GPU queue interleaves transforms with compute."""
+    fm, compiled = rewriting_compiles(model, rewriting)
+    scenario = Scenario.prefill(iterations)
+    fast, full = replay_on_off(monkeypatch, lambda: fm.run(compiled, scenario=scenario))
+    assert_results_identical(fast, full)
+    if compiled.plan.streamed_weights:
+        assert fast.details["replayed_iterations"] == iterations - 3
