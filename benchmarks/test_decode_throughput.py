@@ -3,9 +3,9 @@
 Written to ``results/BENCH_decode.json``.  One A/B scenario, each side
 measured in a fresh subprocess (interleaved, minimum-of-N CPU-time samples;
 see ``conftest.ab_subprocess``): a 1000-token GPTN-2.7B decode on the
-OnePlus 12 after a 1024-token prompt.  The fast side simulates three
-tokens per context-length segment and bulk-replays the recorded trace for
-the rest; the slow side (``SegmentCore.run_segment`` swapped for the
+OnePlus 12 after a 1024-token prompt.  The fast side records one token
+per streaming context-length segment (a pure-compute segment needs none)
+and bulk-replays the trace for the rest; the slow side (``SegmentCore.run_segment`` swapped for the
 every-pass reference from ``tests/oracles`` in its child) prices and
 simulates every token.  Both sides run the same
 compiled plan from the shared artifact store, so the ratio isolates the

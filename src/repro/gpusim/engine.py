@@ -4,22 +4,27 @@ Executors (``repro.runtime``) drive a :class:`Simulation` — submitting IO
 and kernel work, allocating/freeing memory at event boundaries — and then
 :meth:`Simulation.finish` assembles the :class:`~repro.gpusim.timeline.RunResult`.
 
-Memory events are recorded as (time, delta) pairs and integrated at finish
-time into the timeline's two columns: executors allocate at *event
+Memory events are recorded as rows of a delta log — three typed columns
+(float64 times, int64 byte deltas, int8 tie ranks) — and integrated at
+finish time into the timeline's two columns: executors allocate at *event
 completion times* that do not arrive in chronological order (a disk load
 finishes long before the transform kernel enqueued after it), so the step
-function can only be built once all events are known.  The pools only
-check that every name is allocated and freed once; the delta log is the
-one memory record.
+function can only be built once all events are known.  Rows arrive one at
+a time through the pool-checked ``alloc_*``/``free_*`` calls, or whole
+columns at a time through :meth:`Simulation.log_memory` (replayed passes,
+weight staging, KV growth, teardown).  The pools only check that every
+name is allocated and freed once; the delta log is the one memory record.
 
 **Tie-breaking rule.**  Deltas at equal timestamps integrate *frees before
-allocations* (sorted by (time, delta), so negative deltas come first).  An
-executor that frees a unified-memory staging copy and allocates the texture
-copy "at the same millisecond" models an exchange, not a transient
-double-residency — integrating the allocation first would overstate peak
-memory by the staging size, with the overstatement depending on executor
-submission order.  ``build_timeline`` implements the rule with a numpy
-lexsort + cumsum over the whole delta log.
+allocations* (sorted by (time, rank, delta), so negative deltas come
+first).  An executor that frees a unified-memory staging copy and
+allocates the texture copy "at the same millisecond" models an exchange,
+not a transient double-residency — integrating the allocation first would
+overstate peak memory by the staging size, with the overstatement
+depending on executor submission order.  ``build_timeline`` implements the
+rule with a numpy lexsort + cumsum over the whole delta log, so the
+timeline depends only on the multiset of rows, never on the order (or the
+batching) in which they were appended.
 
 The rule has one executor-visible escape hatch for frees that model the
 *other* semantics: ``free_um(..., after_allocs=True)`` applies after the
@@ -32,7 +37,8 @@ it just because both deltas carry the same timestamp.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,9 +68,12 @@ class Simulation:
         self.um = MemoryPool("unified")
         self.tm = MemoryPool("texture")
         self.phases = Phases()
-        # (time_ms, delta_bytes, rank): rank 0 integrates with the default
-        # frees-before-allocs tie rule; rank 1 marks after-alloc frees.
-        self._deltas: List[Tuple[float, int, int]] = []
+        # The delta log's columns: time_ms, delta_bytes, and rank (0
+        # integrates with the default frees-before-allocs tie rule; 1 marks
+        # after-alloc frees).
+        self._times = array("d")
+        self._amounts = array("q")
+        self._ranks = array("b")
         self._timeline: Optional[Tuple[int, MemoryTimeline]] = None
         self._finished: Optional[RunResult] = None
 
@@ -73,9 +82,14 @@ class Simulation:
     def total_in_use(self) -> int:
         return self.um.in_use + self.tm.in_use
 
+    def _row(self, time_ms: float, nbytes: int, rank: int = 0) -> None:
+        self._times.append(time_ms)
+        self._amounts.append(nbytes)
+        self._ranks.append(rank)
+
     def alloc_um(self, name: str, nbytes: int, time_ms: float) -> None:
         self.um.allocate(name, nbytes)
-        self._deltas.append((time_ms, nbytes, 0))
+        self._row(time_ms, nbytes)
 
     def free_um(self, name: str, time_ms: float, *, after_allocs: bool = False) -> None:
         """Free a unified-memory allocation.
@@ -86,61 +100,71 @@ class Simulation:
         memory allocated at the same time — a copy-out transient — rather
         than being exchanged for it.
         """
-        nbytes = self.um.free(name)
-        self._deltas.append((time_ms, -nbytes, 1 if after_allocs else 0))
+        self._row(time_ms, -self.um.free(name), 1 if after_allocs else 0)
 
     def alloc_tm(self, name: str, nbytes: int, time_ms: float) -> None:
         self.tm.allocate(name, nbytes)
-        self._deltas.append((time_ms, nbytes, 0))
+        self._row(time_ms, nbytes)
 
     def free_tm(self, name: str, time_ms: float) -> None:
-        nbytes = self.tm.free(name)
-        self._deltas.append((time_ms, -nbytes, 0))
+        self._row(time_ms, -self.tm.free(name))
+
+    def log_memory(self, times: Sequence[float], amounts: Sequence[int], *,
+                   after_allocs: bool = False) -> None:
+        """Append one delta-log row per ``(times[i], amounts[i])``, whole
+        columns at once.
+
+        The rows bypass the :class:`MemoryPool` bookkeeping, so the caller
+        keeps them balanced: a replayed pass its recorded allocs and frees,
+        weight staging its pool registrations, a decode its KV grant and
+        release.  ``after_allocs`` ranks every row as
+        :meth:`free_um`'s flag does.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        amounts = np.asarray(amounts, dtype=np.int64)
+        if times.shape != amounts.shape or times.ndim != 1:
+            raise ValueError("times and amounts must be columns of one length")
+        self._times.frombytes(times.tobytes())
+        self._amounts.frombytes(amounts.tobytes())
+        self._ranks.frombytes((b"\x01" if after_allocs else b"\x00") * len(times))
 
     def free_all(self, time_ms: float) -> None:
         """Release every live allocation in both pools (model teardown),
-        recording the deltas so the timeline returns to zero."""
-        for name in list(self.um.live_names()):
-            self.free_um(name, time_ms)
-        for name in list(self.tm.live_names()):
-            self.free_tm(name, time_ms)
-
-    def raw_deltas(self) -> List[Tuple[float, int, int]]:
-        """The mutable delta log, for trusted bulk-append replay paths.
-
-        Appended ``(time_ms, delta_bytes, rank)`` entries bypass the
-        :class:`MemoryPool` bookkeeping, so the caller must guarantee they
-        are alloc/free balanced (the runtime's steady-state replay verifies
-        this during recording).
-        """
-        return self._deltas
+        logging every live size as one column so the timeline returns to
+        zero."""
+        sizes = self.um.free_all() + self.tm.free_all()
+        if sizes:
+            self.log_memory([time_ms] * len(sizes), [-size for size in sizes])
 
     def build_timeline(self) -> MemoryTimeline:
         """Integrate the delta log into a chronological step function.
 
-        One lexsort of the log orders the rows and one cumsum gives the
-        totals; the columns go into the timeline as they are.  The result
-        is memoised on the log length: ``oom`` and ``finish`` (and repeated
-        OOM probes) share one timeline instead of re-sorting per call.  Any
-        new delta invalidates the memo.
+        One lexsort of the log's columns orders the rows and one cumsum
+        gives the totals; the columns go into the timeline as they are.  The
+        log's arrays are read through ``np.frombuffer`` views that die
+        before this returns (an ``array`` exporting its buffer cannot grow),
+        so the timeline holds copies.  The result is memoised on the log
+        length: ``oom`` and ``finish`` (and repeated OOM probes) share one
+        timeline instead of re-sorting per call.  Any new delta invalidates
+        the memo.
         """
-        if self._timeline is not None and self._timeline[0] == len(self._deltas):
+        n = len(self._times)
+        if self._timeline is not None and self._timeline[0] == n:
             return self._timeline[1]
-        log = self._deltas
-        n = len(log)
         times = np.zeros(n + 1, dtype=np.float64)
         totals = np.zeros(n + 1, dtype=np.int64)
         if n:
-            log_times = np.array([d[0] for d in log], dtype=np.float64)
-            log_deltas = np.array([d[1] for d in log], dtype=np.int64)
-            ranks = np.array([d[2] for d in log], dtype=np.int8)
+            log_times = np.frombuffer(self._times, dtype=np.float64)
+            log_amounts = np.frombuffer(self._amounts, dtype=np.int64)
+            log_ranks = np.frombuffer(self._ranks, dtype=np.int8)
             # Chronological; frees before allocs at ties, except rank-1
             # after-alloc frees which land last (see module docs).
-            order = np.lexsort((log_deltas, ranks, log_times))
-            np.cumsum(log_deltas[order], out=totals[1:])
+            order = np.lexsort((log_amounts, log_ranks, log_times))
+            np.cumsum(log_amounts[order], out=totals[1:])
+            times[1:] = log_times[order]
+            del log_times, log_amounts, log_ranks
             if totals.min() < 0:
                 raise ValueError("memory cannot be negative")
-            times[1:] = log_times[order]
         timeline = MemoryTimeline(times, totals)
         self._timeline = (n, timeline)
         return timeline

@@ -10,7 +10,7 @@ delta log, integrated into a :class:`~repro.gpusim.timeline.MemoryTimeline`
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 
 class OutOfMemoryError(Exception):
@@ -43,9 +43,6 @@ class MemoryPool:
         self._live: Dict[str, int] = {}
         self.in_use = 0
 
-    def contains(self, name: str) -> bool:
-        return name in self._live
-
     def allocate(self, name: str, nbytes: int) -> None:
         """Allocate ``nbytes`` under ``name``."""
         if nbytes < 0:
@@ -54,6 +51,22 @@ class MemoryPool:
             raise ValueError(f"{self.name}: {name!r} already allocated")
         self._live[name] = nbytes
         self.in_use += nbytes
+
+    def allocate_many(self, names: Sequence[str], sizes: Sequence[int]) -> None:
+        """Allocate ``sizes[i]`` under ``names[i]`` for every ``i``, in one
+        update.  Raises, allocating nothing, if a name is already live or
+        repeats within the batch."""
+        batch = dict(zip(names, sizes))
+        if len(batch) != len(names) or not self._live.keys().isdisjoint(batch):
+            seen = set(self._live)
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"{self.name}: {name!r} already allocated")
+                seen.add(name)
+        if min(batch.values(), default=0) < 0:
+            raise ValueError("allocation size must be non-negative")
+        self._live.update(batch)
+        self.in_use += sum(batch.values())
 
     def free(self, name: str) -> int:
         """Free the allocation ``name``; returns its size."""
@@ -64,10 +77,13 @@ class MemoryPool:
         self.in_use -= nbytes
         return nbytes
 
-    def free_all(self) -> None:
-        """Release every live allocation (model teardown)."""
+    def free_all(self) -> List[int]:
+        """Release every live allocation (model teardown); returns their
+        sizes in allocation order."""
+        sizes = list(self._live.values())
         self._live.clear()
         self.in_use = 0
+        return sizes
 
     def live_names(self) -> List[str]:
         return list(self._live)

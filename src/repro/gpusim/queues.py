@@ -143,10 +143,10 @@ class CommandQueue:
     def replay_columns(self) -> Tuple[List[str], array, array, List[str]]:
         """The raw mutable columns ``(labels, starts, ends, kinds)``.
 
-        For trusted bulk-append replay paths (steady-state iteration
-        extrapolation in ``repro.runtime``): the caller must append rows
-        that keep the class invariant (start-sorted, start >= previous end)
-        and finish with :meth:`sync_clock`.
+        For trusted bulk-append paths (the segment core's replay and weight
+        staging in ``repro.runtime``): the caller must append rows that keep
+        the class invariant (start-sorted, start >= previous end) and finish
+        with :meth:`sync_clock`.
         """
         return self._labels, self._starts, self._ends, self._kinds
 

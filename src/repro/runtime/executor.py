@@ -19,14 +19,17 @@ run.  This is where FlashMem's memory savings come from — they are
 *measured* off the timeline, not asserted.
 
 **Hot path.**  Kernel latencies come from one vectorized pricing table per
-(bundle, device) — see :mod:`repro.gpusim.pricing` — and the passes run
-through the shared segment core (:mod:`repro.runtime.segment`), which
-replays steady-state passes exactly instead of re-simulating them.
+(bundle, device) — see :mod:`repro.gpusim.pricing`.  The set W is staged
+as columns, and the passes run through the shared segment core
+(:mod:`repro.runtime.segment`), which replays steady-state passes exactly
+instead of re-simulating them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.graph.dag import Graph
 from repro.gpusim.device import DeviceProfile
@@ -36,7 +39,13 @@ from repro.kernels.codegen import ExecStyle, KernelBundle
 from repro.kernels.rewriter import KernelRewriter
 from repro.opg.plan import KvResidencyPlan, OverlapPlan
 from repro.runtime.scenario import Scenario
-from repro.runtime.segment import WINOGRAD_BW_FACTOR, SegmentCore, attention_index
+from repro.runtime.segment import (
+    WINOGRAD_BW_FACTOR,
+    SegmentCore,
+    attention_index,
+    stage_weights,
+    weight_columns,
+)
 
 #: Resident process baseline (runtime code, GPU driver arenas), MB.
 FLASHMEM_BASELINE_MB = 80.0
@@ -132,24 +141,18 @@ class FlashMemExecutor:
         sim.alloc_um("process_baseline", int(FLASHMEM_BASELINE_MB * 1e6), 0.0)
         setup_start, setup_end = gpu.submit_fast("gpu_setup", device.gpu_setup_ms, kind="setup")
         sim.phases.setup = setup_end - setup_start
-        for name in plan.preloaded_weights:
-            nbytes, tex_bytes, expansion = core.weights[name]
-            _, load_end = io.submit_fast(
-                f"preload:{name}", device.disk_latency_ms + nbytes / device.disk_bw, kind="load"
-            )
-            sim.alloc_um(name, nbytes, load_end)
-            bw = device.tm_upload_bw * (WINOGRAD_BW_FACTOR if expansion > 1.0 else 1.0)
-            xform_start, xform_end = gpu.submit_fast(
-                f"transform:{name}",
-                device.kernel_launch_ms + nbytes / bw,
-                load_end,
-                "transform",
-            )
-            if expansion > 1.0:
-                sim.alloc_um(f"{name}.winograd", int(nbytes * (expansion - 1.0)), xform_start)
-                sim.free_um(f"{name}.winograd", xform_end)
-            sim.alloc_tm(name + ".tex", tex_bytes, xform_end)
-            sim.free_um(name, xform_end)
+        weights = weight_columns(core.weights, plan.preloaded_weights)
+        nbytes = weights.nbytes
+        bw = device.tm_upload_bw * np.where(weights.expansion > 1.0, WINOGRAD_BW_FACTOR, 1.0)
+        stage_weights(
+            sim,
+            weights,
+            device.disk_latency_ms + nbytes / device.disk_bw,
+            device.kernel_launch_ms + nbytes / bw,
+            um_bytes=nbytes,
+            free_um=True,
+            load_label="preload:",
+        )
         sim.phases.load = io.busy_time_ms(kind="load")
         sim.phases.transform = gpu.busy_time_ms(kind="transform")
         return sim.queues.makespan_ms
@@ -197,10 +200,10 @@ class FlashMemExecutor:
         1000-token decode simulates a few tokens per segment.
         """
         context_len, tokens = scenario.context_len, scenario.tokens
-        deltas_append = core.sim.raw_deltas().append
+        sim = core.sim
         initial_kv = kv_plan.resident_bytes_at(context_len) if context_len > 0 else 0
         if initial_kv:
-            deltas_append((preload_end_ms, initial_kv, 0))
+            sim.log_memory([preload_end_ms], [initial_kv])
         breaks = kv_plan.breakpoints(context_len, tokens)
         core.run_decode(
             attention_index(graph, core.nodes),
@@ -212,14 +215,14 @@ class FlashMemExecutor:
             texture=kv_plan.texture,
             cap_tokens=kv_plan.resident_tiles * kv_plan.tile_tokens,
         )
-        end = core.sim.queues.makespan_ms
-        # Close out the resident KV: raw deltas are not pool-tracked, so
+        end = sim.queues.makespan_ms
+        # Close out the resident KV: its rows are not pool-tracked, so
         # ``free_all`` cannot see them.  Everything the initial grant plus
         # the per-token growth left outstanding is exactly the capped
         # residency at the final context.
         final_kv = kv_plan.resident_bytes_at(context_len + tokens)
         if final_kv:
-            deltas_append((end, -final_kv, 0))
+            sim.log_memory([end], [-final_kv])
         decode_ms = end - preload_end_ms
         return {
             "tokens": float(tokens),

@@ -4,7 +4,9 @@ Implements the strategy every existing framework uses (paper §1): load the
 whole model disk -> unified memory, transform every weight into texture
 memory with dedicated kernels, then run inference with all weights resident.
 Latency and memory come out of the shared simulator mechanically; the
-framework profile only sets throughput/copy characteristics.  With every
+framework profile only sets throughput/copy characteristics.  Init stages
+every weight through the segment core's :func:`~repro.runtime.segment.stage_weights`
+(the same columnar routine FlashMem preloads its set W with).  With every
 weight resident, execution is a pure-compute pass through the shared
 segment core (:mod:`repro.runtime.segment`), which replays steady-state
 passes and decode tokens exactly.
@@ -21,7 +23,13 @@ from repro.gpusim.engine import Simulation
 from repro.gpusim import pricing
 from repro.runtime.frameworks import FrameworkProfile
 from repro.runtime.scenario import Scenario
-from repro.runtime.segment import SegmentCore, attention_index, weight_rows
+from repro.runtime.segment import (
+    SegmentCore,
+    attention_index,
+    stage_weights,
+    weight_columns,
+    weight_rows,
+)
 
 
 class ModelNotSupportedError(Exception):
@@ -100,28 +108,23 @@ class PreloadExecutor:
         staging_factor = 2 if profile.fp32_staging else 1
         load_bw = device.disk_bw * profile.load_bw_factor
         transform_bw = device.tm_upload_bw * profile.transform_bw_factor
-        free_after_transform = not profile.keep_um_copy and not profile.free_um_at_init_end
         rows = weight_rows(graph)
-        for name, (nbytes, tex_bytes, expansion) in rows.items():
-            _, load_end = io.submit_fast(
-                f"load:{name}", device.disk_latency_ms + nbytes / load_bw, kind="load"
+        weights = weight_columns(rows, list(rows))
+        nbytes = weights.nbytes
+        transform_ms = None
+        if profile.uses_texture:
+            transform_ms = (
+                device.kernel_launch_ms + profile.per_tensor_transform_ms + nbytes / transform_bw
             )
-            sim.alloc_um(name, nbytes * staging_factor, load_end)
-            if profile.uses_texture:
-                transform_time = (
-                    device.kernel_launch_ms + profile.per_tensor_transform_ms + nbytes / transform_bw
-                )
-                xform_start, xform_end = gpu.submit_fast(
-                    f"transform:{name}", transform_time, load_end, "transform"
-                )
-                if expansion > 1.0:
-                    # Winograd scratch lives only during the transform.
-                    scratch = int(nbytes * (expansion - 1.0))
-                    sim.alloc_um(f"{name}.winograd", scratch, xform_start)
-                    sim.free_um(f"{name}.winograd", xform_end)
-                sim.alloc_tm(name + ".tex", tex_bytes, xform_end)
-                if free_after_transform:
-                    sim.free_um(name, xform_end)
+        stage_weights(
+            sim,
+            weights,
+            device.disk_latency_ms + nbytes / load_bw,
+            transform_ms,
+            um_bytes=nbytes * staging_factor,
+            free_um=not profile.keep_um_copy and not profile.free_um_at_init_end,
+            load_label="load:",
+        )
         # The mapped file coexists with the last tensor copied out of it for
         # an instant — a genuine double-residency transient (Table 1's ~3x
         # init peaks), not an exchange, so the free integrates after the
@@ -129,9 +132,9 @@ class PreloadExecutor:
         sim.free_um("model_file_buffer", io.free_at, after_allocs=True)
         init_end = sim.queues.makespan_ms
         if profile.free_um_at_init_end and not profile.keep_um_copy:
+            # Staging kept every UM copy live for this batch free.
             for name in rows:
-                if sim.um.contains(name):
-                    sim.free_um(name, init_end)
+                sim.free_um(name, init_end)
         sim.phases.load = io.busy_time_ms(kind="load")
         sim.phases.transform = gpu.busy_time_ms(kind="transform")
 
@@ -186,9 +189,9 @@ class PreloadExecutor:
         tile = tiles.pop()
         context_len, tokens = scenario.context_len, scenario.tokens
         token_bytes = graph.kv_bytes_per_token()
-        deltas_append = core.sim.raw_deltas().append
+        sim = core.sim
         if context_len > 0:
-            deltas_append((init_end, context_len * token_bytes, 0))
+            sim.log_memory([init_end], [context_len * token_bytes])
         # Per-token cost only changes when the cache crosses a tile boundary
         # (all tiles are priced full): token t opens a new tile exactly when
         # context_len + t is a multiple of the tile size.
@@ -203,10 +206,10 @@ class PreloadExecutor:
             texture=False,
             efficiency=self.profile.exec_efficiency,
         )
-        end = core.sim.queues.makespan_ms
+        end = sim.queues.makespan_ms
         total_kv = (context_len + tokens) * token_bytes
         if total_kv:
-            deltas_append((end, -total_kv, 0))
+            sim.log_memory([end], [-total_kv])
         decode_ms = end - init_end
         return {
             "tokens": float(tokens),

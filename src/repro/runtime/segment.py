@@ -1,4 +1,4 @@
-"""The segment core: one per-node pass and one columnar replay.
+"""The segment core: weight staging, one per-node pass and one columnar replay.
 
 Every executor path simulates *segments*: runs of consecutive passes over
 the graph whose simulation is a pure function of the clock offset.
@@ -8,23 +8,32 @@ the graph whose simulation is a pure function of the clock offset.
   attention-tile interval: all tiles are priced full, so a token's cost
   only changes when the KV cache crosses a tile boundary.
 
+Before the first segment, :func:`stage_weights` loads and transforms the
+weights an executor keeps resident (FlashMem's preloaded set W, or every
+weight of a preloading baseline) as columns: one accumulate for the IO
+queue, one loop over floats for the GPU's ``max`` rule, then queue rows,
+busy totals, memory rows and pool registrations in bulk.
+
 :meth:`SegmentCore.run_segment` replays every pass of a pure-compute
 segment (no streaming index: the preloading baselines, or a FlashMem plan
 that preloads every weight) from a trace built from its durations and KV
-appends.  A streaming segment simulates three passes node by node and
-records passes 2 and 3 (a run's first pass also loads and transforms
-dedicated conv weights); when the two traces match and are alloc/free
-balanced, the remaining passes replay.  :meth:`SegmentCore._replay` steps
-in Python only through a trace's event points (disk loads, kernels waiting
-on a loaded chunk, OPG-only transforms), each with its own ``max`` rule
-and stall accounting.  Each run of dependency-free kernels between them is
-one ``np.add.accumulate`` (the sequential left fold, unlike ``np.sum``)
-into an end-time column, from which the accumulators (by the same folds),
-queue rows and memory deltas follow.  ``RunResult``s are byte-identical to
-simulating every pass (``tests/runtime/test_extrapolation_equivalence.py``
-and ``test_decode_equivalence.py`` swap in the every-pass reference from
-``tests/oracles/sim.py``; ``test_replay_core.py`` checks random traces
-against the scalar replay loop there).
+appends.  A streaming segment records one pass node by node — its first,
+or pass 1 when it starts at pass 0, the only pass that loads and
+transforms dedicated conv weights — and, when that pass is alloc/free
+balanced, replays the rest from its trace: every pass after pass 0 records
+the same trace (``test_replay_core.py`` checks it over the model zoo).
+:meth:`SegmentCore._replay` steps in Python only through a trace's event
+points (disk loads, kernels waiting on a loaded chunk, OPG-only
+transforms), each with its own ``max`` rule and stall accounting.  Each
+run of dependency-free kernels between them is one ``np.add.accumulate``
+(the sequential left fold, unlike ``np.sum``) into an end-time column,
+from which the accumulators (by the same folds), queue rows and memory
+rows follow, the last as whole columns of the delta log.  ``RunResult``s
+are byte-identical to simulating every pass and staging every weight on
+its own (``tests/runtime/test_extrapolation_equivalence.py``,
+``test_decode_equivalence.py`` and ``test_staging.py`` swap in the
+references from ``tests/oracles/sim.py``; ``test_replay_core.py`` checks
+random traces against the scalar replay loop there).
 """
 
 from __future__ import annotations
@@ -153,15 +162,16 @@ def stream_index(graph: Graph, plan: OverlapPlan) -> tuple:
 
 def _columns(trace: tuple) -> tuple:
     """A :meth:`SegmentCore._pass` trace as :meth:`SegmentCore._replay`'s
-    ``(durations, events, load_bytes, deltas)``.
+    ``(durations, events, load_bytes, (delta_at, delta_bytes))``.
 
     GPU instructions (kernels, OPG-only transforms) are numbered in submit
     order.  An event ``(g, opcode, operand, duration)`` is a load of slot
     ``operand`` issued after the pass's first ``g`` GPU instructions, or
     instruction ``g``: a kernel waiting on slots ``operand`` or a transform
-    waiting on one.  ``deltas`` holds each instruction's ``(g, amounts)``.
+    waiting on one.  Memory delta ``j`` of a pass, ``delta_bytes[j]``,
+    lands as GPU instruction ``delta_at[j]`` ends.
     """
-    durations, events, load_bytes, deltas = [], [], [], []
+    durations, events, load_bytes, delta_at, delta_bytes = [], [], [], [], []
     for ins in trace:
         g, code = len(durations), ins[0]
         if code != _OP_EXEC:
@@ -174,19 +184,112 @@ def _columns(trace: tuple) -> tuple:
         _, dur, nb_slots, seg_ops, tex_frees, _suffix = ins
         if nb_slots:
             events.append((g, code, nb_slots, dur))
-        amounts = []
         for seg_bytes, um_freed in seg_ops:
-            amounts += (seg_bytes, -um_freed) if um_freed else (seg_bytes,)
-        amounts += [-size for size in tex_frees]
-        if amounts:
-            deltas.append((g, amounts))
+            delta_bytes += (seg_bytes, -um_freed) if um_freed else (seg_bytes,)
+        delta_bytes += [-size for size in tex_frees]
+        delta_at += [g] * (len(delta_bytes) - len(delta_at))
         durations.append(dur)
-    return np.array(durations, dtype=np.float64), events, load_bytes, deltas
+    return (np.array(durations, dtype=np.float64), events, load_bytes,
+            (delta_at, delta_bytes))
 
 
 def _fold(seed: float, values: np.ndarray) -> float:
     """``seed + values[0] + values[1] + ...`` as the strict left fold."""
     return float(np.add.accumulate(np.concatenate(([seed], values)))[-1])
+
+
+class WeightColumns(NamedTuple):
+    """Weights in submit order: names plus their :func:`weight_rows`
+    fields as columns."""
+
+    names: List[str]
+    nbytes: np.ndarray
+    tex_bytes: np.ndarray
+    expansion: np.ndarray
+
+
+def weight_columns(rows: Dict[str, Tuple[int, int, float]], names: List[str]) -> WeightColumns:
+    """The :func:`weight_rows` entries of ``names`` as columns."""
+    picked = [rows[name] for name in names]
+    nbytes, tex_bytes, expansion = zip(*picked) if picked else ((), (), ())
+    return WeightColumns(names, np.array(nbytes, dtype=np.int64),
+                         np.array(tex_bytes, dtype=np.int64),
+                         np.array(expansion, dtype=np.float64))
+
+
+def stage_weights(
+    sim: Simulation,
+    weights: WeightColumns,
+    load_ms: np.ndarray,
+    transform_ms: Optional[np.ndarray],
+    *,
+    um_bytes: np.ndarray,
+    free_um: bool,
+    load_label: str,
+) -> None:
+    """Stage ``weights`` before execution starts: one disk -> UM load each
+    on the IO queue and, given ``transform_ms``, one UM -> texture transform
+    each on the GPU queue, with the rows and allocations that as many
+    ``submit_fast``, ``alloc_*`` and ``free_*`` calls would leave, added as
+    columns.
+
+    Loads wait on nothing, so they run back to back: their ends are one
+    ``np.add.accumulate``.  Transform ``i`` starts at the later of the GPU
+    clock and load ``i``'s end (the queue's ``max`` rule, one loop over
+    floats).  Weight ``i``'s UM copy (``um_bytes[i]``) appears as its load
+    ends; a Winograd weight (expansion > 1) holds ``nbytes * (expansion -
+    1)`` bytes of scratch from its transform's start to its end, when its
+    texture copy appears and, with ``free_um``, its UM copy goes.  Copies
+    that stay live register in the pools in one update per pool; scratch,
+    and a UM copy freed here, never reach them.
+    """
+    names = weights.names
+    if not names:
+        return
+    io, gpu = sim.queues.io, sim.queues.gpu
+    clock = np.add.accumulate(np.concatenate(([max(io.free_at, 0.0)], load_ms)))
+    load_ends = clock[1:]
+    _submit_rows(io, [f"{load_label}{name}" for name in names], clock[:-1], load_ends, "load")
+    times, amounts = [load_ends], [um_bytes]
+    if transform_ms is None:
+        sim.um.allocate_many(names, um_bytes.tolist())
+    else:
+        free = gpu.free_at
+        starts = []
+        for ready, duration in zip(load_ends.tolist(), transform_ms.tolist()):
+            start = ready if ready > free else free
+            starts.append(start)
+            free = start + duration
+        xform_starts = np.array(starts, dtype=np.float64)
+        xform_ends = xform_starts + transform_ms
+        _submit_rows(gpu, [f"transform:{name}" for name in names], xform_starts, xform_ends,
+                     "transform")
+        winograd = weights.expansion > 1.0
+        scratch = (weights.nbytes[winograd] * (weights.expansion[winograd] - 1.0)).astype(np.int64)
+        times += [xform_starts[winograd], xform_ends[winograd], xform_ends]
+        amounts += [scratch, -scratch, weights.tex_bytes]
+        sim.tm.allocate_many([name + ".tex" for name in names], weights.tex_bytes.tolist())
+        if free_um:
+            times.append(xform_ends)
+            amounts.append(-um_bytes)
+        else:
+            sim.um.allocate_many(names, um_bytes.tolist())
+    sim.log_memory(np.concatenate(times), np.concatenate(amounts))
+
+
+def _submit_rows(queue, labels: List[str], starts: np.ndarray, ends: np.ndarray,
+                 kind: str) -> None:
+    """Append one ``kind`` row per ``(starts[i], ends[i])`` to the in-order
+    ``queue`` and fold their busy times into its totals in submit order."""
+    _, busy_total, by_kind = queue.clock_state()
+    busies = ends - starts
+    by_kind[kind] = _fold(by_kind.get(kind, 0.0), busies)
+    queue.sync_clock(float(ends[-1]), _fold(busy_total, busies), by_kind)
+    label_col, start_col, end_col, kind_col = queue.replay_columns()
+    label_col.extend(labels)
+    start_col.frombytes(starts.tobytes())
+    end_col.frombytes(ends.tobytes())
+    kind_col.extend(repeat(kind, len(labels)))
 
 
 class SegmentCore:
@@ -247,34 +350,31 @@ class SegmentCore:
         ``tag_prefix`` plus the pass index labels each pass's events;
         ``kv_append`` maps node positions to bytes appended to the resident
         KV cache at that kernel's completion.  A pure-compute segment
-        replays every pass; a streaming one records passes ``start+1`` and
-        ``start+2``, and when their traces match the rest replay.
+        replays every pass.  A streaming one records pass ``start`` (pass 1
+        when ``start`` is 0: only pass 0 runs the dedicated Winograd
+        transforms) and replays the rest from its trace, unless the
+        recorded pass is not alloc/free balanced.
         """
         if not self.streaming:
             if end > start:
                 durs = np.array(durations, dtype=np.float64)
                 if (durs < 0).any():
                     raise ValueError("duration must be non-negative")
-                appends = [(pos, (kvd,)) for pos, kvd in kv_append.items()]
+                appends = (list(kv_append), list(kv_append.values()))
                 self.replayed += end - start
                 self._replay((durs, (), [], appends), start, end, tag_prefix)
             return
-        record = end - start > 3
+        record = start + 1 if start == 0 else start
         self._slots = {}
-        traces = []
+        trace = None
         k = start
-        while k < end:
-            recording = record and k - start in (1, 2)
+        while k < end and trace is None:
+            recording = k == record and k + 1 < end
             trace = self._pass(k, f"{tag_prefix}{k}:", durations, kv_append, recording)
             k += 1
-            if recording:
-                traces.append(trace)
-                if len(traces) == 2:
-                    if traces[0] is not None and traces[0] == traces[1]:
-                        break
         if k < end:
             self.replayed += end - k
-            self._replay(_columns(traces[1]), k, end, tag_prefix)
+            self._replay(_columns(trace), k, end, tag_prefix)
 
     def run_decode(
         self,
@@ -355,11 +455,16 @@ class SegmentCore:
 
         When ``recording``, returns the pass's instruction trace, or None
         if the pass is not alloc/free balanced (and so cannot replay).
+        Allocations and frees go through the pools one by one; their
+        delta-log rows collect in two lists and go in as columns at the
+        end.
         """
         sim = self.sim
         device = sim.device
         io, gpu = sim.queues.io, sim.queues.gpu
-        deltas_append = sim.raw_deltas().append
+        um, tm = sim.um, sim.tm
+        times: List[float] = []
+        amounts: List[int] = []
         loads_by_layer, chunks_by_layer = self.loads_by_layer, self.chunks_by_layer
         dedicated, weight_nbytes = self.dedicated, self.weight_nbytes
         consumers, rewriting = self.consumers, self.rewriting
@@ -382,7 +487,9 @@ class SegmentCore:
                 load_dur = self.stream_load_ms[name]
                 _, load_end = io.submit_fast(f"{tag}load:{name}", load_dur, gpu.free_at, "load")
                 um_ready[name] = load_end
-                sim.alloc_um(tag + name, nbytes, load_end)
+                um.allocate(tag + name, nbytes)
+                times.append(load_end)
+                amounts.append(nbytes)
                 if recording:
                     trace.append((_OP_LOAD, self._slot(name), load_dur, nbytes, f"load:{name}"))
                     alloc_names.add(tag + name)
@@ -403,11 +510,13 @@ class SegmentCore:
                         "transform",
                     )
                     if expansion > 1.0:
+                        # Scratch lives only during the transform.
                         scratch = int(nbytes * (expansion - 1.0))
-                        sim.alloc_um(f"{tag}{name}.winograd", scratch, xform_start)
-                        sim.free_um(f"{tag}{name}.winograd", xform_end)
-                    sim.alloc_tm(f"{tag}{name}.tex", tex_bytes, xform_end)
-                    sim.free_um(f"{tag}{name}", xform_end)
+                        times += (xform_start, xform_end)
+                        amounts += (scratch, -scratch)
+                    tm.allocate(f"{tag}{name}.tex", tex_bytes)
+                    times += (xform_end, xform_end)
+                    amounts += (tex_bytes, -um.free(f"{tag}{name}"))
 
             # 3) The layer's transform chunks.
             chunks = chunks_by_layer.get(idx, ())
@@ -449,12 +558,15 @@ class SegmentCore:
             #    finishes; the UM copy frees after the last chunk.
             seg_ops: Optional[list] = [] if recording else None
             for chunk_weight, chunk_bytes in chunks:
-                sim.alloc_tm(f"{tag}{chunk_weight}.tex.{idx}", chunk_bytes, end)
+                tm.allocate(f"{tag}{chunk_weight}.tex.{idx}", chunk_bytes)
+                times.append(end)
+                amounts.append(chunk_bytes)
                 total_transformed = transformed.get(chunk_weight, 0) + chunk_bytes
                 transformed[chunk_weight] = total_transformed
                 um_freed = 0
                 if total_transformed >= self.sched_nbytes[chunk_weight]:
-                    sim.free_um(tag + chunk_weight, end)
+                    times.append(end)
+                    amounts.append(-um.free(tag + chunk_weight))
                     um_freed = weight_nbytes[chunk_weight]
                 if recording:
                     alloc_names.add(f"{tag}{chunk_weight}.tex.{idx}")
@@ -463,12 +575,13 @@ class SegmentCore:
                     seg_ops.append((chunk_bytes, um_freed))
 
             # KV growth: one appended row pair per cache, applied at the
-            # append kernel's completion.  Raw deltas bypass the pools; the
+            # append kernel's completion.  The rows bypass the pools; the
             # replay re-applies them from the trace (they ride in seg_ops,
             # whose replay form is identical).
             kvd = kv_append.get(pos)
             if kvd is not None:
-                deltas_append((end, kvd, 0))
+                times.append(end)
+                amounts.append(kvd)
                 if recording:
                     seg_ops.append((kvd, 0))
 
@@ -479,7 +592,8 @@ class SegmentCore:
             #    less memory, paper §5.2).
             consumed = consumers[pos]
             for wname, seg_layer, _size in consumed:
-                sim.free_tm(f"{tag}{wname}.tex.{seg_layer}", end)
+                times.append(end)
+                amounts.append(-tm.free(f"{tag}{wname}.tex.{seg_layer}"))
                 if recording:
                     free_names.add(f"{tag}{wname}.tex.{seg_layer}")
 
@@ -495,6 +609,7 @@ class SegmentCore:
                     )
                 )
         self.exec_total, self.stall_total = exec_total, stall_total
+        sim.log_memory(times, amounts)
         if recording and alloc_names == free_names:
             return tuple(trace)
         return None
@@ -514,7 +629,7 @@ class SegmentCore:
         dependency-free run accumulates in place from the end before it,
         and an event reads the clock at its own position, ``ends[k]``.
         """
-        durations, events, load_bytes, deltas = trace
+        durations, events, load_bytes, (delta_at, delta_bytes) = trace
         n = len(durations)
         total = (iterations - start_it) * n
         if not total:
@@ -576,7 +691,8 @@ class SegmentCore:
         busies = gpu_ends - gpu_starts
         xform = np.zeros(n, dtype=bool)
         xform[[g for g, code, _, _ in events if code == _OP_XFORM]] = True
-        xforms = np.tile(xform, total // n)
+        passes = total // n
+        xforms = np.tile(xform, passes)
         compute = busies[~xforms] if xform.any() else busies
         self.exec_total = _fold(self.exec_total, compute)
         gpu_kinds["compute"] = _fold(gpu_kinds.get("compute", 0.0), compute)
@@ -584,14 +700,11 @@ class SegmentCore:
             gpu_kinds["transform"] = _fold(gpu_kinds.get("transform", 0.0), busies[xforms])
         gpu.sync_clock(cells[total], _fold(gpu_busy, busies), gpu_kinds)
         _append_spans(gpu, label, gpu_starts, gpu_ends, xforms, ("compute", "transform"))
-        log = sim.raw_deltas()
-        by_pass = gpu_ends.reshape(-1, n)
-        for g, amounts in deltas:
-            times = by_pass[:, g].tolist()
-            for amount in amounts:
-                log.extend(zip(times, repeat(amount), repeat(0)))
+        if delta_at:
+            sim.log_memory(gpu_ends.reshape(passes, n)[:, delta_at].ravel(),
+                           np.tile(np.array(delta_bytes, dtype=np.int64), passes))
         if load_ends:
-            log.extend(zip(load_ends, load_bytes * (total // n), repeat(0)))
+            sim.log_memory(load_ends, load_bytes * passes)
             starts, stops = np.array(load_starts), np.array(load_ends)
             busy = stops - starts
             io_kinds["load"] = _fold(io_kinds.get("load", 0.0), busy)

@@ -130,7 +130,7 @@ class TestMemoryTimeline:
 
     def test_negative_memory_rejected(self):
         sim = Simulation(oneplus_12(), model="m", runtime="r")
-        sim.raw_deltas().append((0.0, -5, 0))
+        sim.log_memory([0.0], [-5])
         with pytest.raises(ValueError):
             sim.build_timeline()
 

@@ -28,6 +28,12 @@ looks up at call time:
     replay_reference(core, trace, start_it, iterations, tag_prefix)
     # vs core._replay(segment._columns(trace), start_it, iterations, tag_prefix)
 
+- staging weights one at a time instead of as columns, in
+  ``repro.runtime``'s executors::
+
+    monkeypatch.setattr(FlashMemExecutor, "_preload", preload_every_weight)
+    monkeypatch.setattr(PreloadExecutor, "_init", init_every_weight)
+
 - the exact-split GBT regime::
 
     monkeypatch.setattr(GradientBoostedTrees, "fit", fit_exact)
@@ -61,8 +67,10 @@ from tests.oracles.sim import (
     average_bytes_reference,
     busy_intervals_reference,
     flash_attention_time_ms,
+    init_every_weight,
     kernel_program_time_ms,
     peak_bytes_reference,
+    preload_every_weight,
     replay_reference,
     run_segment_every_pass,
     scalar_flash_attention_time_table,
@@ -90,8 +98,10 @@ __all__ = [
     "average_bytes_reference",
     "busy_intervals_reference",
     "flash_attention_time_ms",
+    "init_every_weight",
     "kernel_program_time_ms",
     "peak_bytes_reference",
+    "preload_every_weight",
     "replay_reference",
     "run_segment_every_pass",
     "scalar_flash_attention_time_table",

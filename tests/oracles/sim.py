@@ -18,6 +18,13 @@ The executors' fast paths must reproduce these bit for bit:
   ``SegmentCore.run_segment``.
 - :func:`replay_reference` — the scalar replay loop, one instruction at a
   time; the columnar :meth:`SegmentCore._replay` must match it bit for bit.
+- :func:`preload_every_weight` and :func:`init_every_weight` — FlashMem's
+  preload of its set W and a preloading baseline's init, one weight at a
+  time through ``submit_fast`` and the pool-checked ``alloc_*``/``free_*``
+  calls.  Swapped in for ``FlashMemExecutor._preload`` and
+  ``PreloadExecutor._init``; the shared columnar
+  :func:`~repro.runtime.segment.stage_weights` must leave the same queue
+  columns, busy totals, live pool maps and timeline.
 - :func:`busy_intervals_reference` — merges any event list by sorting;
   :meth:`CommandQueue.busy_intervals` must return the identical list.
 - :func:`peak_bytes_reference`, :func:`usage_at_reference` and
@@ -26,7 +33,7 @@ The executors' fast paths must reproduce these bit for bit:
   kept columns.  :class:`~repro.gpusim.timeline.MemoryTimeline`'s numpy
   queries must return the identical ``int``/``float``.
 
-The executors look all three swapped names up at call time, so a
+The executors look every swapped name up at call time, so a
 ``monkeypatch.setattr`` of the module or class attribute is the seam.
 """
 
@@ -45,6 +52,7 @@ from repro.gpusim.kernels import (
 from repro.graph.ops import OpClass
 from repro.kernels.codegen import ExecStyle
 from repro.runtime import segment
+from repro.runtime.executor import FLASHMEM_BASELINE_MB
 
 
 class _RowOp(NamedTuple):
@@ -181,7 +189,7 @@ def replay_reference(core, trace, start_it, iterations, tag_prefix) -> None:
     io_load = io_kind_tot.get("load", 0.0)
     gpu_compute = gpu_kind_tot.get("compute", 0.0)
     gpu_transform = gpu_kind_tot.get("transform", 0.0)
-    deltas_append = sim.raw_deltas().append
+    mem_times, mem_amounts = [], []
 
     for rep_it in range(start_it, iterations):
         rtag = f"{tag_prefix}{rep_it}:"
@@ -211,11 +219,14 @@ def replay_reference(core, trace, start_it, iterations, tag_prefix) -> None:
                 gpu_ends.append(end)
                 gpu_kinds.append("compute")
                 for seg_bytes, um_freed in seg_ops:
-                    deltas_append((end, seg_bytes, 0))
+                    mem_times.append(end)
+                    mem_amounts.append(seg_bytes)
                     if um_freed:
-                        deltas_append((end, -um_freed, 0))
+                        mem_times.append(end)
+                        mem_amounts.append(-um_freed)
                 for size in tex_frees:
-                    deltas_append((end, -size, 0))
+                    mem_times.append(end)
+                    mem_amounts.append(-size)
             elif code == segment._OP_LOAD:
                 _, s, dur, nbytes, suffix = ins
                 start = io_free if io_free > gpu_free else gpu_free
@@ -229,7 +240,8 @@ def replay_reference(core, trace, start_it, iterations, tag_prefix) -> None:
                 io_ends.append(end)
                 io_kinds.append("load")
                 um_slot[s] = end
-                deltas_append((end, nbytes, 0))
+                mem_times.append(end)
+                mem_amounts.append(nbytes)
             else:  # _OP_XFORM
                 _, s, dur, suffix = ins
                 nb = um_slot[s]
@@ -250,6 +262,92 @@ def replay_reference(core, trace, start_it, iterations, tag_prefix) -> None:
     io.sync_clock(io_free, io_busy, io_kind_tot)
     gpu.sync_clock(gpu_free, gpu_busy, gpu_kind_tot)
     core.stall_total, core.exec_total = stall_total, exec_total
+    sim.log_memory(mem_times, mem_amounts)
+
+
+def preload_every_weight(executor, sim, plan, core) -> float:
+    """``FlashMemExecutor._preload``: GPU setup, then each weight of the
+    preloaded set W loaded and transformed on its own."""
+    device = executor.device
+    io, gpu = sim.queues.io, sim.queues.gpu
+    sim.alloc_um("process_baseline", int(FLASHMEM_BASELINE_MB * 1e6), 0.0)
+    setup_start, setup_end = gpu.submit_fast("gpu_setup", device.gpu_setup_ms, kind="setup")
+    sim.phases.setup = setup_end - setup_start
+    for name in plan.preloaded_weights:
+        nbytes, tex_bytes, expansion = core.weights[name]
+        _, load_end = io.submit_fast(
+            f"preload:{name}", device.disk_latency_ms + nbytes / device.disk_bw, kind="load"
+        )
+        sim.alloc_um(name, nbytes, load_end)
+        bw = device.tm_upload_bw * (segment.WINOGRAD_BW_FACTOR if expansion > 1.0 else 1.0)
+        xform_start, xform_end = gpu.submit_fast(
+            f"transform:{name}",
+            device.kernel_launch_ms + nbytes / bw,
+            load_end,
+            "transform",
+        )
+        if expansion > 1.0:
+            sim.alloc_um(f"{name}.winograd", int(nbytes * (expansion - 1.0)), xform_start)
+            sim.free_um(f"{name}.winograd", xform_end)
+        sim.alloc_tm(name + ".tex", tex_bytes, xform_end)
+        sim.free_um(name, xform_end)
+    sim.phases.load = io.busy_time_ms(kind="load")
+    sim.phases.transform = gpu.busy_time_ms(kind="transform")
+    return sim.queues.makespan_ms
+
+
+def init_every_weight(executor, sim, graph) -> float:
+    """``PreloadExecutor._init``: GPU setup, each weight loaded and
+    transformed on its own, and the runtime arena."""
+    profile, device = executor.profile, executor.device
+    io, gpu = sim.queues.io, sim.queues.gpu
+    sim.alloc_um("process_baseline", int(profile.baseline_mb * 1e6), 0.0)
+    setup_start, setup_end = gpu.submit_fast(
+        "gpu_setup", device.gpu_setup_ms * profile.setup_ms_factor, kind="setup"
+    )
+    sim.phases.setup = setup_end - setup_start
+    sim.alloc_um("model_file_buffer", graph.total_weight_bytes, setup_start)
+    staging_factor = 2 if profile.fp32_staging else 1
+    load_bw = device.disk_bw * profile.load_bw_factor
+    transform_bw = device.tm_upload_bw * profile.transform_bw_factor
+    free_after_transform = not profile.keep_um_copy and not profile.free_um_at_init_end
+    rows = segment.weight_rows(graph)
+    for name, (nbytes, tex_bytes, expansion) in rows.items():
+        _, load_end = io.submit_fast(
+            f"load:{name}", device.disk_latency_ms + nbytes / load_bw, kind="load"
+        )
+        sim.alloc_um(name, nbytes * staging_factor, load_end)
+        if profile.uses_texture:
+            transform_time = (
+                device.kernel_launch_ms + profile.per_tensor_transform_ms + nbytes / transform_bw
+            )
+            xform_start, xform_end = gpu.submit_fast(
+                f"transform:{name}", transform_time, load_end, "transform"
+            )
+            if expansion > 1.0:
+                scratch = int(nbytes * (expansion - 1.0))
+                sim.alloc_um(f"{name}.winograd", scratch, xform_start)
+                sim.free_um(f"{name}.winograd", xform_end)
+            sim.alloc_tm(name + ".tex", tex_bytes, xform_end)
+            if free_after_transform:
+                sim.free_um(name, xform_end)
+    sim.free_um("model_file_buffer", io.free_at, after_allocs=True)
+    init_end = sim.queues.makespan_ms
+    if profile.free_um_at_init_end and not profile.keep_um_copy:
+        for name in rows:
+            if name in sim.um.live_names():
+                sim.free_um(name, init_end)
+    sim.phases.load = io.busy_time_ms(kind="load")
+    sim.phases.transform = gpu.busy_time_ms(kind="transform")
+    overhead = int(
+        graph.total_weight_bytes * profile.mem_overhead_factor + profile.arena_fixed_mb * 1e6
+    )
+    activations = graph.peak_activation_bytes()
+    if profile.fp32_staging:
+        activations *= 2
+    arena_time = setup_end if profile.arena_at_start else init_end
+    sim.alloc_um("runtime_arena", overhead + activations, arena_time)
+    return init_end
 
 
 def busy_intervals_reference(events, kinds=None) -> List[Tuple[float, float]]:

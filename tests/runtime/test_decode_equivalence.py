@@ -1,8 +1,9 @@
 """Differential tests: decode steady-state replay is exact.
 
-The segment core simulates tokens 1-3 of each context-length segment,
-and — when tokens 2 and 3 produce matching instruction traces — replays
-the trace for the segment's remaining tokens.  As with prefill replay, the
+The segment core records one token of each context-length segment (its
+first, or token 1 in the segment that starts at token 0) as an
+instruction trace and replays it for the segment's remaining tokens; a
+pure-compute segment replays all of them.  As with prefill replay, the
 claim is byte-identity, not approximation: every ``RunResult`` field
 except the volatile wall-clock counters must agree with replay disabled,
 across the whole breakpoint structure (growing KV, the growing->capped

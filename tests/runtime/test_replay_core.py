@@ -7,7 +7,10 @@ OPG-only transforms) and every dependency-free run is one
 ``replay_reference`` (the one-instruction-at-a-time loop in
 ``tests/oracles/sim.py``) on two fresh simulations with the same random
 pre-state, and every clock, accumulator, busy interval, energy figure and
-timeline column must match to the last bit.  The streaming index memo is
+timeline column must match to the last bit.  ``run_segment`` records one
+pass per streaming segment, which is sound because every pass after pass
+0 records the same trace; that is checked over the model zoo, in both
+rewriting modes, and on a streamed decode.  The streaming index memo is
 checked against fresh indexes at the end.
 """
 
@@ -18,17 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capacity.model import analytic_capacity_model
+from repro.core.config import FlashMemConfig
+from repro.core.flashmem import FlashMem
 from repro.gpusim.device import get_device
 from repro.gpusim.energy import measure_energy
 from repro.gpusim.engine import Simulation
 from repro.graph.builder import GraphBuilder
-from repro.graph.models import load_model
+from repro.graph.models import EVALUATED_MODELS, load_decode_model, load_model
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
 from repro.runtime import segment
 from repro.runtime.executor import FlashMemExecutor
+from repro.runtime.scenario import Scenario
 from repro.runtime.segment import SegmentCore, build_stream_index, stream_index
 from tests.oracles import replay_reference, run_segment_every_pass
+from tests.runtime.identity import assert_results_identical, replay_on_off
 
 EXEC, LOAD, XFORM = segment._OP_EXEC, segment._OP_LOAD, segment._OP_XFORM
 SLOTS = 4
@@ -189,6 +196,90 @@ def test_pure_segment_replays_every_pass_in_one_row():
     assert len(sim.queues.gpu) == 2 and not len(sim.queues.io)  # set-up + one span
     with pytest.raises(ValueError, match="non-negative"):
         core.run_segment(6, 7, [-1.0] + durations[1:], "i")
+
+
+#: Passes recorded per check (after pass 0, or from a segment's start).
+RECORDED = 4
+
+
+def _recorded_traces(compiled, rewriting, start, kv_append=segment._NO_APPEND):
+    """Traces of ``RECORDED`` consecutive passes from ``start``, each
+    recorded as ``run_segment`` records one; pass 0 runs unrecorded first
+    when ``start`` is 0, as in a run's first segment."""
+    sim = Simulation(compiled.device, model=compiled.graph.name, runtime="FlashMem")
+    core = SegmentCore(sim, compiled.graph, compiled.plan, rewriting=rewriting)
+    durations = FlashMemExecutor(compiled.device)._durations(compiled.bundle, core.nodes)
+    if start == 0:
+        core._pass(0, "i0:", durations, kv_append, False)
+        start = 1
+    return [core._pass(k, f"i{k}:", durations, kv_append, True)
+            for k in range(start, start + RECORDED)]
+
+
+@pytest.fixture(scope="module")
+def zoo_plans():
+    """Default-ratio plans on Pixel 8 per zoo model, built on first use."""
+    fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=50)))
+    cache = {}
+
+    def compiled(model):
+        if model not in cache:
+            cache[model] = fm.compile(load_model(model), get_device("Pixel 8"))
+        return cache[model]
+
+    return compiled
+
+
+@pytest.mark.parametrize("rewriting", [True, False], ids=["rewriting", "opg-only"])
+@pytest.mark.parametrize("model", EVALUATED_MODELS)
+def test_every_pass_after_the_first_records_one_trace(zoo_plans, model, rewriting):
+    """For every k >= 1, pass k's trace equals pass k+1's, and it is
+    alloc/free balanced, so replaying the first recorded pass is exact."""
+    compiled = zoo_plans(model)
+    assert compiled.plan.streamed_weights
+    traces = _recorded_traces(compiled, rewriting, 0)
+    assert traces[0] is not None
+    assert all(trace == traces[0] for trace in traces[1:])
+
+
+@pytest.mark.parametrize("start", [0, 5])
+def test_streamed_decode_segment_records_one_trace(start):
+    """Decode segments with streamed weights and KV appends: from the
+    first segment (token 1 on) and from a later one (its first token on)."""
+    fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=50)))
+    compiled = fm.compile(load_decode_model("GPTN-S", context_len=256), DEVICE,
+                          target_preload_ratio=0.6)
+    assert compiled.plan.streamed_weights
+    appends = segment.attention_index(compiled.graph, list(compiled.graph.nodes())).append
+    traces = _recorded_traces(compiled, True, start, appends)
+    assert traces[0] is not None
+    assert all(trace == traces[0] for trace in traces[1:])
+    assert traces[0] == _recorded_traces(compiled, True, 0, appends)[0]
+
+
+def test_unbalanced_pass_is_never_replayed(monkeypatch, zoo_plans):
+    """A plan whose streamed weight never finishes transforming leaves its
+    UM copy live at the end of every pass: the recorded pass is not
+    alloc/free balanced, so every pass is simulated, and teardown frees
+    what the passes left."""
+    compiled = zoo_plans("GPTN-S")
+    plan = compiled.plan
+    name = next(n for n, s in plan.schedules.items()
+                if not s.preloaded and not s.dedicated_transform and len(s.transforms) > 1)
+    sched = plan.schedules[name]
+    short = dict(sched.transforms)
+    del short[max(short)]
+    schedules = dict(plan.schedules)
+    schedules[name] = dataclasses.replace(sched, transforms=short)
+    broken = dataclasses.replace(plan, schedules=schedules)
+    scenario = Scenario.prefill(5)
+    executor = FlashMemExecutor(compiled.device)
+    fast, full = replay_on_off(
+        monkeypatch, lambda: executor.run(compiled.graph, broken, compiled.bundle, scenario=scenario)
+    )
+    assert_results_identical(fast, full)
+    assert fast.details["replayed_iterations"] == 0
+    assert fast.memory.totals[-1] == 0
 
 
 def test_stream_index_memo_answers_for_its_graph_and_plan_only():

@@ -99,6 +99,30 @@ def test_decode_ab_quick(monkeypatch):
     assert full.details["replayed_tokens"] == 0
 
 
+def test_sim_ab_quick(monkeypatch, tmp_path):
+    """Simulation A/B in-process on one small scenario (ViT, 4 FlashMem
+    iterations): the bench's seed emulation, installed through
+    ``monkeypatch`` so it is undone, must simulate bitwise the fast path's
+    latency (the full bench times both sides in subprocesses; see
+    benchmarks/test_sim_throughput.py)."""
+    from repro.core.store import ArtifactStore, swap_store
+    from repro.experiments import common
+
+    bench = _load_bench_module(BENCH_DIR / "test_sim_throughput.py")
+    previous = swap_store(ArtifactStore(tmp_path))
+    common.clear_caches()
+    try:
+        one_pass, summarize = bench._scenario_multi_iter("ViT", 4)
+        fast = summarize(one_pass())
+        bench._install_seed_emulation(monkeypatch.setattr)
+        seed = summarize(one_pass())
+    finally:
+        swap_store(previous)
+        common.clear_caches()
+    assert fast["latency_ms"].hex() == seed["latency_ms"].hex()
+    assert fast["replayed_iterations"] == 2 and seed["replayed_iterations"] == 0
+
+
 def test_capacity_ab_quick(tmp_path):
     """Capacity pipeline A/B structure in-process at small scale: batched
     lockstep queries ≡ the sequential oracle, and a warm store-cached
