@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -126,23 +125,8 @@ class Trace:
         """Throttle state in force at ``time_ms`` ("nominal" outside windows).
 
         Windows are half-open [start, end); later windows win on overlap
-        (the governor's most recent decision).  The set of windows holding
-        a time only changes at a window's start or end, so the state is a
-        step function of time: a table of the sorted boundaries, each with
-        :meth:`_scan_state` at it, built once per trace, answers each query
-        with one ``bisect``.
+        (the governor's most recent decision).
         """
-        steps = self.__dict__.get("_steps")
-        if steps is None:
-            bounds = sorted({t for w in self.throttle for t in (w.start_ms, w.end_ms)})
-            steps = self.__dict__["_steps"] = (bounds, [self._scan_state(t) for t in bounds])
-        bounds, states = steps
-        i = bisect_right(bounds, time_ms)
-        return states[i - 1] if i else "nominal"
-
-    def _scan_state(self, time_ms: float) -> str:
-        """:meth:`state_at` by a scan of every window that starts by
-        ``time_ms``: the state of the last one still open then."""
         state = "nominal"
         for window in self.throttle:
             if window.start_ms > time_ms:

@@ -109,16 +109,14 @@ class Simulation:
     def free_tm(self, name: str, time_ms: float) -> None:
         self._row(time_ms, -self.tm.free(name))
 
-    def log_memory(self, times: Sequence[float], amounts: Sequence[int], *,
-                   after_allocs: bool = False) -> None:
-        """Append one delta-log row per ``(times[i], amounts[i])``, whole
-        columns at once.
+    def log_memory(self, times: Sequence[float], amounts: Sequence[int]) -> None:
+        """Append one rank-0 delta-log row per ``(times[i], amounts[i])``,
+        whole columns at once.
 
         The rows bypass the :class:`MemoryPool` bookkeeping, so the caller
         keeps them balanced: a replayed pass its recorded allocs and frees,
         weight staging its pool registrations, a decode its KV grant and
-        release.  ``after_allocs`` ranks every row as
-        :meth:`free_um`'s flag does.
+        release.
         """
         times = np.asarray(times, dtype=np.float64)
         amounts = np.asarray(amounts, dtype=np.int64)
@@ -126,7 +124,7 @@ class Simulation:
             raise ValueError("times and amounts must be columns of one length")
         self._times.frombytes(times.tobytes())
         self._amounts.frombytes(amounts.tobytes())
-        self._ranks.frombytes((b"\x01" if after_allocs else b"\x00") * len(times))
+        self._ranks.frombytes(bytes(len(times)))
 
     def free_all(self, time_ms: float) -> None:
         """Release every live allocation in both pools (model teardown),

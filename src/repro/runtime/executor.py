@@ -151,7 +151,6 @@ class FlashMemExecutor:
             device.kernel_launch_ms + nbytes / bw,
             um_bytes=nbytes,
             free_um=True,
-            load_label="preload:",
         )
         sim.phases.load = io.busy_time_ms(kind="load")
         sim.phases.transform = gpu.busy_time_ms(kind="transform")

@@ -123,7 +123,6 @@ class PreloadExecutor:
             transform_ms,
             um_bytes=nbytes * staging_factor,
             free_um=not profile.keep_um_copy and not profile.free_um_at_init_end,
-            load_label="load:",
         )
         # The mapped file coexists with the last tensor copied out of it for
         # an instant — a genuine double-residency transient (Table 1's ~3x

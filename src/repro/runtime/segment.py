@@ -225,13 +225,13 @@ def stage_weights(
     *,
     um_bytes: np.ndarray,
     free_um: bool,
-    load_label: str,
 ) -> None:
     """Stage ``weights`` before execution starts: one disk -> UM load each
     on the IO queue and, given ``transform_ms``, one UM -> texture transform
-    each on the GPU queue, with the rows and allocations that as many
-    ``submit_fast``, ``alloc_*`` and ``free_*`` calls would leave, added as
-    columns.
+    each on the GPU queue, with the clocks, busy totals, memory rows and
+    allocations that as many ``submit_fast``, ``alloc_*`` and ``free_*``
+    calls would leave, added as columns (queue rows as
+    :func:`_submit_spans` logs them).
 
     Loads wait on nothing, so they run back to back: their ends are one
     ``np.add.accumulate``.  Transform ``i`` starts at the later of the GPU
@@ -249,7 +249,7 @@ def stage_weights(
     io, gpu = sim.queues.io, sim.queues.gpu
     clock = np.add.accumulate(np.concatenate(([max(io.free_at, 0.0)], load_ms)))
     load_ends = clock[1:]
-    _submit_rows(io, [f"{load_label}{name}" for name in names], clock[:-1], load_ends, "load")
+    _submit_spans(io, "stage", clock[:-1], load_ends, "load")
     times, amounts = [load_ends], [um_bytes]
     if transform_ms is None:
         sim.um.allocate_many(names, um_bytes.tolist())
@@ -262,8 +262,7 @@ def stage_weights(
             free = start + duration
         xform_starts = np.array(starts, dtype=np.float64)
         xform_ends = xform_starts + transform_ms
-        _submit_rows(gpu, [f"transform:{name}" for name in names], xform_starts, xform_ends,
-                     "transform")
+        _submit_spans(gpu, "stage", xform_starts, xform_ends, "transform")
         winograd = weights.expansion > 1.0
         scratch = (weights.nbytes[winograd] * (weights.expansion[winograd] - 1.0)).astype(np.int64)
         times += [xform_starts[winograd], xform_ends[winograd], xform_ends]
@@ -275,21 +274,6 @@ def stage_weights(
         else:
             sim.um.allocate_many(names, um_bytes.tolist())
     sim.log_memory(np.concatenate(times), np.concatenate(amounts))
-
-
-def _submit_rows(queue, labels: List[str], starts: np.ndarray, ends: np.ndarray,
-                 kind: str) -> None:
-    """Append one ``kind`` row per ``(starts[i], ends[i])`` to the in-order
-    ``queue`` and fold their busy times into its totals in submit order."""
-    _, busy_total, by_kind = queue.clock_state()
-    busies = ends - starts
-    by_kind[kind] = _fold(by_kind.get(kind, 0.0), busies)
-    queue.sync_clock(float(ends[-1]), _fold(busy_total, busies), by_kind)
-    label_col, start_col, end_col, kind_col = queue.replay_columns()
-    label_col.extend(labels)
-    start_col.frombytes(starts.tobytes())
-    end_col.frombytes(ends.tobytes())
-    kind_col.extend(repeat(kind, len(labels)))
 
 
 class SegmentCore:
@@ -636,7 +620,7 @@ class SegmentCore:
             return
         sim = self.sim
         io, gpu = sim.queues.io, sim.queues.gpu
-        io_free, io_busy, io_kinds = io.clock_state()
+        io_free = io.free_at
         gpu_free, gpu_busy, gpu_kinds = gpu.clock_state()
         ends = np.empty(total + 1)
         ends[0] = gpu_free
@@ -705,11 +689,19 @@ class SegmentCore:
                            np.tile(np.array(delta_bytes, dtype=np.int64), passes))
         if load_ends:
             sim.log_memory(load_ends, load_bytes * passes)
-            starts, stops = np.array(load_starts), np.array(load_ends)
-            busy = stops - starts
-            io_kinds["load"] = _fold(io_kinds.get("load", 0.0), busy)
-            io.sync_clock(io_free, _fold(io_busy, busy), io_kinds)
-            _append_spans(io, label, starts, stops, np.zeros(len(busy), dtype=bool), ("load",))
+            _submit_spans(io, label, np.array(load_starts), np.array(load_ends), "load")
+
+
+def _submit_spans(queue, label: str, starts: np.ndarray, ends: np.ndarray, kind: str) -> None:
+    """Add ``kind`` work items running ``starts[i]..ends[i]`` to the
+    in-order ``queue`` as its ``submit_fast`` calls would: their busy times
+    fold into its totals in submit order and its clock moves to the last
+    end.  Rows are :func:`_append_spans`'s, labelled ``label``."""
+    _, busy_total, by_kind = queue.clock_state()
+    busies = ends - starts
+    by_kind[kind] = _fold(by_kind.get(kind, 0.0), busies)
+    queue.sync_clock(float(ends[-1]), _fold(busy_total, busies), by_kind)
+    _append_spans(queue, label, starts, ends, np.zeros(len(starts), dtype=bool), (kind,))
 
 
 def _append_spans(queue, label: str, starts: np.ndarray, ends: np.ndarray,

@@ -1,10 +1,6 @@
 """Tests for the seeded fleet trace generator and its JSON round trip."""
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.fleet.trace import (
     ThrottleWindow,
@@ -86,40 +82,6 @@ class TestStateAt:
         )
         assert trace.state_at(35.0) == "critical"
         assert trace.state_at(45.0) == "warm"
-
-
-# Small dyadic starts and lengths make windows share boundaries (one
-# starting exactly where another ends, two starting together); a length of
-# None is one ulp, so two boundaries can be adjacent floats.
-_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 8.0]),
-                   st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False))
-_windows = st.lists(
-    st.tuples(_times,
-              st.one_of(st.sampled_from([0.5, 1.0, 2.0, 5.0, None]), st.floats(1e-9, 50.0)),
-              st.sampled_from(sorted(THROTTLE_STATES))),
-    max_size=12,
-)
-
-
-@given(_windows, st.lists(_times, max_size=5))
-@settings(max_examples=300, deadline=None)
-def test_state_table_matches_scan_at_every_boundary(windows, extra):
-    """The bisected step table answers what a scan of every window does:
-    at each window boundary, one ulp either side of it, and elsewhere."""
-    ends = [math.nextafter(start, math.inf) if length is None else start + length
-            for start, length, _ in windows]
-    throttle = sorted(
-        (ThrottleWindow(start, end, state)
-         for (start, _, state), end in zip(windows, ends) if end > start),
-        key=lambda w: w.start_ms,
-    )
-    trace = Trace(name="t", seed=0, duration_ms=200.0, throttle=throttle)
-    probes = list(extra) + [-1.0, 1e9, -0.0]
-    for window in throttle:
-        for t in (window.start_ms, window.end_ms):
-            probes += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
-    for t in probes:
-        assert trace.state_at(t) == trace._scan_state(t), t
 
 
 class TestRoundTrip:

@@ -5,7 +5,8 @@ tie rank) that take whole columns at once, and ``build_timeline``
 lexsorts them on (time, rank, bytes).  So the integrated columns must be
 the same bits whatever order the rows were appended in, and whether they
 arrived one at a time or in bulk — including rows tied in time across
-both ranks, where the tie rule decides the order.
+both ranks, where the tie rule decides the order.  Bulk rows are rank 0;
+the one rank-1 row is an after-alloc ``free_um``.
 """
 
 import numpy as np
@@ -19,23 +20,32 @@ from repro.gpusim.engine import Simulation
 DEVICE = get_device("OnePlus 12")
 
 # Few distinct times, so most rows tie with others (across ranks too).
+_times = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 10.0))
+# ``(time, bytes, rank)``: a rank-0 row of any sign, or a rank-1 free of
+# ``bytes``.
 rows = st.lists(
-    st.tuples(
-        st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 10.0)),
-        st.integers(-1000, 1000),
-        st.integers(0, 1),
-    ),
+    st.one_of(st.tuples(_times, st.integers(-1000, 1000), st.just(0)),
+              st.tuples(_times, st.integers(0, 1000), st.just(1))),
     max_size=40,
 )
 
 
-def _timeline(appends):
-    """Columns after ``appends``: ``(times, amounts, rank)`` batches, with
-    a ballast row first so no order takes the total below zero."""
+def _timeline(log, appends):
+    """Columns after ``appends`` of ``log``'s rows: a list of index
+    batches, each logged as one rank-0 column, or single indices, each an
+    after-alloc ``free_um``.  A ballast row comes first, so no order takes
+    the total below zero, and each freed buffer is allocated with it."""
     sim = Simulation(DEVICE, model="m", runtime="r")
     sim.log_memory([-1.0], [10**9])
-    for times, amounts, rank in appends:
-        sim.log_memory(times, amounts, after_allocs=bool(rank))
+    for item in appends:
+        if not isinstance(item, list):
+            sim.alloc_um(f"b{item}", log[item][1], -1.0)
+    for item in appends:
+        if isinstance(item, list):
+            sim.log_memory(np.array([log[i][0] for i in item], dtype=np.float64),
+                           [log[i][1] for i in item])
+        else:
+            sim.free_um(f"b{item}", log[item][0], after_allocs=True)
     timeline = sim.build_timeline()
     return timeline.times.tobytes(), timeline.totals.tobytes()
 
@@ -43,19 +53,21 @@ def _timeline(appends):
 @given(rows, st.data())
 @settings(max_examples=200, deadline=None)
 def test_timeline_ignores_append_order_and_batching(log, data):
-    one_at_a_time = _timeline([([t], [n], rank) for t, n, rank in log])
-    shuffled = data.draw(st.permutations(log))
-    batches, i = [], 0
+    one_at_a_time = _timeline(log, [i if rank else [i] for i, (_, _, rank) in enumerate(log)])
+    shuffled = data.draw(st.permutations(range(len(log))))
+    appends, i = [], 0
     while i < len(shuffled):
         size = data.draw(st.integers(1, 8))
-        for rank in (0, 1):
-            chunk = [row for row in shuffled[i:i + size] if row[2] == rank]
-            batches.append((np.array([t for t, _, _ in chunk], dtype=np.float64),
-                            [n for _, n, _ in chunk], rank))
+        chunk = shuffled[i:i + size]
+        bulk = [j for j in chunk if not log[j][2]]
+        frees = [j for j in chunk if log[j][2]]
+        appends += [bulk] + frees if data.draw(st.booleans()) else frees + [bulk]
         i += size
-    assert _timeline(batches) == one_at_a_time
+    assert _timeline(log, appends) == one_at_a_time
     # The definition: rows sorted by (time, rank, bytes), then summed.
-    ordered = sorted([(-1.0, 0, 10**9)] + [(t, rank, n) for t, n, rank in log])
+    ordered = sorted([(-1.0, 0, 10**9)]
+                     + [(-1.0, 0, n) for _, n, rank in log if rank]
+                     + [(t, rank, -n if rank else n) for t, n, rank in log])
     times = np.array([0.0] + [t for t, _, _ in ordered])
     totals = np.cumsum([0] + [n for _, _, n in ordered], dtype=np.int64)
     assert one_at_a_time == (times.tobytes(), totals.tobytes())

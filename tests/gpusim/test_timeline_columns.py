@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import FlashMemConfig
 from repro.core.flashmem import FlashMem
-from repro.gpusim.device import get_device
 from repro.gpusim.timeline import MemoryTimeline
 from repro.graph.models import load_model
 from repro.opg.problem import OpgConfig
@@ -120,9 +119,9 @@ def fm():
 
 
 @pytest.fixture(scope="module")
-def compiled_models(fm):
+def compiled_models(session_compile):
     return {
-        (model, device): fm.compile(load_model(model), get_device(device))
+        (model, device): session_compile(model, device)
         for model in MODELS
         for device in DEVICES
     }

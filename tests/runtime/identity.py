@@ -4,7 +4,8 @@
 (decode) check that segment replay is exact: every ``RunResult`` field
 except the volatile wall-clock and replay counters must equal a run that
 simulates every pass (``tests/oracles/sim.py``), for FlashMem and for the
-MNN preloading baseline.
+MNN preloading baseline.  ``test_replay_core`` and ``test_staging`` compare
+queue rows as :func:`spans`.
 """
 
 import pytest
@@ -77,6 +78,19 @@ def tables_by_replay(monkeypatch, simulate):
         scalar_pricing(patch)
         results += replay_on_off(patch, simulate)
     return results
+
+
+def spans(rows):
+    """``(start, end, kind)`` rows merged into maximal same-kind runs that
+    each start the instant the one before ends: the rows a bulk path logs
+    (``segment._append_spans``) for one ``submit_fast`` row per item."""
+    merged = []
+    for start, end, kind in rows:
+        if merged and merged[-1][2] == kind and merged[-1][1] == start:
+            merged[-1] = (merged[-1][0], end, kind)
+        else:
+            merged.append((start, end, kind))
+    return merged
 
 
 def assert_timelines_identical(a, b):

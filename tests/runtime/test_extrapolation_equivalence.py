@@ -46,9 +46,9 @@ def graphs():
 
 
 @pytest.fixture(scope="module")
-def compiled_models(fm):
+def compiled_models(session_compile):
     return {
-        (model, device_name): fm.compile(load_model(model), get_device(device_name))
+        (model, device_name): session_compile(model, device_name)
         for model in MODELS
         for device_name in DEVICES
     }
@@ -94,15 +94,18 @@ def test_extrapolation_composes_with_scalar_pricing(monkeypatch, fm, graphs, com
 
 
 @pytest.fixture(scope="module")
-def rewriting_compiles():
-    """Compiles per (model, rewriting), built on first use."""
+def rewriting_compiles(session_compile):
+    """Compiles per (model, rewriting), built on first use; rewriting is
+    the default, so those are the session's shared compiles."""
     cache = {}
 
     def compiled(model, rewriting):
         if (model, rewriting) not in cache:
             fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300),
                                          use_kernel_rewriting=rewriting))
-            cache[model, rewriting] = fm, fm.compile(load_model(model), get_device("Pixel 8"))
+            cache[model, rewriting] = fm, (
+                session_compile(model, "Pixel 8") if rewriting
+                else fm.compile(load_model(model), get_device("Pixel 8")))
         return cache[model, rewriting]
 
     return compiled

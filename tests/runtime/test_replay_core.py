@@ -35,7 +35,7 @@ from repro.runtime.executor import FlashMemExecutor
 from repro.runtime.scenario import Scenario
 from repro.runtime.segment import SegmentCore, build_stream_index, stream_index
 from tests.oracles import replay_reference, run_segment_every_pass
-from tests.runtime.identity import assert_results_identical, replay_on_off
+from tests.runtime.identity import assert_results_identical, replay_on_off, spans
 
 EXEC, LOAD, XFORM = segment._OP_EXEC, segment._OP_LOAD, segment._OP_XFORM
 SLOTS = 4
@@ -139,18 +139,6 @@ def test_columnar_replay_matches_scalar_loop(pre, trace, start_it, passes):
     assert columnar == scalar
 
 
-def _spans(rows):
-    """``(start, end, kind)`` rows merged into maximal same-kind runs that
-    each start the instant the one before ends."""
-    spans = []
-    for start, end, kind in rows:
-        if spans and spans[-1][2] == kind and spans[-1][1] == start:
-            spans[-1] = (spans[-1][0], end, kind)
-        else:
-            spans.append((start, end, kind))
-    return spans
-
-
 def test_loads_at_both_ends_and_ties():
     """Loads before a pass's first kernel and after its last, a kernel whose
     load lands exactly as the GPU frees (pass 1; later passes stall there),
@@ -176,7 +164,7 @@ def test_loads_at_both_ends_and_ties():
         rows.append([[(e.start_ms, e.end_ms, e.kind) for e in q.events[1:]]
                      for q in (sim.queues.io, sim.queues.gpu)])
     # One row per contiguous same-kind span of the scalar loop's rows.
-    assert rows[0] == [_spans(queue_rows) for queue_rows in rows[1]]
+    assert rows[0] == [spans(queue_rows) for queue_rows in rows[1]]
     assert len(rows[0][1]) == 12 < len(rows[1][1]) == 16
 
 
@@ -216,26 +204,12 @@ def _recorded_traces(compiled, rewriting, start, kv_append=segment._NO_APPEND):
             for k in range(start, start + RECORDED)]
 
 
-@pytest.fixture(scope="module")
-def zoo_plans():
-    """Default-ratio plans on Pixel 8 per zoo model, built on first use."""
-    fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=50)))
-    cache = {}
-
-    def compiled(model):
-        if model not in cache:
-            cache[model] = fm.compile(load_model(model), get_device("Pixel 8"))
-        return cache[model]
-
-    return compiled
-
-
 @pytest.mark.parametrize("rewriting", [True, False], ids=["rewriting", "opg-only"])
 @pytest.mark.parametrize("model", EVALUATED_MODELS)
-def test_every_pass_after_the_first_records_one_trace(zoo_plans, model, rewriting):
+def test_every_pass_after_the_first_records_one_trace(session_compile, model, rewriting):
     """For every k >= 1, pass k's trace equals pass k+1's, and it is
     alloc/free balanced, so replaying the first recorded pass is exact."""
-    compiled = zoo_plans(model)
+    compiled = session_compile(model, "Pixel 8")
     assert compiled.plan.streamed_weights
     traces = _recorded_traces(compiled, rewriting, 0)
     assert traces[0] is not None
@@ -257,12 +231,12 @@ def test_streamed_decode_segment_records_one_trace(start):
     assert traces[0] == _recorded_traces(compiled, True, 0, appends)[0]
 
 
-def test_unbalanced_pass_is_never_replayed(monkeypatch, zoo_plans):
+def test_unbalanced_pass_is_never_replayed(monkeypatch, session_compile):
     """A plan whose streamed weight never finishes transforming leaves its
     UM copy live at the end of every pass: the recorded pass is not
     alloc/free balanced, so every pass is simulated, and teardown frees
     what the passes left."""
-    compiled = zoo_plans("GPTN-S")
+    compiled = session_compile("GPTN-S", "Pixel 8")
     plan = compiled.plan
     name = next(n for n, s in plan.schedules.items()
                 if not s.preloaded and not s.dedicated_transform and len(s.transforms) > 1)

@@ -6,10 +6,11 @@ weights through ``segment.stage_weights``: load ends from one
 loop over floats, queue rows, busy totals, memory rows and pool
 registrations added as columns.  The references in ``tests/oracles/sim.py``
 are the per-weight loops it replaced (two ``submit_fast`` calls and 2-4
-pool operations per weight).  Both must leave the same queue columns, busy
-totals by kind, live pool maps and timeline columns, bit for bit, for
-every framework profile and for FlashMem plans from preloading nothing to
-preloading everything.
+pool operations per weight).  Both must leave the same queue clocks, busy
+intervals and totals by kind, queue rows as merged spans (labels aside),
+live pool maps and timeline columns, bit for bit, for every framework
+profile and for FlashMem plans from preloading nothing to preloading
+everything.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ from repro.runtime.preload import PreloadExecutor
 from repro.runtime.scenario import Scenario
 from repro.runtime.segment import SegmentCore
 from tests.oracles import init_every_weight, preload_every_weight
-from tests.runtime.identity import assert_results_identical
+from tests.runtime.identity import assert_results_identical, spans
 
 DEVICE = get_device("Pixel 8")
 #: ResNet50 stages Winograd convolutions (scratch rows), GPTN-S does not.
@@ -47,27 +48,14 @@ def graphs():
     return {model: load_model(model).freeze() for model in MODELS}
 
 
-@pytest.fixture(scope="module")
-def plans():
-    """FlashMem compiles per (model, target preload ratio), built on first use."""
-    fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=100)))
-    cache = {}
-
-    def compiled(model, ratio):
-        if (model, ratio) not in cache:
-            cache[model, ratio] = fm.compile(load_model(model), DEVICE, target_preload_ratio=ratio)
-        return cache[model, ratio]
-
-    return compiled
-
-
 def _state(sim, end_ms):
     """Everything staging leaves behind, as exact bits."""
     queues = []
     for queue in (sim.queues.io, sim.queues.gpu):
-        labels, starts, ends, kinds = queue.replay_columns()
+        _, starts, ends, kinds = queue.replay_columns()
         queues.append((
-            list(labels), starts.tobytes(), ends.tobytes(), list(kinds),
+            [(a.hex(), b.hex(), kind) for a, b, kind in spans(zip(starts, ends, kinds))],
+            [(a.hex(), b.hex()) for a, b in queue.busy_intervals()],
             queue.free_at.hex(), queue.busy_time_ms().hex(),
             [queue.busy_time_ms(kind=kind).hex() for kind in KINDS],
         ))
@@ -93,8 +81,8 @@ def test_preload_init_matches_every_weight(graphs, profile, model):
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("model", MODELS)
-def test_flashmem_preload_matches_every_weight(plans, model, ratio):
-    compiled = plans(model, ratio)
+def test_flashmem_preload_matches_every_weight(session_compile, model, ratio):
+    compiled = session_compile(model, DEVICE.name, ratio)
     executor = FlashMemExecutor(DEVICE)
     states = []
     for preload in (FlashMemExecutor._preload, preload_every_weight):
@@ -107,10 +95,10 @@ def test_flashmem_preload_matches_every_weight(plans, model, ratio):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_whole_runs_match_every_weight_staging(monkeypatch, graphs, plans, model):
+def test_whole_runs_match_every_weight_staging(monkeypatch, graphs, session_compile, model):
     """End to end: a run staging in bulk equals one staging per weight."""
-    compiled = plans(model, 0.5)
-    fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=100)))
+    compiled = session_compile(model, DEVICE.name, 0.5)
+    fm = FlashMem(FlashMemConfig(opg=OpgConfig(max_nodes_per_window=300)))
     baseline = PreloadExecutor(get_profile("SMem"), DEVICE)
 
     def runs():
