@@ -15,6 +15,12 @@ lockstep — one batched regressor call per step instead of one single-row
 predict per (op, step) — and memoizes results per op fingerprint.
 ``tests/capacity/test_capacity_pipeline.py`` holds it to a sequential
 per-op bisection (``tests/oracles/capacity.py``) for both backends.
+
+The fingerprint memo lives as long as the model and still derives a
+fingerprint for every op it is asked about.  LC-OPG keeps a second memo
+on top, by spec identity, for the life of one solver (one compile), so an
+adaptive-fusion re-solve asks this model only about the specs its splits
+created (``LcOpgSolver._layer_chunks``).
 """
 
 from __future__ import annotations

@@ -34,16 +34,19 @@ earliest available capacity at or after their release.  For interval
 availability this is provably identical to the layer-major EDF sweep
 (peel the earliest-deadline weight: it wins every contested slot in its
 window under either rule, and the residual instance recurses).
-Weight-major packing vectorises over numpy prefix-capacity arrays, and —
-crucially — it is *incremental*: the release-vector search packs one
-weight per node with O(segment) undo (:class:`_EdfPacker`), so an
-infeasible prefix prunes its whole subtree instead of being rediscovered
-at every descendant leaf.
+Weight-major packing is one scalar pass per weight over a copy of
+``Budgets.available_range``, shared by both callers through
+:class:`_EdfPacker`.  A segment spans at most ``lookback`` (16) layers,
+where plain Python beats numpy's per-call overhead.  The packer is
+*incremental*: the release-vector search packs one weight per node with
+O(segment) undo, so an infeasible prefix prunes its whole subtree instead
+of being rediscovered at every descendant leaf.
 
 The seed layer-major sweep and full-re-pack prover are the oracles in
 ``tests/oracles``; ``tests/opg/test_exact_differential`` checks on
-randomized instances that this module returns the packings, verdicts and
-objectives they do.  The two may differ only in *node accounting* when
+randomized instances, lookback-scale ones included, that this module
+returns the packings (contents and key order), verdicts and objectives
+they do.  The two may differ only in *node accounting* when
 ``node_limit`` interrupts the search, because subtree pruning visits fewer
 nodes.
 """
@@ -52,8 +55,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.opg.heuristics import Budgets
 from repro.opg.problem import WeightInfo
@@ -66,31 +67,23 @@ def edf_feasible(
 ) -> Optional[Dict[str, Dict[int, int]]]:
     """Pack every weight's chunks into layers >= its release; None if impossible.
 
-    Weight-major EDF on a numpy prefix-capacity array: weights in deadline
-    order each fill the earliest remaining capacity of ``[release, i_w)``.
-    Produces exactly the packing of the seed layer-major EDF sweep.
+    Weight-major EDF over one copy of ``Budgets.available_range``: weights
+    in deadline order each fill the earliest remaining capacity of
+    ``[release, i_w)``.  Produces exactly the packing of the seed
+    layer-major EDF sweep, keyed in ``weights`` order (a zero-chunk weight
+    packs to ``{}``), each weight's layers ascending.
     """
     if not weights:
         return {}
     lo = min(releases[w.name] for w in weights)
-    hi = max(w.consumer_layer for w in weights)
-    avail = np.array(budgets.available_range(lo, hi), dtype=np.int64)
+    packer = _EdfPacker(lo, max(w.consumer_layer for w in weights), budgets)
     assignment: Dict[str, Dict[int, int]] = {w.name: {} for w in weights}
     for w in sorted(weights, key=lambda w: w.consumer_layer):
         if w.total_chunks == 0:
             continue
-        seg = avail[releases[w.name] - lo : w.consumer_layer - lo]
-        if seg.size == 0:
+        if not packer.push(w, releases[w.name]):
             return None
-        prefix = np.cumsum(seg)
-        if int(prefix[-1]) < w.total_chunks:
-            return None
-        fill = int(np.searchsorted(prefix, w.total_chunks))
-        take = seg[: fill + 1].copy()
-        take[fill] -= int(prefix[fill]) - w.total_chunks
-        seg[: fill + 1] -= take
-        base = releases[w.name]
-        assignment[w.name] = {base + int(i): int(take[i]) for i in np.nonzero(take)[0]}
+        assignment[w.name] = {lo + i: take for i, take in packer.last_takes()}
     return assignment
 
 
@@ -171,6 +164,10 @@ class _EdfPacker:
             return False
         self._stack.append((w, takes))
         return True
+
+    def last_takes(self) -> List[Tuple[int, int]]:
+        """``(offset from lo, chunks)`` of the last push, layers ascending."""
+        return self._stack[-1][1]
 
     def pop(self) -> None:
         _, takes = self._stack.pop()

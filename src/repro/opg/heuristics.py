@@ -11,6 +11,7 @@ branch-and-bound an immediate incumbent.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence
 
 from repro.opg.problem import OpgProblem, WeightInfo
@@ -41,6 +42,13 @@ class Budgets:
 
     def available(self, layer: int) -> int:
         return self._avail[layer]
+
+    def copy(self) -> "Budgets":
+        """An independent copy for trial packings (list copies, no rebuild
+        of the availability array)."""
+        clone = copy.copy(self)
+        clone.capacity, clone.m_peak, clone._avail = self.capacity[:], self.m_peak[:], self._avail[:]
+        return clone
 
     def available_range(self, lo: int, hi: int) -> List[int]:
         """Per-layer availability over ``[lo, hi)`` (a copy, safe to mutate)."""

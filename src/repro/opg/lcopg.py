@@ -56,17 +56,18 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.capacity.model import LoadCapacityModel
 from repro.graph.dag import Graph
-from repro.graph.ops import OpKind
+from repro.graph.ops import OpKind, OpSpec
 from repro.opg.cpsat.model import CpModel, SolveStatus
 from repro.opg.cpsat.search import CpSolver
 from repro.opg.exact import edf_feasible, prove_window, srpt_distance_floor
 from repro.opg.heuristics import Budgets, greedy_assign, greedy_schedule
 from repro.opg.plan import KvResidencyPlan, OverlapPlan, PlanStats, WeightSchedule
-from repro.opg.problem import OpgConfig, OpgProblem, WeightInfo, build_problem
+from repro.opg.problem import OpgConfig, OpgProblem, WeightInfo, assemble_problem
 
 #: Sentinel assignment for dedicated-transform (conv) weights.
 DEDICATED = object()
@@ -239,6 +240,9 @@ class LcOpgSolver:
         #: pinned for the solver's lifetime, so every adaptive-fusion
         #: iteration snaps windows to the same structural grid.
         self._period: Optional[Tuple[int, Optional[Tuple]]] = None
+        #: (capacity model, chunk bytes) -> id(spec) -> (spec, C_l in
+        #: chunks); see :meth:`_layer_chunks`.
+        self._chunk_memo: Dict[Tuple[LoadCapacityModel, int], Dict[int, Tuple[OpSpec, int]]] = {}
 
     # ------------------------------------------------------------------ API
     def solve(
@@ -259,7 +263,10 @@ class LcOpgSolver:
         """
         stats = PlanStats()
         t0 = time.perf_counter()
-        problem = build_problem(graph, capacity_model, self.config)
+        graph.freeze()
+        problem = assemble_problem(
+            graph, self._layer_chunks(graph, capacity_model, self.config.chunk_bytes), self.config
+        )
         stats.process_nodes_s = time.perf_counter() - t0
 
         if target_preload_ratio is None:
@@ -319,8 +326,12 @@ class LcOpgSolver:
         rescue_start = time.perf_counter()
         for w in sorted(deferred, key=lambda w: w.consumer_layer):
             lo = max(0, w.consumer_layer - self.config.long_lookback)
-            candidates = [l for l in range(lo, w.consumer_layer) if budgets.available(l) > 0]
-            placed = greedy_assign(w, budgets, candidates=candidates)
+            # Availability is never negative, so compress keeps exactly the
+            # layers with capacity left.
+            candidates = compress(
+                range(lo, w.consumer_layer), budgets.available_range(lo, w.consumer_layer)
+            )
+            placed = greedy_assign(w, budgets, candidates=list(candidates))
             if placed is None:
                 stats.incremental_preloads += 1
             schedules[w.name] = self._make_schedule(problem, w, placed)
@@ -341,6 +352,26 @@ class LcOpgSolver:
             schedules=schedules,
             stats=stats,
         )
+
+    def _layer_chunks(
+        self, graph: Graph, capacity_model: LoadCapacityModel, chunk_bytes: int
+    ) -> List[int]:
+        """``capacity_model.capacity_chunks_batch`` over ``graph``'s nodes,
+        memoized by spec identity for the solver's lifetime.
+
+        Fusion splits rebuild the graph around the same spec objects (only
+        a split's head and tail are new), so after the first solve of a
+        compile only new specs reach the capacity model.  Each entry holds
+        its spec, which keeps the ``id`` from being reused, and entries are
+        kept apart per (capacity model, chunk size).
+        """
+        memo = self._chunk_memo.setdefault((capacity_model, chunk_bytes), {})
+        specs = [n.spec for n in graph.nodes()]
+        new = [s for s in specs if id(s) not in memo]
+        if new:
+            for spec, chunks in zip(new, capacity_model.capacity_chunks_batch(new, chunk_bytes)):
+                memo[id(spec)] = (spec, chunks)
+        return [memo[id(s)][1] for s in specs]
 
     # ------------------------------------------------------- window caching
     @staticmethod
@@ -547,9 +578,9 @@ class LcOpgSolver:
         n = len(ordered)
         if n <= size:
             return [ordered] if ordered else []
-        sig = [self._structure_sig(w) for w in ordered]
         detected = self._period
         if detected is None:
+            sig = [self._structure_sig(w) for w in ordered]
             period = 0
             for p in range(4, size + 1):
                 matches = sum(1 for i in range(n - p) if sig[i] == sig[i + p])
@@ -568,7 +599,12 @@ class LcOpgSolver:
         if not period:
             return [ordered[i : i + size] for i in range(0, n, size)]
         span = min(2 * period, size)
-        anchors = [i for i in range(n) if sig[i] == leader]
+        # The leader's chunk count rules out most weights before their
+        # signature is built.
+        anchors = [
+            i for i, w in enumerate(ordered)
+            if w.total_chunks == leader[0] and self._structure_sig(w) == leader
+        ]
         if not anchors:
             return [ordered[i : i + size] for i in range(0, n, size)]
         windows = []
@@ -620,7 +656,7 @@ class LcOpgSolver:
         preload_set: set = set()
 
         def solo_fits(w: WeightInfo) -> bool:
-            return sum(budgets.available(l) for l in w.candidates) >= w.total_chunks
+            return sum(map(budgets.available, w.candidates)) >= w.total_chunks
 
         deferred_here: List[WeightInfo] = []
 
@@ -682,18 +718,15 @@ class LcOpgSolver:
             # Joint demand must actually pack into the candidate layers.
             # The EDF oracle decides this exactly (interval availability);
             # tier 2 defers the largest weights until the rest fit, so the
-            # CP model is feasible by construction.
+            # CP model is feasible by construction.  Deferring reads the
+            # budgets only, so every weight's release is found once.
+            first = self._releases(streaming, budgets)
             while streaming:
-                releases = {}
-                packable = True
-                for w in streaming:
-                    avail = [l for l in w.candidates if budgets.available(l) > 0]
-                    if not avail:
-                        packable = False
-                        break
-                    releases[w.name] = min(avail)
+                releases = {w.name: first[w.name] for w in streaming}
                 stats.edf_calls += 1
-                if packable and edf_feasible(streaming, releases, budgets) is not None:
+                if None not in releases.values() and (
+                    edf_feasible(streaming, releases, budgets) is not None
+                ):
                     break
                 defer(max(streaming, key=lambda w: w.nbytes))
                 streaming = [w for w in streaming if w.name not in preload_set]
@@ -727,6 +760,15 @@ class LcOpgSolver:
         deferred.extend(deferred_here)
         return assignments, SolveStatus.FEASIBLE, soft_sensitive
 
+    @staticmethod
+    def _releases(weights: Sequence[WeightInfo], budgets: Budgets) -> Dict[str, Optional[int]]:
+        """Each weight's EDF release: its earliest candidate layer with
+        capacity left (candidates ascend), None where no candidate has any."""
+        available = budgets.available
+        return {
+            w.name: next((l for l in w.candidates if available(l) > 0), None) for w in weights
+        }
+
     def _cp_window(
         self,
         problem: OpgProblem,
@@ -744,19 +786,16 @@ class LcOpgSolver:
         # Decision hints: an exact EDF packing (always jointly consistent,
         # so the first hinted descent lands on a complete solution), with a
         # latest-first greedy overlay where it succeeds (better distances).
-        edf_releases = {}
-        for w in weights:
-            avail = [l for l in w.candidates if budgets.available(l) > 0]
-            if not avail:
-                stats.build_model_s += time.perf_counter() - build_start
-                return None
-            edf_releases[w.name] = min(avail)
+        releases = self._releases(weights, budgets)
+        if None in releases.values():
+            stats.build_model_s += time.perf_counter() - build_start
+            return None
         stats.edf_calls += 1
-        hints: Optional[Dict[str, Dict[int, int]]] = edf_feasible(weights, edf_releases, budgets)
+        hints: Optional[Dict[str, Dict[int, int]]] = edf_feasible(weights, releases, budgets)
         if hints is None:
             stats.build_model_s += time.perf_counter() - build_start
             return None  # window is genuinely over-subscribed
-        probe = Budgets(budgets.capacity, budgets.m_peak)
+        probe = budgets.copy()
         greedy_hints: Dict[str, Optional[Dict[int, int]]] = {}
         greedy_ok = True
         for w in sorted(weights, key=lambda w: w.consumer_layer):
@@ -784,9 +823,8 @@ class LcOpgSolver:
         # budgets): a valid upper bound for z_w that makes the objective
         # bound tight enough to *prove* optimality on uncontended windows.
         z_best: Dict[str, int] = {}
-        solo_probe = Budgets(budgets.capacity, budgets.m_peak)
         for w in weights:
-            solo = greedy_assign(w, solo_probe, commit=False)
+            solo = greedy_assign(w, budgets, commit=False)
             if solo:
                 z_best[w.name] = min(solo)
 

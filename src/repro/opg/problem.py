@@ -12,10 +12,11 @@ solver schedules over:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.capacity.model import LoadCapacityModel
 from repro.graph.dag import Graph
+from repro.graph.ops import OpKind
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class WeightInfo:
     nbytes: int
     consumer_layer: int  # i_w, 0-based
     total_chunks: int    # T(w)
-    candidates: List[int] = field(default_factory=list)  # L(w)
+    candidates: List[int] = field(default_factory=list)  # L(w), ascending
     #: Convolution weights: streamed from disk on demand, but their Winograd
     #: layout transformation cannot be embedded in other kernels (paper
     #: §5.2/§5.4) — it runs as a dedicated kernel at the consumer.
@@ -143,16 +144,24 @@ def build_problem(
     """
     config = config or OpgConfig()
     graph.freeze()
-    nodes = graph.nodes()
-    from repro.graph.ops import OpKind
+    chunked = capacity_model.capacity_chunks_batch(
+        [n.spec for n in graph.nodes()], config.chunk_bytes
+    )
+    return assemble_problem(graph, chunked, config)
 
+
+def assemble_problem(graph: Graph, chunked: Sequence[int], config: OpgConfig) -> OpgProblem:
+    """The OPG instance of frozen ``graph``, given each node's load capacity
+    in chunks as ``capacity_chunks_batch`` reports it (execution order).
+
+    :func:`build_problem` queries the capacity model for ``chunked``;
+    LC-OPG passes its per-compile memo of the same answers.
+    """
+    nodes = graph.nodes()
     # Tiled decode-attention kernels saturate their memory pipeline with KV
     # tile traffic (and may themselves be streaming spilled tiles from
     # disk), so they host no embedded weight transforms regardless of what
     # the generic REUSABLE inversion would grant them.
-    chunked = capacity_model.capacity_chunks_batch(
-        [n.spec for n in nodes], config.chunk_bytes
-    )
     capacity = [
         0 if n.kind is OpKind.FLASH_ATTENTION else chunked[i]
         for i, n in enumerate(nodes)

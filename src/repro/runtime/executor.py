@@ -89,6 +89,9 @@ class FlashMemExecutor:
         consecutive same-model inferences (paper §5.2).
         ``Scenario.decode(...)`` runs per-token autoregressive generation
         against the plan's KV residency policy (see :meth:`_decode`).
+        A plan that leaves a weight of ``graph`` unscheduled raises
+        ValueError (:func:`~repro.runtime.segment.stream_index` checks each
+        (graph, plan) pair once).
         """
         scenario = scenario or Scenario.prefill()
         graph.freeze()
@@ -98,13 +101,6 @@ class FlashMemExecutor:
                 f"decode scenario needs a KV residency plan, but the plan for "
                 f"{plan.model!r} has none — compile a decode-phase graph "
                 "(repro.graph.models.load_decode_model)"
-            )
-        missing = [w.name for w, _ in graph.weights() if w.name not in plan.schedules]
-        if missing:
-            raise ValueError(
-                f"plan for {plan.model!r} does not cover {len(missing)} weights "
-                f"of {graph.name!r} (first: {missing[0]!r}) — was it solved for "
-                "a different graph?"
             )
         sim = Simulation(self.device, model=graph.name, runtime=runtime_name)
         core = SegmentCore(sim, graph, plan, rewriting=self.rewriting)
@@ -205,7 +201,7 @@ class FlashMemExecutor:
             sim.log_memory([preload_end_ms], [initial_kv])
         breaks = kv_plan.breakpoints(context_len, tokens)
         core.run_decode(
-            attention_index(graph, core.nodes),
+            attention_index(graph),
             durations,
             context_len,
             tokens,

@@ -181,7 +181,7 @@ class PreloadExecutor:
         by one row pair per cache per token, unboundedly — the linear-memory
         failure mode FlashMem's residency cap is designed around.
         """
-        attention = attention_index(graph, core.nodes)
+        attention = attention_index(graph)
         tiles = {k.tile_tokens for k in attention.kernels}
         if len(tiles) != 1:
             raise ValueError(f"mixed attention tile sizes in {graph.name!r}: {sorted(tiles)}")

@@ -72,8 +72,8 @@ _NO_APPEND: Dict[int, int] = {}
 class Attention(NamedTuple):
     """A decode graph's tiled-attention nodes and KV appends, by position."""
 
-    positions: List[int]
-    kernels: List[FlashAttentionKernel]
+    positions: Tuple[int, ...]
+    kernels: Tuple[FlashAttentionKernel, ...]
     #: Position of each KV_APPEND node -> bytes it appends per token.
     append: Dict[int, int]
 
@@ -105,28 +105,51 @@ def weight_rows(graph: Graph) -> Dict[str, Tuple[int, int, float]]:
     return graph._frozen_aggregate("weight-rows", rows)
 
 
-def attention_index(graph: Graph, nodes: Sequence) -> Attention:
-    """Index ``graph``'s attention and KV-append nodes (decode graphs only)."""
-    caches = {c.name: c for c in graph.kv_cache_specs()}
-    attention = Attention([], [], {})
-    for pos, node in enumerate(nodes):
-        if node.kind is OpKind.FLASH_ATTENTION:
-            attention.positions.append(pos)
-            attention.kernels.append(FlashAttentionKernel.from_spec(node.spec))
-        elif node.kind is OpKind.KV_APPEND:
-            attention.append[pos] = caches[node.spec.attrs["kv_cache"]].token_bytes
-    if not attention.positions:
-        raise ValueError(
-            f"decode scenario requires FLASH_ATTENTION nodes; {graph.name!r} has none"
-        )
-    return attention
+def attention_index(graph: Graph) -> Attention:
+    """Index ``graph``'s attention and KV-append nodes (decode graphs only).
+
+    A pure function of the frozen graph, memoized on it like
+    :func:`weight_rows`: every decode run of either executor shares one
+    index, so callers must not mutate it.
+    """
+
+    def build() -> Attention:
+        caches = {c.name: c for c in graph.kv_cache_specs()}
+        positions: List[int] = []
+        kernels: List[FlashAttentionKernel] = []
+        append: Dict[int, int] = {}
+        for pos, node in enumerate(graph.nodes()):
+            if node.kind is OpKind.FLASH_ATTENTION:
+                positions.append(pos)
+                kernels.append(FlashAttentionKernel.from_spec(node.spec))
+            elif node.kind is OpKind.KV_APPEND:
+                append[pos] = caches[node.spec.attrs["kv_cache"]].token_bytes
+        if not positions:
+            raise ValueError(
+                f"decode scenario requires FLASH_ATTENTION nodes; {graph.name!r} has none"
+            )
+        return Attention(tuple(positions), tuple(kernels), append)
+
+    return graph._frozen_aggregate("attention-index", build)
 
 
 def build_stream_index(graph: Graph, plan: OverlapPlan) -> tuple:
     """``plan``'s streaming indexes over ``graph``: ``(loads_by_layer,
     chunks_by_layer, dedicated, weight_nbytes, sched_nbytes, consumers)``,
     the last holding per node the ``(weight, layer, bytes)`` streamed
-    (non-dedicated) chunks it consumes.  Walks each schedule's segments once."""
+    (non-dedicated) chunks it consumes.  Walks each schedule's segments once.
+
+    Raises ValueError when ``plan`` has no schedule for some weight of
+    ``graph`` (a plan solved for another graph).
+    """
+    weights = weight_rows(graph)
+    missing = [name for name in weights if name not in plan.schedules]
+    if missing:
+        raise ValueError(
+            f"plan for {plan.model!r} does not cover {len(missing)} weights "
+            f"of {graph.name!r} (first: {missing[0]!r}) — was it solved for "
+            "a different graph?"
+        )
     loads_by_layer: Dict[int, List[str]] = {}
     chunks_by_layer: Dict[int, List[Tuple[str, int]]] = {}
     segments: Dict[str, List[Tuple[int, int]]] = {}
@@ -144,14 +167,14 @@ def build_stream_index(graph: Graph, plan: OverlapPlan) -> tuple:
               for layer, nbytes in segments[w.name])
         for node in graph.nodes()
     )
-    weights = weight_rows(graph)
     return (loads_by_layer, chunks_by_layer, dedicated,
             {n: weights[n][0] for n in plan.schedules},
             {n: s.nbytes for n, s in plan.schedules.items()}, consumers)
 
 
 def stream_index(graph: Graph, plan: OverlapPlan) -> tuple:
-    """:func:`build_stream_index`, memoized on ``plan``.  The memo holds the
+    """:func:`build_stream_index`, memoized on ``plan``, so the check that
+    ``plan`` covers ``graph`` runs once per pair.  The memo holds the
     (frozen, so unchanging) graph it indexes and answers for that object
     only: another plan, or a rebuilt copy of the graph, builds its own."""
     memo = plan.__dict__.get("_stream_index")

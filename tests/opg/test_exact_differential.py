@@ -1,6 +1,6 @@
 """Randomized differential test: fast EDF oracle / prover ≡ seed reference.
 
-Safety net for the numpy weight-major EDF rewrite and the incremental
+Safety net for the scalar weight-major EDF and the incremental
 release-vector prover: on seeded random windows, ``edf_feasible`` must
 produce *exactly* the packing of the preserved seed implementation
 (``edf_feasible_reference`` in ``tests/oracles``), and ``prove_window``
@@ -74,6 +74,91 @@ class TestEdfOracleDifferential:
         edf_feasible(weights, releases, budgets)
         edf_feasible_reference(weights, releases, budgets)
         assert (budgets.capacity, budgets.m_peak) == before
+
+
+LOOKBACK = 16
+
+
+def _lookback_window(rng: random.Random):
+    """A window at the solver's scale: segments ``[release, i_w)`` of 1-16
+    layers (the default ``lookback``), zero-capacity layers inside them,
+    zero-chunk weights, and some releases at or past their consumer."""
+    n_layers = rng.randint(LOOKBACK + 2, 48)
+    capacity = [0 if rng.random() < 0.25 else rng.randint(1, 6) for _ in range(n_layers)]
+    budgets = Budgets(capacity, [rng.randint(3, 8) for _ in range(n_layers)])
+    weights, releases = [], {}
+    for i in range(rng.randint(1, 12)):
+        consumer = rng.randint(1, n_layers)
+        roll = rng.random()
+        if roll < 0.1:
+            release = min(n_layers, consumer + rng.randint(0, 2))  # at or past i_w
+        else:
+            release = max(0, consumer - rng.randint(1, LOOKBACK))
+        chunks = 0 if roll > 0.85 else rng.randint(1, 3 * max(1, consumer - release) + 1)
+        name = f"w{i}"
+        weights.append(
+            WeightInfo(
+                name=name,
+                nbytes=100,
+                consumer_layer=consumer,
+                total_chunks=chunks,
+                candidates=list(range(max(0, consumer - LOOKBACK), consumer)),
+            )
+        )
+        releases[name] = release
+    return weights, releases, budgets
+
+
+def _same_packing(fast, ref):
+    """Equal contents and equal key order, per weight and per layer."""
+    if ref is None:
+        return fast is None
+    return fast is not None and [(k, list(v.items())) for k, v in fast.items()] == [
+        (k, list(v.items())) for k, v in ref.items()
+    ]
+
+
+class TestEdfLookbackScale:
+    def test_matches_reference_contents_and_key_order(self):
+        rng = random.Random(0x16)
+        outcomes = {"feasible": 0, "infeasible": 0, "zero_chunk_packed": 0,
+                    "hole_inside_packing": 0, "release_at_or_past_consumer": 0}
+        for _ in range(400):
+            weights, releases, budgets = _lookback_window(rng)
+            fast = edf_feasible(weights, releases, budgets)
+            ref = edf_feasible_reference(weights, releases, budgets)
+            assert _same_packing(fast, ref)
+            outcomes["feasible" if ref is not None else "infeasible"] += 1
+            if any(releases[w.name] >= w.consumer_layer for w in weights):
+                outcomes["release_at_or_past_consumer"] += 1
+            if ref is None:
+                continue
+            if any(w.total_chunks == 0 for w in weights):
+                outcomes["zero_chunk_packed"] += 1
+            for packed in ref.values():
+                layers = sorted(packed)
+                if layers and any(budgets.available(l) == 0 for l in range(layers[0], layers[-1])):
+                    outcomes["hole_inside_packing"] += 1
+                    break
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_hand_built_edges(self):
+        budgets = Budgets([2, 0, 3, 0, 1, 2, 2, 2], [9] * 8)
+        late = WeightInfo("late", 100, 8, 3, list(range(8)))
+        early = WeightInfo("early", 100, 5, 4, list(range(5)))
+        empty = WeightInfo("empty", 100, 6, 0, list(range(6)))
+        one = WeightInfo("one", 100, 7, 2, [6])
+        # Input order keys the result; deadline order packs it, skipping the
+        # zero-capacity layers 1 and 3.
+        releases = {"late": 0, "early": 0, "empty": 6, "one": 6}
+        got = edf_feasible([late, early, empty, one], releases, budgets)
+        assert _same_packing(got, edf_feasible_reference([late, early, empty, one], releases, budgets))
+        assert got == {"late": {2: 1, 4: 1, 5: 1}, "early": {0: 2, 2: 2}, "empty": {}, "one": {6: 2}}
+        assert list(got) == ["late", "early", "empty", "one"]
+        # A one-layer segment that is too small, and a release at the consumer.
+        assert edf_feasible([WeightInfo("x", 100, 7, 3, [6])], {"x": 6}, budgets) is None
+        assert edf_feasible([WeightInfo("x", 100, 7, 1, [6])], {"x": 7}, budgets) is None
+        assert edf_feasible([empty], {"empty": 7}, budgets) == {"empty": {}}
 
 
 def _incumbent_for(weights, budgets):

@@ -44,6 +44,17 @@ class TestCorruptArtifacts:
         with pytest.raises(ValueError, match="does not cover"):
             FlashMemExecutor(device).run(bigger, plan_small)
 
+    def test_coverage_is_checked_per_graph(self, device, capacity):
+        # A plan that ran on its own graph still fails on a bigger one: the
+        # once-per-pair answer is not carried over to another graph.
+        small = _model(blocks=1)
+        plan = LcOpgSolver(FAST).solve(small, capacity)
+        executor = FlashMemExecutor(device)
+        executor.run(small, plan)
+        with pytest.raises(ValueError, match="does not cover"):
+            executor.run(_model(blocks=3), plan)
+        executor.run(small, plan)
+
     def test_truncated_plan_rejected(self, device, capacity):
         g = _model()
         plan = LcOpgSolver(FAST).solve(g, capacity)

@@ -28,6 +28,7 @@ from repro.gpusim.energy import measure_energy
 from repro.gpusim.engine import Simulation
 from repro.graph.builder import GraphBuilder
 from repro.graph.models import EVALUATED_MODELS, load_decode_model, load_model
+from repro.graph.ops import OpKind
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.problem import OpgConfig
 from repro.runtime import segment
@@ -224,7 +225,7 @@ def test_streamed_decode_segment_records_one_trace(start):
     compiled = fm.compile(load_decode_model("GPTN-S", context_len=256), DEVICE,
                           target_preload_ratio=0.6)
     assert compiled.plan.streamed_weights
-    appends = segment.attention_index(compiled.graph, list(compiled.graph.nodes())).append
+    appends = segment.attention_index(compiled.graph).append
     traces = _recorded_traces(compiled, True, start, appends)
     assert traces[0] is not None
     assert all(trace == traces[0] for trace in traces[1:])
@@ -284,3 +285,17 @@ def test_stream_index_memo_answers_for_its_graph_and_plan_only():
     assert index is not seen[0]
     assert again.latency_ms == first.latency_ms
     assert again.peak_memory_bytes == first.peak_memory_bytes
+
+
+def test_attention_index_is_memoized_on_its_frozen_graph():
+    """Every decode run of either executor reads one index per graph; a
+    rebuilt copy of the graph builds an equal index of its own."""
+    graph = load_decode_model("GPTN-S", context_len=256).freeze()
+    index = segment.attention_index(graph)
+    assert segment.attention_index(graph) is index
+    rebuilt = load_decode_model("GPTN-S", context_len=256).freeze()
+    assert segment.attention_index(rebuilt) == index
+    assert segment.attention_index(rebuilt) is not index
+    kinds = [node.kind for node in graph.nodes()]
+    assert [kinds[p] for p in index.positions] == [OpKind.FLASH_ATTENTION] * len(index.positions)
+    assert [kinds[p] for p in index.append] == [OpKind.KV_APPEND] * len(index.append)
